@@ -78,6 +78,7 @@ def write_json_atomic(path: str, obj, token: str = "tmp") -> None:
 
 def touch(path: str) -> None:
     fs, p = resolve_fs(path)
+    fs.create_dir(posixpath.dirname(p), recursive=True)
     with fs.open_output_stream(p) as f:
         f.write(b"")
 

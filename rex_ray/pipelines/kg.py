@@ -3,18 +3,22 @@
     read (Lance/Parquet interleaved docs)
       -> normalize (span-sequence validation + text view)     [map_batches]
       -> mention detection + pair fan-out                     [tasks]
-      -> entity linking (broadcast canonical dict)            [tasks]
+      -> distinct surfaces (partial distinct + one shuffle)   [groupby]
+      -> canonical map + entity linking (COUNT-routed)        [tasks|joins]
       -> triple-store dedup (partial agg + one small shuffle) [groupby]
 
 Light dictionary stages run as TASKS with per-process state caches;
 actor pools are reserved for heavy model state (see stages/scorer.py).
 
-Everything streams; the only materialized intermediates are (a) the
-distinct-surface Dataset (its COUNT routes the cardinality guard: at
-gazetteer scale it is pulled to feed the broadcast canonical dict, above
-``canonical.DRIVER_CC_MAX_NODES`` it stays distributed through label
-propagation + join linking) and (b) the final triple store if the
-caller writes it.
+One canonicalization path: every canonical map starts from
+:func:`_surface_nodes` (the distinct-surface Dataset), and every
+corpus-derived linking goes through :func:`linked_triples`, whose
+distinct-surface COUNT picks the route — at gazetteer scale the
+surfaces are pulled to build a broadcast dict, above
+``canonical.DRIVER_CC_MAX_NODES`` they stay distributed through label
+propagation + join linking.  The resumable runners share one slice
+runner (:func:`_resumable_slice`) that persists the driver-route dict
+as a per-epoch artifact and links every partition against it.
 """
 
 from __future__ import annotations
@@ -31,64 +35,77 @@ from rex_ray.stages import canonical as canon
 from rex_ray.stages import extract, link
 
 
-def distinct_surfaces(docs_text_ds) -> list:
-    """Distinct gazetteer surfaces present in the corpus.  Partial
-    per-batch distinct inside the mention stage keeps the shuffle input
-    tiny (one row per surface per batch)."""
+def _surface_nodes(rows_ds):
+    """Distinct ``surface`` values of ``rows_ds`` as a materialized
+    one-column ``node`` Dataset: a per-batch partial distinct keeps the
+    shuffle input tiny (one row per surface per batch), then one small
+    groupby.  The driver reads only its COUNT."""
     import pyarrow as pa
 
-    def part_distinct(t: "pa.Table") -> "pa.Table":
-        # Ray 2.49 can emit schema-dropped empty blocks — guard before
-        # selecting (same hardening as the flagship's twin below)
-        if t.num_rows == 0 or "surface" not in t.schema.names:
-            return pa.table({"surface": pa.array([], pa.string())})
-        return t.select(["surface"]).group_by("surface").aggregate([])
-
-    partial = extract.extract_mentions(docs_text_ds).map_batches(
-        part_distinct, batch_format="pyarrow",
-    )
     from rex_ray.functions.blocks import pre_shuffle
 
-    uniq = pre_shuffle(partial).unique("surface")
-    return sorted(uniq) if uniq else []  # empty corpus -> no surfaces
+    def part_distinct(t: "pa.Table") -> "pa.Table":
+        # Ray 2.49 can emit schema-dropped empty blocks (e.g. out of a
+        # filter) — guard before selecting
+        if t.num_rows == 0 or "surface" not in t.schema.names:
+            return pa.table({"node": pa.array([], pa.string())})
+        return (
+            t.select(["surface"])
+            .group_by("surface")
+            .aggregate([])
+            .rename_columns(["node"])
+        )
+
+    partial = rows_ds.map_batches(part_distinct, batch_format="pyarrow")
+    return (
+        pre_shuffle(partial)
+        .groupby("node")
+        .count()
+        .select_columns(["node"])
+        .materialize()
+    )
+
+
+def _node_list(nodes_ds) -> list:
+    # an empty aggregate loses the column entirely: guard the
+    # degenerate (mention-free) corpus before indexing it
+    return sorted(nodes_ds.to_pandas()["node"]) if nodes_ds.count() else []
+
+
+def distinct_surfaces(docs_text_ds) -> list:
+    """Sorted distinct gazetteer surfaces present in the corpus."""
+    return _node_list(_surface_nodes(extract.extract_mentions(docs_text_ds)))
 
 
 def build_canonical_map(docs_text_ds) -> Dict[str, str]:
     """surface -> canonical entity id, via connected components over the
-    variant-edge graph restricted to present surfaces (driver-side
-    union-find: the alias graph is broadcast-small; the distributed
-    label-propagation twin lives in ``stages.canonical`` for graphs
-    that aren't)."""
-    surfaces = distinct_surfaces(docs_text_ds)
+    variant-edge graph restricted to present surfaces — the dict the
+    resumable runners persist and broadcast to every partition."""
     return canon.canonical_map_for_surfaces(
-        surfaces, spec.VARIANT_EDGES, spec.ENTITY_ID_PREFIX
+        distinct_surfaces(docs_text_ds),
+        spec.VARIANT_EDGES, spec.ENTITY_ID_PREFIX,
     )
 
 
-def triple_store_from_text_docs(
+def linked_triples(
     docs_text_ds,
     min_score: float = 0.0,
-    canonical: Optional[Dict[str, str]] = None,
     max_driver_nodes: Optional[int] = None,
     gazetteer: Optional[Dict[str, str]] = None,
     route_out: Optional[dict] = None,
-    link_num_partitions: Optional[int] = None,
 ):
-    """(doc_id, text) Dataset -> deduped triple store Dataset
-    (subj_id, pred, obj_id, score, support).
+    """(doc_id, text) Dataset -> scored triples with ``subj_id`` /
+    ``obj_id``, canonicalized over the corpus's own surfaces.
 
-    Single doc pass: when the canonical map must be derived from the
-    corpus, one fused extraction pass emits tagged triples + distinct
-    surfaces (boundary-safe: the pair fan-out happens inside the doc
-    batch, immune to Ray's dynamic block splitting), materialized once
-    and consumed by BOTH the canonical-map aggregation and the triple
-    path.  With a precomputed canonical map (the resumable runner's
-    phase-0 artifact) the fused extract-triples path streams with no
-    intermediate at all.
+    Single doc pass: one fused extraction emits tagged triples +
+    per-batch distinct surfaces (boundary-safe: the pair fan-out
+    happens inside the doc batch, immune to Ray's dynamic block
+    splitting), materialized once and consumed by BOTH the
+    distinct-surface shuffle and the triple path.
 
-    Cardinality guard (north-star canonicalization at 10^12-doc scale,
-    SURVEY.md §7.1 steps 9-10): the distinct-surface COUNT — one int —
-    is the only thing the driver sees before routing.  At or below
+    Cardinality guard (canonicalization at 10^12-doc scale, SURVEY.md
+    §7.1 steps 9-10): the distinct-surface COUNT — one int — is the
+    only thing the driver sees before routing.  At or below
     ``max_driver_nodes`` (default ``canonical.DRIVER_CC_MAX_NODES``)
     the surfaces are pulled, components come from driver union-find
     and the linker broadcasts a dict (gazetteer-sized inventories).
@@ -100,115 +117,124 @@ def triple_store_from_text_docs(
     (asserted in tests and by the kg_triple_store_lp driver-gate row).
 
     ``route_out``: optional dict; gets ``{"canonical_route":
-    "precomputed"|"driver"|"lp", "n_surfaces": int}`` for
-    observability/tests.
-
-    ``link_num_partitions``: explicit shuffle-partition count for the
-    LP route's linking joins; by default they are sized to
-    max(canonical-map, tagged-row) cardinality — see
-    :func:`link.link_triples_via_join`.
+    "driver"|"lp", "n_surfaces": int}`` for observability/tests.
     """
     if max_driver_nodes is None:
         max_driver_nodes = canon.DRIVER_CC_MAX_NODES
-    if canonical is not None:
-        if route_out is not None:
-            route_out["canonical_route"] = "precomputed"
-        triples = extract.extract_triples(docs_text_ds, min_score=min_score)
-        linked = link.link_triples(triples, canonical)
-        return agg.dedup_triple_store(linked)
-
-    from rex_ray.functions.blocks import pre_shuffle
-
     tagged = extract.extract_triples_and_surfaces(
         docs_text_ds, min_score=min_score, gazetteer=gazetteer
     ).materialize()
-    # distributed distinct: per-batch partial distinct -> one small
-    # shuffle; the driver only ever reads the COUNT of this Dataset
-    import pyarrow as pa
-
-    def part_distinct(t: "pa.Table") -> "pa.Table":
-        # Ray 2.49 can emit schema-dropped empty blocks out of a
-        # filter — guard before selecting (round-4 advice)
-        if t.num_rows == 0 or "surface" not in t.schema.names:
-            return pa.table({"node": pa.array([], pa.string())})
-        return (
-            t.select(["surface"])
-            .group_by("surface")
-            .aggregate([])
-            .rename_columns(["node"])
-        )
-
-    surf_partial = tagged.filter(expr="kind == 's'").map_batches(
-        part_distinct, batch_format="pyarrow"
-    )
-    nodes_ds = (
-        pre_shuffle(surf_partial)
-        .groupby("node")
-        .count()
-        .select_columns(["node"])
-        .materialize()
-    )
+    nodes_ds = _surface_nodes(tagged.filter(expr="kind == 's'"))
     n_surfaces = nodes_ds.count()
     triples = tagged.filter(expr="kind == 't'").drop_columns(
         ["kind", "surface"]
     )
-    if n_surfaces <= max_driver_nodes:
-        if route_out is not None:
-            route_out["canonical_route"] = "driver"
-            route_out["n_surfaces"] = n_surfaces
-        # empty aggregate loses the column entirely; guard the
-        # degenerate (mention-free) corpus before indexing it
-        surfaces = (
-            sorted(nodes_ds.to_pandas()["node"]) if n_surfaces else []
-        )
+    route = "driver" if n_surfaces <= max_driver_nodes else "lp"
+    if route_out is not None:
+        route_out["canonical_route"] = route
+        route_out["n_surfaces"] = n_surfaces
+    if route == "driver":
         canonical = canon.canonical_map_for_surfaces(
-            surfaces, spec.VARIANT_EDGES, spec.ENTITY_ID_PREFIX,
+            _node_list(nodes_ds), spec.VARIANT_EDGES, spec.ENTITY_ID_PREFIX,
             max_driver_nodes=max(max_driver_nodes, 1),
         )
-        linked = link.link_triples(triples, canonical)
-    else:
-        if route_out is not None:
-            route_out["canonical_route"] = "lp"
-            route_out["n_surfaces"] = n_surfaces
-        # the sliver engine obeys the SAME driver-size knob as the
-        # route itself: a forced-LP run (max_driver_nodes=0) also
-        # forces the distributed fixpoint on the sliver, while the
-        # natural route union-finds the alias-dict-bounded sliver on
-        # the driver (it is already driver-resident)
-        map_ds = canon.canonical_labels_from_nodes_ds(
-            nodes_ds, spec.VARIANT_EDGES, spec.ENTITY_ID_PREFIX,
-            sliver_max_driver_nodes=max_driver_nodes,
-            info_out=route_out,
-        )
-        # tagged is materialized -> count() is a metadata read; it
-        # upper-bounds the triple rows, so the join fan-out can't
-        # funnel a huge left side through map-sized partitions
-        linked = link.link_triples_via_join(
-            triples, map_ds,
-            num_partitions=link_num_partitions,
-            est_left_rows=tagged.count(),
-        )
-    return agg.dedup_triple_store(linked)
+        return link.link_triples(triples, canonical)
+    # the sliver engine obeys the SAME driver-size knob as the route
+    # itself: a forced-LP run (max_driver_nodes=0) also forces the
+    # distributed fixpoint on the sliver, while the natural route
+    # union-finds the alias-dict-bounded sliver on the driver (it is
+    # already driver-resident)
+    map_ds = canon.canonical_labels_from_nodes_ds(
+        nodes_ds, spec.VARIANT_EDGES, spec.ENTITY_ID_PREFIX,
+        sliver_max_driver_nodes=max_driver_nodes,
+        info_out=route_out,
+    )
+    # tagged is materialized -> count() is a metadata read; it
+    # upper-bounds the triple rows, so the join fan-out can't funnel a
+    # huge left side through map-sized partitions
+    return link.link_triples_via_join(
+        triples, map_ds, est_left_rows=tagged.count()
+    )
 
 
-def triple_store_from_interleaved(
-    interleaved_ds,
+def triple_store_from_text_docs(
+    docs_text_ds,
     min_score: float = 0.0,
-    canonical: Optional[Dict[str, str]] = None,
     max_driver_nodes: Optional[int] = None,
+    gazetteer: Optional[Dict[str, str]] = None,
     route_out: Optional[dict] = None,
-    link_num_partitions: Optional[int] = None,
 ):
+    """(doc_id, text) Dataset -> deduped triple store Dataset
+    (subj_id, pred, obj_id, score, support): :func:`linked_triples`
+    (one corpus pass, one COUNT-routed canonical map) then the dedup
+    aggregate.  Arguments as in :func:`linked_triples`."""
+    return agg.dedup_triple_store(
+        linked_triples(
+            docs_text_ds, min_score=min_score,
+            max_driver_nodes=max_driver_nodes, gazetteer=gazetteer,
+            route_out=route_out,
+        )
+    )
+
+
+def triple_store_from_interleaved(interleaved_ds, min_score: float = 0.0):
     """Interleaved text+media docs -> triple store.  The normalize stage
     validates the span-sequence invariant on every row and projects the
     text view; media spans pass through untouched to the multimodal
     stages (``stages.multimodal``)."""
-    text_ds = il.text_view(interleaved_ds)
     return triple_store_from_text_docs(
-        text_ds, min_score=min_score, canonical=canonical,
-        max_driver_nodes=max_driver_nodes, route_out=route_out,
-        link_num_partitions=link_num_partitions,
+        il.text_view(interleaved_ds), min_score=min_score
     )
+
+
+def _resumable_slice(sf_dir, out_dir, parts_dir, bucket_lo, bucket_hi,
+                     num_partitions, min_score):
+    """Checkpointed build of the docs whose md5 bucket falls in
+    [bucket_lo, bucket_hi) (everything for [0, 100)).
+
+    Phase 0  canonical map — one global artifact of ``out_dir``
+             (connected components need corpus-wide surface presence),
+             built over the slice on first need, frozen afterwards.
+    Phase 1  per doc_id-range partition: synthesize -> normalize ->
+             extract -> link -> partition-local dedup -> Parquet part
+             + ``_SUCCESS`` + lineage row under ``parts_dir``.  Resume
+             skips done parts.
+    Phase 2  associative merge (max score, sum support) over all parts.
+
+    Returns (merged triple-store Dataset, lineage list).
+    """
+    from rex_ray.stages.relational import bucket_filter
+    from rex_ray.state import checkpoint as ckpt
+
+    path = f"{sf_dir}/documents.parquet"
+
+    def text_slice(docs_ds):
+        if bucket_lo > 0 or bucket_hi < 100:
+            docs_ds = bucket_filter(docs_ds, "doc_id", bucket_lo, bucket_hi)
+        return il.text_view(
+            il.synthesize_interleaved(
+                docs_ds.select_columns(["doc_id", "text"])
+            )
+        )
+
+    canonical = ckpt.write_artifact(
+        out_dir,
+        "canonical_map",
+        None,
+        build=lambda: build_canonical_map(
+            text_slice(rd.read_parquet(path, columns=["doc_id", "text"]))
+        ),
+    )
+
+    def stage(docs_ds):
+        triples = extract.extract_triples(
+            text_slice(docs_ds), min_score=min_score
+        )
+        return agg.dedup_triple_store(link.link_triples(triples, canonical))
+
+    parts = ckpt.plan_id_ranges(path, "doc_id", num_partitions)
+    lineage = ckpt.run_resumable(parts, stage, parts_dir)
+    return agg.merge_triple_stores(ckpt.read_output(parts_dir)), lineage
 
 
 def run_flagship_resumable(
@@ -220,14 +246,8 @@ def run_flagship_resumable(
     bucket_hi: int = 100,
 ):
     """Checkpoint-resumable flagship (north_rule): per-partition
-    lineage + metrics under ``out_dir``, exact vs :func:`run_flagship`.
-
-    Phase 0  canonical map — one global artifact (connected components
-             need corpus-wide surface presence), built once, stored.
-    Phase 1  per doc_id-range partition: synthesize -> normalize ->
-             extract -> link -> partition-local dedup -> Parquet part
-             + ``_SUCCESS`` + lineage row.  Resume skips done parts.
-    Phase 2  associative merge (max score, sum support) over all parts.
+    lineage + metrics under ``out_dir``, exact vs :func:`run_flagship`
+    (phases in :func:`_resumable_slice`).
 
     With ``bucket_lo``/``bucket_hi`` the run covers only docs whose
     md5 bucket falls in [lo, hi) — the bootstrap half of the
@@ -235,47 +255,10 @@ def run_flagship_resumable(
 
     Returns (triple_store Dataset, lineage list).
     """
-    from rex_ray.stages.relational import bucket_filter
-    from rex_ray.state import checkpoint as ckpt
-
-    path = f"{sf_dir}/documents.parquet"
-    sliced = bucket_lo > 0 or bucket_hi < 100
-
-    def slice_docs(ds):
-        return (
-            bucket_filter(ds, "doc_id", bucket_lo, bucket_hi)
-            if sliced
-            else ds
-        )
-
-    canonical = ckpt.write_artifact(
-        out_dir,
-        "canonical_map",
-        None,
-        build=lambda: build_canonical_map(
-            il.text_view(
-                il.synthesize_interleaved(
-                    slice_docs(
-                        rd.read_parquet(path, columns=["doc_id", "text"])
-                    )
-                )
-            )
-        ),
+    return _resumable_slice(
+        sf_dir, out_dir, out_dir, bucket_lo, bucket_hi, num_partitions,
+        min_score,
     )
-
-    def stage(docs_ds):
-        inter = il.synthesize_interleaved(
-            slice_docs(docs_ds).select_columns(["doc_id", "text"])
-        )
-        text_ds = il.text_view(inter)
-        triples = extract.extract_triples(text_ds, min_score=min_score)
-        linked = link.link_triples(triples, canonical)
-        return agg.dedup_triple_store(linked)
-
-    parts = ckpt.plan_id_ranges(path, "doc_id", num_partitions)
-    lineage = ckpt.run_resumable(parts, stage, out_dir)
-    merged = agg.merge_triple_stores(ckpt.read_output(out_dir))
-    return merged, lineage
 
 
 def run_incremental(
@@ -302,50 +285,19 @@ def run_incremental(
     """
     import os
 
-    from rex_ray.stages.relational import bloom_anti_join, bucket_filter
+    from rex_ray.stages.relational import bloom_anti_join
     from rex_ray.state import checkpoint as ckpt
 
-    path = f"{sf_dir}/documents.parquet"
-
-    canonical = ckpt.write_artifact(
-        out_dir,
-        "canonical_map",
-        None,
-        build=lambda: build_canonical_map(
-            il.text_view(
-                il.synthesize_interleaved(
-                    bucket_filter(
-                        rd.read_parquet(path, columns=["doc_id", "text"]),
-                        "doc_id", bucket_lo, bucket_hi,
-                    )
-                )
-            )
-        ),
-    )
-
-    def stage(docs_ds):
-        part = bucket_filter(docs_ds, "doc_id", bucket_lo, bucket_hi)
-        inter = il.synthesize_interleaved(
-            part.select_columns(["doc_id", "text"])
-        )
-        triples = extract.extract_triples(
-            il.text_view(inter), min_score=min_score
-        )
-        linked = link.link_triples(triples, canonical)
-        return agg.dedup_triple_store(linked)
-
     delta_dir = os.path.join(out_dir, f"delta-{bucket_lo}-{bucket_hi}")
-    parts = ckpt.plan_id_ranges(path, "doc_id", num_partitions)
-    lineage = ckpt.run_resumable(parts, stage, delta_dir)
-    delta_store = agg.merge_triple_stores(
-        ckpt.read_output(delta_dir)
-    ).materialize()
-
+    delta_store, lineage = _resumable_slice(
+        sf_dir, out_dir, delta_dir, bucket_lo, bucket_hi, num_partitions,
+        min_score,
+    )
     existing = ckpt.read_output(out_dir).select_columns(
         ["subj_id", "pred", "obj_id"]
     )
     new_triples = bloom_anti_join(
-        delta_store, existing, on=("subj_id", "pred", "obj_id")
+        delta_store.materialize(), existing, on=("subj_id", "pred", "obj_id")
     )
     return new_triples, lineage, delta_dir
 

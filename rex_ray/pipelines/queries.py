@@ -159,33 +159,21 @@ def q_kg_canonical_map(sf_dir: str):
 
 
 def q_kg_canonical_map_lp(sf_dir: str):
-    """The SAME canonical map computed by the DISTRIBUTED
-    label-propagation path (stages/canonical.canonical_labels_ds —
-    the route the cardinality guard takes above DRIVER_CC_MAX_NODES),
-    against the same recursive-CTE oracle as kg_canonical_map: the
-    scale path itself is driver-gate-checked, not just
-    equality-tested against the union-find twin."""
+    """The SAME canonical map computed by the DISTRIBUTED route
+    (stages/canonical.canonical_labels_from_nodes_ds with the sliver
+    fixpoint forced — the code the cardinality guard runs above
+    DRIVER_CC_MAX_NODES), against the same recursive-CTE oracle as
+    kg_canonical_map: the scale path itself is driver-gate-checked,
+    not just equality-tested against the union-find twin."""
     from rex_ray.pipelines import kg
     from rex_ray.stages import canonical as canon
+    from rex_ray.stages import extract
 
-    surfaces = kg.distinct_surfaces(_docs(sf_dir))
-    present = set(surfaces)
-    edges = [
-        (a, b)
-        for a, b in spec.VARIANT_EDGES
-        if a in present and b in present
-    ]
-    labels = canon.canonical_labels_ds(sorted(present), edges)
-
-    def fmt(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "surface": df["node"],
-                "canonical_id": spec.ENTITY_ID_PREFIX + df["canonical"],
-            }
-        )
-
-    return labels.map_batches(fmt, batch_format="pandas")
+    nodes = kg._surface_nodes(extract.extract_mentions(_docs(sf_dir)))
+    return canon.canonical_labels_from_nodes_ds(
+        nodes, spec.VARIANT_EDGES, spec.ENTITY_ID_PREFIX,
+        sliver_max_driver_nodes=0,
+    ).rename_columns({"node": "surface", "canonical": "canonical_id"})
 
 
 def q_kg_triple_store(sf_dir: str):
@@ -392,31 +380,17 @@ def q_kg_store_delta(sf_dir: str):
     bloom_anti_join): already-known triples are dropped map-side and
     only the genuinely-new sliver shuffles, so re-ingesting a crawl
     increment costs ~O(delta), not O(store).  The canonical map is
-    global state built over the FULL corpus (the dictionary artifact
-    of the resumable flagship, pipelines/kg.py phase 0)."""
+    global state built over the FULL corpus (kg.linked_triples)."""
+    from rex_ray.pipelines import kg
     from rex_ray.stages import aggregate as agg
-    from rex_ray.stages import canonical as canon
-    from rex_ray.stages import extract, link
     from rex_ray.stages.relational import bloom_anti_join, bucket_filter
 
-    # ONE corpus pass (kg.triple_store_from_text_docs's fused shape):
-    # the tagged stream carries triples + distinct surfaces; base and
-    # delta are cheap bucket filters over the materialized tagged rows
-    tagged = extract.extract_triples_and_surfaces(
-        _docs(sf_dir)
-    ).materialize()
-    uniq = tagged.filter(expr="kind == 's'").unique("surface")
-    surfaces = sorted(uniq) if uniq else []
-    canonical = canon.canonical_map_for_surfaces(
-        surfaces, spec.VARIANT_EDGES, spec.ENTITY_ID_PREFIX
-    )
-    triples = tagged.filter(expr="kind == 't'").drop_columns(
-        ["kind", "surface"]
-    )
+    # ONE corpus pass and one canonical map over the full corpus;
+    # base and delta are cheap bucket filters over the linked rows
+    linked = kg.linked_triples(_docs(sf_dir)).materialize()
 
     def store_slice(lo: int, hi: int):
-        part = bucket_filter(triples, "doc_id", lo, hi)
-        return agg.dedup_triple_store(link.link_triples(part, canonical))
+        return agg.dedup_triple_store(bucket_filter(linked, "doc_id", lo, hi))
 
     base_keys = store_slice(0, 2).select_columns(
         ["subj_id", "pred", "obj_id"]
@@ -644,12 +618,10 @@ def q_kg_triple_provenance(sf_dir: str):
     (stages/aggregate.triple_provenance)."""
     from rex_ray.pipelines import kg
     from rex_ray.stages import aggregate as agg
-    from rex_ray.stages import extract, link
 
-    docs = _docs(sf_dir)
-    canonical = kg.build_canonical_map(docs)
-    linked = link.link_triples(extract.extract_triples(docs), canonical)
-    return agg.triple_provenance(linked, evidence_k=3)
+    return agg.triple_provenance(
+        kg.linked_triples(_docs(sf_dir)), evidence_k=3
+    )
 
 
 def q_kg_parity_prf(sf_dir: str):
@@ -1137,12 +1109,9 @@ def q_kg_entity_resolution_salted(sf_dir: str):
     an associative merge) — result provably identical to a plain
     groupby, oracle-checked."""
     from rex_ray.pipelines import kg
-    from rex_ray.stages import extract, link, salt
+    from rex_ray.stages import salt
 
-    docs = _docs(sf_dir)
-    canonical = kg.build_canonical_map(docs)
-    linked = link.link_triples(extract.extract_triples(docs), canonical)
-    return salt.salted_entity_resolution(linked)
+    return salt.salted_entity_resolution(kg.linked_triples(_docs(sf_dir)))
 
 
 def q_kg_cascade_triples(sf_dir: str):

@@ -210,8 +210,9 @@ def canonical_map_for_surfaces(
     equality-asserted in tests, so the switch is behaviorally
     invisible.  The returned dict still materializes on the driver
     because the linker broadcasts it; when the MAP itself outgrows
-    broadcast, use :func:`rex_ray.stages.link.link_triples_via_join`
-    with :func:`canonical_labels_ds` instead.
+    broadcast, :func:`rex_ray.pipelines.kg.linked_triples` routes to
+    :func:`canonical_labels_from_nodes_ds` +
+    :func:`rex_ray.stages.link.link_triples_via_join` instead.
     """
     present = set(surfaces)
     edges = [(a, b) for a, b in variant_edges if a in present and b in present]
@@ -357,9 +358,8 @@ def canonical_labels_ds(
 ):
     """Distributed twin of :func:`cc_local` over in-memory node/edge
     lists: returns the (node, canonical) Dataset from min-label
-    propagation.  The scale path of the flagship's cardinality guard;
-    also the shape to feed :func:`link.link_triples_via_join` when the
-    canonical map must stay distributed end-to-end."""
+    propagation — the engine :func:`canonical_labels_from_nodes_ds`
+    runs on a sliver above its driver-size knob."""
     import pyarrow as pa
     import ray.data as rd
 

@@ -791,9 +791,13 @@ def near_dup_clusters(docs_ds, threshold: float = 0.8, k: int = 3,
         2 * pairs.count(), max_driver_nodes, route_out,
         key="cluster_route",
     ):
-        id_type = pairs.schema().base_schema.field("doc_a").type
+        # an empty pair table may come back schema-less: take the id
+        # type from the declared pair schema, and no pairs -> no edges
+        id_type = _PAIR_SCHEMA.field("doc_a").type
         df = pairs.to_pandas()
-        edges_l = list(zip(df["doc_a"], df["doc_b"]))
+        edges_l = (
+            list(zip(df["doc_a"], df["doc_b"])) if len(df) else []
+        )
         nodes_l = sorted({x for e in edges_l for x in e})
         cc = cc_local(nodes_l, edges_l)
         return rd.from_arrow(

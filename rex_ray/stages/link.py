@@ -182,12 +182,11 @@ def link_triples(triples_ds, canonical: Dict[str, str],
 
 
 def link_triples_via_join(triples_ds, map_ds, nil_prefix: str = "nil:",
-                          num_partitions: int = None,
                           est_left_rows: int = None):
     """Distributed-join twin of :func:`link_triples` for canonical maps
     too large to broadcast: ``map_ds`` is a (node, canonical) Dataset
-    (e.g. :func:`canonical.canonical_labels_ds` output, canonical ids
-    already prefixed), joined twice (subj side, obj side) with
+    (e.g. :func:`canonical.canonical_labels_from_nodes_ds` output,
+    canonical ids already prefixed), joined twice (subj side, obj side) with
     left_outer semantics; unmatched surfaces get ``nil:<surface>`` —
     byte-identical output to the broadcast linker (equality-asserted
     in tests).  Two hash-shuffle joins sized to the data volume; at
@@ -204,7 +203,7 @@ def link_triples_via_join(triples_ds, map_ds, nil_prefix: str = "nil:",
     from rex_ray.stages.relational import default_join_partitions
 
     n_map = map_ds.count()
-    # default partition count sized to the data (~50k rows per
+    # partition count sized to the data (~50k rows per
     # partition on the BIGGER join side), clamped to the cluster
     # default — a fixed CPU-count fan-out spends more on aggregator
     # spin-up than the join itself on small inputs (measured
@@ -212,9 +211,7 @@ def link_triples_via_join(triples_ds, map_ds, nil_prefix: str = "nil:",
     # would blow per-partition memory when a huge triple stream meets
     # a just-above-threshold map
     n_size = max(n_map, est_left_rows or 0)
-    nparts = num_partitions or max(
-        2, min(default_join_partitions(), 1 + n_size // 50_000)
-    )
+    nparts = max(2, min(default_join_partitions(), 1 + n_size // 50_000))
 
     # degenerate empty map: every surface is NIL; the left_outer join
     # below would lose the empty right side's schema (Ray 2.49) and

@@ -328,7 +328,12 @@ def bloom_anti_join(left, right, on, num_bits: int = 1 << 20,
     )
     candidates = left.map_batches(
         lambda t: split(t, keep_pass=True), batch_format="pyarrow"
-    )
+    ).materialize()
+    # nothing passed the Bloom (e.g. an all-new increment or an empty
+    # right side): every left row is unmatched, and an all-empty join
+    # input would lose its schema (Ray 2.49) — skip the join
+    if candidates.count() == 0:
+        return fails
 
     # exact residual: candidates left_outer-joined to the distinct right
     # keys + marker; unmatched (null marker) rows are genuinely new.

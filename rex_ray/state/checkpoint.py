@@ -132,7 +132,9 @@ def run_resumable(
         out_ds = stage_fn(part.make_dataset())
         out_ds.write_parquet(pdir)
         wall = time.perf_counter() - t0
-        rows_out = fsio.parquet_rows(pdir)
+        # an output with no rows writes no directory at all (Ray 2.49);
+        # it still finishes: 0 rows, marker below, skipped on resume
+        rows_out = fsio.parquet_rows(pdir) if fsio.is_dir(pdir) else 0
         rec = {
             "part_id": part.part_id,
             "inputs": part.inputs,
@@ -165,6 +167,8 @@ def read_output(out_dir: str):
     import ray.data as rd
 
     proot = f"{out_dir.rstrip('/')}/parts"
+    if not fsio.is_dir(proot):
+        return rd.from_items([])
     done = {
         rel.rsplit("/", 1)[0]
         for rel in fsio.list_files(proot)
@@ -179,6 +183,8 @@ def read_output(out_dir: str):
         for rel in fsio.list_files(proot, suffix=".parquet")
         if rel.rsplit("/", 1)[0] in done
     ]
+    if not files:  # every finished part is empty
+        return rd.from_items([])
     return rd.read_parquet(files, filesystem=fs)
 
 

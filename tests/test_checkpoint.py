@@ -55,6 +55,57 @@ def test_resumable_flagship_equals_single_shot(tmp_path):
     ]
 
 
+@pytest.mark.parametrize("texts, n_store", [
+    # docs 3-4 carry no gazetteer mention: with 2 partitions the second
+    # partition's stage emits no rows
+    (["spark join customer table row scan",
+      "merge sort order filter hash line",
+      "alpha beta gamma", "delta epsilon zeta"], 24),
+    (["alpha beta", "gamma delta", "epsilon", "zeta"], 0),
+])
+def test_resumable_runners_with_empty_partitions(tmp_path, texts, n_store):
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from rex_ray.pipelines import kg
+
+    sf = tmp_path / "sf"
+    sf.mkdir()
+    pq.write_table(
+        pa.table({"doc_id": pa.array([1, 2, 3, 4], pa.int64()),
+                  "text": texts}),
+        str(sf / "documents.parquet"),
+    )
+
+    def rows(ds):
+        return sorted(
+            (r["subj_id"], r["pred"], r["obj_id"], r["score"], r["support"])
+            for r in ds.take_all()
+        )
+
+    want = rows(kg.run_flagship(str(sf)))
+    assert len(want) == n_store
+    out = str(tmp_path / "ckpt")
+    merged, lineage = kg.run_flagship_resumable(
+        str(sf), out, num_partitions=2
+    )
+    assert rows(merged) == want
+    assert lineage[1]["rows_out"] == 0
+    # the empty part finished: resume skips it
+    again, lineage_r = kg.run_flagship_resumable(
+        str(sf), out, num_partitions=2
+    )
+    assert [r["finished_at"] for r in lineage_r] == [
+        r["finished_at"] for r in lineage
+    ]
+    assert rows(again) == want
+    new, _, _ = kg.run_incremental(
+        str(sf), str(tmp_path / "inc"), bucket_lo=0, bucket_hi=100,
+        num_partitions=2,
+    )
+    assert rows(new) == want
+
+
 def test_resume_skips_finished_and_recovers_crash(tmp_path):
     import ray.data as rd
 

@@ -371,6 +371,25 @@ def test_dup_clusters_match_local_union_find(docs_ds):
     assert reps <= surv
 
 
+def test_dup_clusters_without_near_duplicates():
+    """A corpus with no near-dup pair (the pair table comes back empty
+    and schema-less): no clusters, and every doc survives."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from rex_ray.stages.dedup import dedup_survivors, near_dup_clusters
+
+    docs = rd.from_arrow(pa.table({
+        "doc_id": pa.array([1, 2, 3], pa.int64()),
+        "text": ["the quick brown fox jumps over",
+                 "a completely different sentence about cats",
+                 "yet another unrelated text on databases"],
+    }))
+    assert near_dup_clusters(docs).count() == 0
+    surv = dedup_survivors(docs).to_pandas()["doc_id"]
+    assert sorted(surv) == [1, 2, 3]
+
+
 def test_hll_registers_and_estimate():
     from rex_ray.functions.hashing import (
         hll_bucket_rho_batch,

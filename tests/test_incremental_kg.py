@@ -62,6 +62,15 @@ def test_bloom_anti_join_composite_key_and_payload():
     ]
 
 
+def test_bloom_anti_join_all_new_keys():
+    # no left key passes the Bloom: the exact join is skipped, every
+    # left row comes back
+    left = rd.from_items([{"k": i, "v": i} for i in range(5)])
+    right = rd.from_items([{"k": 100}])
+    got = _rows(bloom_anti_join(left, right, on="k"))
+    assert got == [(("k", i), ("v", i)) for i in range(5)]
+
+
 def test_bloom_anti_join_empty_result_keeps_schema():
     left = rd.from_items([{"k": 1, "v": "x"}, {"k": 2, "v": "y"}])
     right = rd.from_items([{"k": 1}, {"k": 2}])
@@ -150,22 +159,26 @@ def test_store_delta_disjoint_from_base_and_complete():
     docs = _docs(SF)
     canonical = kg.build_canonical_map(docs)
 
+    def keys(ds):
+        return {(r["subj_id"], r["pred"], r["obj_id"]) for r in ds.take_all()}
+
     def keys_for(lo, hi):
         part = _bucket_filter(docs, lo, hi)
-        st = agg.dedup_triple_store(
+        return keys(agg.dedup_triple_store(
             link.link_triples(extract.extract_triples(part), canonical)
-        )
-        return {
-            (r["subj_id"], r["pred"], r["obj_id"]) for r in st.take_all()
-        }
+        ))
 
     base, delta = keys_for(0, 2), keys_for(2, 100)
-    got = {
-        (r["subj_id"], r["pred"], r["obj_id"])
-        for r in q_kg_store_delta(SF).take_all()
-    }
+    got = keys(q_kg_store_delta(SF))
     assert got == delta - base
     assert got  # non-trivial at this scale
+
+    # forced-distributed twin: label propagation + join linking over
+    # the whole corpus, then the same bucket slices
+    lp = kg.linked_triples(docs, max_driver_nodes=0).materialize()
+    lp_base = keys(_bucket_filter(lp, 0, 2))
+    lp_delta = keys(_bucket_filter(lp, 2, 100))
+    assert lp_delta - lp_base == got
 
 
 def test_tf_idf_matches_hand_computation():

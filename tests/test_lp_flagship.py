@@ -41,6 +41,24 @@ def test_lp_route_equals_broadcast_route(ray_session):
     )
 
 
+def test_stored_canonical_map_equals_forced_lp_map(ray_session):
+    """The dict the resumable runners persist (kg.build_canonical_map)
+    equals the distributed map over the same surface nodes with the
+    sliver fixpoint forced."""
+    from rex_ray.pipelines import kg, spec
+    from rex_ray.stages import canonical as canon
+    from rex_ray.stages import extract
+
+    nodes = kg._surface_nodes(extract.extract_mentions(_docs()))
+    lp = canon.canonical_labels_from_nodes_ds(
+        nodes, spec.VARIANT_EDGES, spec.ENTITY_ID_PREFIX,
+        sliver_max_driver_nodes=0,
+    ).to_pandas()
+    stored = kg.build_canonical_map(_docs())
+    assert len(stored) > 0
+    assert dict(zip(lp["node"], lp["canonical"])) == stored
+
+
 def test_guard_default_route_is_driver_at_gazetteer_scale(ray_session):
     from rex_ray.pipelines import kg
 
