@@ -55,40 +55,49 @@ def matrix_from_column(table: pa.Table, col: str):
     return np.stack(a.to_numpy(zero_copy_only=False))
 
 
+def cluster_cpus() -> int:
+    """The cluster's CPU count (8 when Ray cannot report it) — the one
+    read of ``ray.cluster_resources()`` behind actor-pool and join
+    sizing."""
+    try:
+        import ray
+
+        return int(ray.cluster_resources().get("CPU", 8))
+    except Exception:
+        return 8
+
+
 def default_concurrency():
     """Actor-pool sizing for light stateful stages: scale the pool cap
     to the cluster's CPU count (a fixed cap would serialize the hot
     stages on bigger clusters; the pool still starts at 1 and grows
     on demand)."""
-    try:
-        import ray
-
-        n = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        n = 8
-    return (1, max(2, n))
+    return (1, max(2, cluster_cpus()))
 
 
 def compact_blocks(ds, batch_size: int = 65536):
     """Bundle consecutive blocks so empty blocks merge into their
-    neighbors — REQUIRED on any ``Dataset.join`` input whose lineage
-    contains a shuffle (join/groupby) or a selective filter.
+    neighbors.  Applied by :func:`rex_ray.stages.relational.hash_join`
+    to both join inputs; call it yourself only in front of a map UDF
+    (or a sort) that should see typed, non-empty blocks.
 
-    Why: Ray 2.49's hash-shuffle join broadcasts each input's schema to
-    all partition aggregators using the FIRST block it sees — but
-    ``_shuffle_block`` (ray/data/_internal/execution/operators/
-    hash_shuffle.py:224) early-returns on a 0-row block BEFORE that
-    broadcast, and the caller still marks the schema as sent.  A join
-    or groupby upstream routinely emits empty partition blocks first,
-    so downstream join partitions that receive no rows build a
-    schema-less table and pyarrow raises ``No match or multiple
-    matches for key field reference ... on left side of the join``.
+    Why joins need it: Ray 2.49's hash-shuffle join broadcasts each
+    input's schema to all partition aggregators using the FIRST block
+    it sees — but ``_shuffle_block`` (ray/data/_internal/execution/
+    operators/hash_shuffle.py:224) early-returns on a 0-row block
+    BEFORE that broadcast, and the caller still marks the schema as
+    sent.  A join, groupby or selective filter upstream routinely emits
+    empty partition blocks first, so join partitions that receive no
+    rows build a schema-less table and pyarrow raises ``No match or
+    multiple matches for key field reference ... on left side of the
+    join``.
 
     A pass-through ``map_batches`` with an explicit ``batch_size``
     coalesces consecutive blocks per task (Arrow concat, no Python
     rows), so empties vanish unless the whole dataset is empty —
-    restoring the schema broadcast.  Cost: one streaming copy of each
-    block, no shuffle."""
+    restoring the schema broadcast.  An input with zero rows stays
+    schema-less: callers guard that case with a count.  Cost: one
+    streaming copy of each block, no shuffle."""
     return ds.map_batches(
         lambda t: t, batch_format="pyarrow", batch_size=batch_size
     )

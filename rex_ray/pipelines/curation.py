@@ -32,7 +32,7 @@ import pyarrow as pa
 
 from rex_ray.functions import hashing as H
 from rex_ray.functions import text as T
-from rex_ray.functions.blocks import arrow_block, compact_blocks, pre_shuffle
+from rex_ray.functions.blocks import arrow_block, pre_shuffle
 
 Q_MIN = 0.5
 
@@ -56,12 +56,7 @@ def curate_corpus(docs_ds, q_min: float = Q_MIN, bench_mod: int = 10):
     from ray.data.aggregate import Min
 
     from rex_ray.stages.decontam import decontaminate
-    from rex_ray.stages.relational import (
-        default_join_partitions,
-        hash_join,
-    )
-
-    nparts = default_join_partitions()
+    from rex_ray.stages.relational import hash_join
 
     def signals(batch: pd.DataFrame) -> pa.Table:
         q = T.quality_frame(batch["text"])
@@ -114,19 +109,8 @@ def curate_corpus(docs_ds, q_min: float = Q_MIN, bench_mod: int = 10):
         docs_ds.select_columns(["doc_id", "text"]), bench_mod=bench_mod
     ).select_columns(["doc_id", "n_hits"])
 
-    joined = hash_join(
-        compact_blocks(base),
-        compact_blocks(survivors),
-        on="k",
-        num_partitions=nparts,
-    )
-    joined = hash_join(
-        compact_blocks(joined),
-        compact_blocks(contam),
-        on="doc_id",
-        num_partitions=nparts,
-        join_type="left_outer",
-    )
+    joined = hash_join(base, survivors, on="k")
+    joined = hash_join(joined, contam, on="doc_id", join_type="left_outer")
 
     def finalize(t: pa.Table) -> pa.Table:
         df = t.to_pandas()

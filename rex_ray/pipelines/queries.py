@@ -418,12 +418,8 @@ def q_kg_predicate_signatures(sf_dir: str):
     import numpy as np
     import pyarrow as pa
 
-    from rex_ray.functions.blocks import compact_blocks
     from rex_ray.stages import extract
-    from rex_ray.stages.relational import (
-        default_join_partitions,
-        partial_groupby_sum,
-    )
+    from rex_ray.stages.relational import hash_join, partial_groupby_sum
 
     tri = extract.extract_triples(_docs(sf_dir)).select_columns(
         ["pred", "subj_type", "obj_type"]
@@ -434,20 +430,17 @@ def q_kg_predicate_signatures(sf_dir: str):
         df["n"] = 1
         return df
 
+    # materialized: read twice (totals + join), and its count sizes
+    # the join to the bounded (pred, subj_type, obj_type) vocabulary
     counts = partial_groupby_sum(
         tri.map_batches(ones, batch_format="pandas"),
         ["pred", "subj_type", "obj_type"],
         {"n": "n"},
-    )
+    ).materialize()
     totals = partial_groupby_sum(
         counts.select_columns(["pred", "n"]), ["pred"], {"n": "tot"}
     )
-    # the (pred, subj_type, obj_type) vocabulary is bounded by
-    # construction — 2 hash partitions beat a cluster-wide actor pool
-    joined = compact_blocks(counts).join(
-        compact_blocks(totals), join_type="inner", on=("pred",),
-        num_partitions=2,
-    )
+    joined = hash_join(counts, totals, on="pred", rows=counts.count())
 
     def finish(t: pa.Table) -> pa.Table:
         n = t["n"].to_numpy(zero_copy_only=False).astype(np.float64)
@@ -497,10 +490,10 @@ def q_kg_negative_samples(sf_dir: str):
     import numpy as np
     import pyarrow as pa
 
-    from rex_ray.functions.blocks import compact_blocks, pre_shuffle
+    from rex_ray.functions.blocks import pre_shuffle
     from rex_ray.pipelines import kg
     from rex_ray.stages.dedup import _side_object, _worker_built_ref
-    from rex_ray.stages.relational import default_join_partitions
+    from rex_ray.stages.relational import hash_join
 
     K = 2
     store = kg.triple_store_from_text_docs(_docs(sf_dir)).materialize()
@@ -586,12 +579,9 @@ def q_kg_negative_samples(sf_dir: str):
         ),
         batch_format="pyarrow",
     )
-    # partitions sized to the store-scale candidate table
-    joined = compact_blocks(cand).join(
-        compact_blocks(known), join_type="left_outer",
-        on=("subj_id", "pred", "neg_obj_id"),
-        num_partitions=max(2, min(default_join_partitions(),
-                                  store.count() // 25000 + 1)),
+    joined = hash_join(
+        cand, known, on=("subj_id", "pred", "neg_obj_id"),
+        join_type="left_outer", rows=K * store.count(),
     )
 
     def finish(t: pa.Table) -> pa.Table:
@@ -1167,7 +1157,7 @@ FROM mention GROUP BY ent_type
 
 _SQL["kg_crf_entities"] = f"""
 WITH {_kg_ctes()},
-capped AS (SELECT * FROM mention WHERE pos < 64),
+capped AS (SELECT * FROM mention WHERE pos < {spec.MAX_SEQ_LEN}),
 runs AS (
     SELECT doc_id, pos, surface, ent_type,
            pos - ROW_NUMBER() OVER (
@@ -1200,7 +1190,7 @@ off AS (
 ),
 doc_tot AS (
     SELECT doc_id, MAX(pos) + 1 AS n_words,
-           CAST(LEAST(SUM(cnt), 62) + 2 AS BIGINT) AS n_subwords
+           CAST(LEAST(SUM(cnt), {spec.MAX_SEQ_LEN - 2}) + 2 AS BIGINT) AS n_subwords
     FROM wc GROUP BY doc_id
 ),
 remapped AS (
@@ -1223,10 +1213,10 @@ SELECT doc_id, pair_key, pred, subj_pos, obj_pos,
        subj_sub_start, subj_sub_end, obj_sub_start, obj_sub_end,
        n_subwords
 FROM remapped
-WHERE subj_sub_start > 0 AND subj_sub_start < 64
-  AND subj_sub_end   > 0 AND subj_sub_end   < 64
-  AND obj_sub_start  > 0 AND obj_sub_start  < 64
-  AND obj_sub_end    > 0 AND obj_sub_end    < 64
+WHERE subj_sub_start > 0 AND subj_sub_start < {spec.MAX_SEQ_LEN}
+  AND subj_sub_end   > 0 AND subj_sub_end   < {spec.MAX_SEQ_LEN}
+  AND obj_sub_start  > 0 AND obj_sub_start  < {spec.MAX_SEQ_LEN}
+  AND obj_sub_end    > 0 AND obj_sub_end    < {spec.MAX_SEQ_LEN}
 """
 
 _SQL["kg_disambiguated_mentions"] = f"""
@@ -1897,13 +1887,13 @@ doclen AS (
     SELECT doc_id, len(string_split(text, ' ')) AS n_tok FROM documents
 )
 SELECT t.doc_id, t.subj_pos, t.obj_pos, t.pred,
-       LEAST(d.n_tok, 64) AS n_real_tokens,
+       LEAST(d.n_tok, {spec.MAX_SEQ_LEN}) AS n_real_tokens,
        LEAST(t.subj_pos, t.obj_pos) AS seg1_len,
        GREATEST(t.subj_pos, t.obj_pos) - LEAST(t.subj_pos, t.obj_pos)
            AS seg2_len,
-       LEAST(d.n_tok, 64) - GREATEST(t.subj_pos, t.obj_pos) AS seg3_len
+       LEAST(d.n_tok, {spec.MAX_SEQ_LEN}) - GREATEST(t.subj_pos, t.obj_pos) AS seg3_len
 FROM tri t JOIN doclen d ON t.doc_id = d.doc_id
-WHERE t.subj_pos < 64 AND t.obj_pos < 64
+WHERE t.subj_pos < {spec.MAX_SEQ_LEN} AND t.obj_pos < {spec.MAX_SEQ_LEN}
 """
 
 _SQL["kg_ner_roundtrip"] = f"""

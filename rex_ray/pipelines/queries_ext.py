@@ -130,13 +130,17 @@ def q_revenue_by_nation(sf_dir: str):
     SF-proportional customer table -> broadcast lookup of the fixed
     25-row nation map -> final partial-agg groupby.  Customer is never
     materialized on the driver (round-2 verdict item #1)."""
-    from rex_ray.functions.blocks import compact_blocks
-    from rex_ray.stages.relational import broadcast_join, partial_groupby_sum
+    from rex_ray.stages.relational import (
+        broadcast_join,
+        hash_join,
+        partial_groupby_sum,
+    )
 
-    li = _read(
+    lineitem = _read(
         sf_dir, "lineitem",
         columns=["l_orderkey", "l_extendedprice", "l_discount"],
-    ).map_batches(
+    )
+    li = lineitem.map_batches(
         lambda df: pd.DataFrame(
             {
                 "l_orderkey": df["l_orderkey"],
@@ -149,26 +153,19 @@ def q_revenue_by_nation(sf_dir: str):
         batch_format="pandas",
     )
     orders = _read(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
-    joined = li.join(  # large-large hash-partitioned shuffle join
-        orders,
-        join_type="inner",
-        num_partitions=16,
-        on=("l_orderkey",),
-        right_on=("o_orderkey",),
+    # large-large join, sized by the bigger side (parquet row counts
+    # are metadata reads)
+    joined = hash_join(
+        li, orders, on="l_orderkey", right_on="o_orderkey",
+        rows=lineitem.count(),
     )
     per_cust = partial_groupby_sum(
         joined, ["o_custkey"], {"rev_cents": "rev_cents"}, counts="n_items"
     )
     cust = _read(sf_dir, "customer", columns=["c_custkey", "c_nationkey"])
-    # small join (|customers| rows per side): partitions sized to the
-    # data volume, not the cluster width — the hash-shuffle operator's
-    # per-partition actors dominate a 16-way plan here (r2 lesson)
-    with_nkey = compact_blocks(per_cust).join(
-        cust,
-        join_type="inner",
-        num_partitions=4,
-        on=("o_custkey",),
-        right_on=("c_custkey",),
+    with_nkey = hash_join(
+        per_cust, cust, on="o_custkey", right_on="c_custkey",
+        rows=cust.count(),
     )
     named = broadcast_join(
         with_nkey, _nationkey_to_name(sf_dir), key="c_nationkey", out="n_name"

@@ -54,6 +54,11 @@ GAZETTEER: Dict[str, str] = {
 
 PAIR_WINDOW = 4
 
+# Token cap of every per-doc model input (feature rows, CRF tagging,
+# global-pointer spans, subword pieces incl. [CLS]/[SEP]); the oracle
+# SQL renders the same cap.
+MAX_SEQ_LEN = 64
+
 # (head_type, tail_type) -> predicate; missing pairs fall back.
 PRED_MAP: Dict[Tuple[str, str], str] = {
     ("SYS", "ALGO"): "implements",

@@ -54,8 +54,7 @@ _CANON_SCHEMA = pa.schema(
 # FIRST-OCCURRENCE char anchoring with drop semantics, relation-id SET
 # ---------------------------------------------------------------------------
 
-def ingest_ipre(sent_ds, label_ds, id2rel: Dict[int, str],
-                num_partitions: int = None):
+def ingest_ipre(sent_ds, label_ds, id2rel: Dict[int, str]):
     """IPRE-shaped ingest: ``sent_ds`` (id, head, tail, text) joined to
     ``label_ds`` (id, relations as space-joined int ids) -> canonical
     docs.
@@ -69,8 +68,7 @@ def ingest_ipre(sent_ds, label_ds, id2rel: Dict[int, str],
     ``id2sent`` dict becomes a hash-shuffle join; only the (small)
     id2rel map is broadcast.
     """
-    from rex_ray.functions.blocks import compact_blocks
-    from rex_ray.stages.relational import default_join_partitions
+    from rex_ray.stages.relational import hash_join
 
     rel_ref = ray.put(dict(id2rel))
 
@@ -81,12 +79,7 @@ def ingest_ipre(sent_ds, label_ds, id2rel: Dict[int, str],
 
         return rd.from_arrow(_CANON_SCHEMA.empty_table())
 
-    joined = compact_blocks(label_ds).join(
-        compact_blocks(sent_ds),
-        join_type="inner",
-        on=("id",),
-        num_partitions=num_partitions or default_join_partitions(),
-    )
+    joined = hash_join(label_ds, sent_ds, on="id")
 
     def normalize(batch: pd.DataFrame, _ref=rel_ref) -> pa.Table:
         id2r = ray.get(_ref) if isinstance(_ref, ray.ObjectRef) else _ref

@@ -26,7 +26,8 @@ import pandas as pd
 
 from ray.data.aggregate import Min
 
-from rex_ray.functions.blocks import arrow_block, compact_blocks
+from rex_ray.functions.blocks import arrow_block
+from rex_ray.stages.relational import hash_join
 
 
 def cc_local(
@@ -93,23 +94,21 @@ def cc_label_propagation(nodes_ds, edges_ds, max_iter: int = 20):
     # no edges -> every node is its own component; the join below
     # would also lose the empty edge table's schema (Ray 2.49) and
     # abort, so short-circuit the exact answer
-    if both.count() == 0:
+    n_both = both.count()
+    if n_both == 0:
         return labels
 
     prev_sum = _labels_checksum(labels)
     for _ in range(max_iter):
         # label of src flows to dst
-        # compact both join inputs: labels is a groupby output after
-        # iteration 1, and an empty first block would lose the join's
-        # schema broadcast (functions/blocks.compact_blocks)
-        msgs = compact_blocks(both).join(
-            compact_blocks(labels).map_batches(
+        msgs = hash_join(
+            both,
+            labels.map_batches(
                 lambda b: arrow_block(b.rename(columns={"node": "src"})),
                 batch_format="pandas",
             ),
-            join_type="inner",
-            on=("src",),
-            num_partitions=max(2, both.num_blocks()),
+            on="src",
+            rows=n_both,
         ).map_batches(
             lambda b: arrow_block(
                 pd.DataFrame({"node": b["dst"], "canonical": b["canonical"]})

@@ -36,9 +36,9 @@ from rex_ray.functions import crf as crf_fn
 from rex_ray.functions.blocks import arrow_block
 from rex_ray.functions.tagging import get_entities_from_tags
 from rex_ray.pipelines import spec
+from rex_ray.pipelines.spec import MAX_SEQ_LEN
 from rex_ray.stages.extract import _doc_id_type, _explode_tokens
 
-MAX_SEQ_LEN = 64
 EMIT_SCORE = 10.0
 CRF_SEED = 20260817
 

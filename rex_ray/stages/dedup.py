@@ -218,15 +218,9 @@ def _join_hot_filter(bands_ds, hot_keys, key_col: str):
     (dup-heavy crawls where 30-60%% of the corpus is duplicated and the
     hot-key set IS the corpus).  The shuffle carries the slim 16-byte
     band rows — bounded per-partition memory, no single-worker set."""
-    from rex_ray.functions.blocks import compact_blocks
-    from rex_ray.stages.relational import default_join_partitions
+    from rex_ray.stages.relational import hash_join
 
-    return compact_blocks(bands_ds).join(
-        compact_blocks(hot_keys),
-        join_type="inner",
-        on=(key_col,),
-        num_partitions=default_join_partitions(),
-    )
+    return hash_join(bands_ds, hot_keys, on=key_col)
 
 
 def _hot_bucket_rows(bands_ds, key_col: str):
@@ -446,8 +440,7 @@ def _sketch_join_pairs(hot, sketches, key_col: str, keyset_col: str,
     grows to O(hot rows x sketch size) — the price of dropping every
     corpus-proportional broadcast object; per-partition memory stays
     bounded by the partition, not the corpus."""
-    from rex_ray.functions.blocks import compact_blocks
-    from rex_ray.stages.relational import default_join_partitions
+    from rex_ray.stages.relational import hash_join
 
     # Arrow's hash join rejects list-typed payload columns — ship the
     # key set as one delimited string (parsed once per group).
@@ -461,12 +454,7 @@ def _sketch_join_pairs(hot, sketches, key_col: str, keyset_col: str,
         )
 
     flat_sketches = sketches.map_batches(pack_keysets, batch_format="pyarrow")
-    joined = compact_blocks(hot).join(
-        compact_blocks(flat_sketches),
-        join_type="inner",
-        on=("doc_id",),
-        num_partitions=default_join_partitions(),
-    )
+    joined = hash_join(hot, flat_sketches, on="doc_id")
 
     def bucket_pairs(g: pd.DataFrame) -> pa.Table:
         rows = []
@@ -1032,8 +1020,7 @@ def _segment_rows(batch: pd.DataFrame, seg_tokens: int) -> pa.Table:
     )
 
 
-def segment_dup_stats(docs_ds, seg_tokens: int = SEG_TOKENS,
-                      num_partitions: int = None):
+def segment_dup_stats(docs_ds, seg_tokens: int = SEG_TOKENS):
     """Duplicated-line pass (CCNet, Wenzek et al. 2020; Dolma's exact
     paragraph dedup): count, per document, how many of its distinct
     segments also occur in at least one OTHER document.
@@ -1056,15 +1043,10 @@ def segment_dup_stats(docs_ds, seg_tokens: int = SEG_TOKENS,
          keys), ``groupby(doc_id)`` -> n_dup_segments;
       4. totals LEFT join the dup counts on doc_id, nulls -> 0.
     """
+    import ray.data as rd
     from ray.data.aggregate import Count
 
-    from rex_ray.functions.blocks import compact_blocks
-    from rex_ray.stages.relational import (
-        default_join_partitions,
-        hash_join,
-    )
-
-    nparts = num_partitions or default_join_partitions()
+    from rex_ray.stages.relational import hash_join
 
     seg_rows = pre_shuffle(
         docs_ds.map_batches(
@@ -1073,14 +1055,8 @@ def segment_dup_stats(docs_ds, seg_tokens: int = SEG_TOKENS,
         )
     )
     per_seg = seg_rows.groupby("h").aggregate(Count(alias_name="n_docs"))
-    dup_hashes = compact_blocks(
-        per_seg.filter(expr="n_docs >= 2").select_columns(["h"])
-    )
-
-    dup_counts = (
-        hash_join(seg_rows, dup_hashes, on="h", num_partitions=nparts)
-        .groupby("doc_id")
-        .aggregate(Count(alias_name="n_dup_segments"))
+    dup_hashes = (
+        per_seg.filter(expr="n_docs >= 2").select_columns(["h"]).materialize()
     )
 
     def totals(batch: pd.DataFrame) -> pa.Table:
@@ -1094,13 +1070,32 @@ def segment_dup_stats(docs_ds, seg_tokens: int = SEG_TOKENS,
 
     totals_ds = docs_ds.map_batches(totals, batch_format="pandas")
 
-    joined = hash_join(
-        compact_blocks(totals_ds),
-        compact_blocks(dup_counts),
-        on="doc_id",
-        num_partitions=nparts,
-        join_type="left_outer",
-    )
+    if dup_hashes.count() == 0:
+        # no segment occurs in two docs (or the corpus has no segment):
+        # every dup count is 0, and a zero-row join side has no schema
+        totals_ds = totals_ds.materialize()
+        if totals_ds.count() == 0:
+            return rd.from_arrow(
+                pa.schema(
+                    [(c, pa.int64())
+                     for c in ("doc_id", "n_segments", "n_dup_segments")]
+                ).empty_table()
+            )
+        joined = totals_ds.map_batches(
+            lambda t: t.append_column(
+                "n_dup_segments", pa.nulls(t.num_rows, pa.int64())
+            ),
+            batch_format="pyarrow",
+        )
+    else:
+        dup_counts = (
+            hash_join(seg_rows, dup_hashes, on="h")
+            .groupby("doc_id")
+            .aggregate(Count(alias_name="n_dup_segments"))
+        )
+        joined = hash_join(
+            totals_ds, dup_counts, on="doc_id", join_type="left_outer"
+        )
 
     def finalize(t: pa.Table) -> pa.Table:
         nd = t["n_dup_segments"].to_pandas().fillna(0).astype("int64")

@@ -27,9 +27,8 @@ from rex_ray.functions.blocks import arrow_block, default_concurrency
 from rex_ray.functions.mask import piecewise_mask_batch
 from rex_ray.functions.position import relative_positions_matrix
 from rex_ray.pipelines import spec
+from rex_ray.pipelines.spec import MAX_SEQ_LEN
 from rex_ray.state.dictionaries import LabelEncoder, Vocab
-
-MAX_SEQ_LEN = 64
 
 
 def _feature_schema(max_seq_len: int, doc_id_t: pa.DataType) -> pa.Schema:

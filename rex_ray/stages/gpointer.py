@@ -38,10 +38,10 @@ from rex_ray.functions.position import (
     decode_multiclass_pointer_matrix_spans,
 )
 from rex_ray.pipelines import spec
+from rex_ray.pipelines.spec import MAX_SEQ_LEN
 from rex_ray.state.dictionaries import Vocab
 
 ENT_TYPES: List[str] = sorted(set(spec.GAZETTEER.values()))
-MAX_SEQ_LEN = 64
 
 
 class GlobalPointerWeights:

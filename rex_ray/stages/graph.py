@@ -37,6 +37,7 @@ import pyarrow as pa
 
 from rex_ray.functions.blocks import arrow_block, compact_blocks, pre_shuffle
 from rex_ray.functions.routing import DRIVER_SLIVER_MAX_ROWS, route_driver
+from rex_ray.stages.relational import hash_join
 
 
 _EDGE_SCHEMA = pa.schema([("a", pa.string()), ("b", pa.string())])
@@ -71,9 +72,10 @@ def _edge_pairs(edges_ds) -> list:
 
 
 def _undirected_edges(edges_ds):
-    """Canonicalize to distinct (a < b) string edges, dropping loops.
-    Ids are cast to string so one code path serves entity surfaces and
-    integer doc ids alike (and every block carries a stable schema)."""
+    """Canonicalize to distinct (a < b) string edges, dropping loops,
+    materialized (the count is metadata-cheap).  Ids are cast to string
+    so one code path serves entity surfaces and integer doc ids alike
+    (and every block carries a stable schema)."""
     def canon(t: pa.Table) -> pa.Table:
         a = np.asarray([str(x) for x in t["a"].to_pylist()], dtype=object)
         b = np.asarray([str(x) for x in t["b"].to_pylist()], dtype=object)
@@ -92,19 +94,12 @@ def _undirected_edges(edges_ds):
         .aggregate(Count(alias_name="_n"))
         .select_columns(["a", "b"])
     )
-    return dedup
+    # compacted for the per-op edge UDFs (deg_rows, both_dirs, und_rows)
+    return compact_blocks(dedup).materialize()
 
 
-def _graph_join_partitions(n_edges: int) -> int:
-    """Size join parallelism to the graph: ~50k edges per partition,
-    clamped to [2, default_join_partitions()]."""
-    from rex_ray.stages.relational import default_join_partitions
-
-    return max(2, min(default_join_partitions(), n_edges // 50000 + 1))
-
-
-def triangle_counts(edges_ds, num_partitions: int = None,
-                    max_driver_edges: int = None, route_out: dict = None):
+def triangle_counts(edges_ds, max_driver_edges: int = None,
+                    route_out: dict = None):
     """Per-node triangle participation over an undirected edge list
     (columns ``a``, ``b``).  Returns (entity_id, n_triangles), nodes in
     >=1 triangle only.
@@ -117,17 +112,8 @@ def triangle_counts(edges_ds, num_partitions: int = None,
     """
     from ray.data.aggregate import Count, Sum
 
-
-    # compact_blocks on every join input below: the dedup groupby /
-    # prior joins emit empty partition blocks first, which would lose
-    # the join's schema broadcast (see functions/blocks.compact_blocks)
-    edges = compact_blocks(_undirected_edges(edges_ds)).materialize()
-    n_edges = edges.count()  # metadata-cheap: edges is materialized
-    # join partitions sized to the EDGE data, not the cluster: each
-    # hash-shuffle partition is an aggregator actor, and a 32-actor
-    # pool per join is pure startup overhead on a small graph (pass
-    # num_partitions explicitly at real scale)
-    nparts = num_partitions or _graph_join_partitions(n_edges)
+    edges = _undirected_edges(edges_ds)
+    n_edges = edges.count()
 
     _empty_out = pa.schema(
         [("entity_id", pa.string()), ("n_triangles", pa.int64())]
@@ -174,17 +160,17 @@ def triangle_counts(edges_ds, num_partitions: int = None,
 
     # orient: join degree onto both endpoints, keep u -> v where
     # (deg_u, u) < (deg_v, v)
-    da = compact_blocks(degrees).map_batches(
+    da = degrees.map_batches(
         lambda t: pa.table({"a": t["node"], "deg_a": t["deg"]}),
         batch_format="pyarrow",
     )
-    db = compact_blocks(degrees).map_batches(
+    db = degrees.map_batches(
         lambda t: pa.table({"b": t["node"], "deg_b": t["deg"]}),
         batch_format="pyarrow",
     )
-    with_deg = compact_blocks(
-        edges.join(da, join_type="inner", on=("a",), num_partitions=nparts)
-    ).join(db, join_type="inner", on=("b",), num_partitions=nparts)
+    with_deg = hash_join(
+        hash_join(edges, da, on="a", rows=n_edges), db, on="b", rows=n_edges
+    )
 
     def orient(t: pa.Table) -> pa.Table:
         df = t.to_pandas()
@@ -216,10 +202,9 @@ def triangle_counts(edges_ds, num_partitions: int = None,
 
     # materialize: wedge rows are the shuffle input of the closure join
     # anyway (pre_shuffle pattern), and the count() guards the join
-    # against a fully-empty left side (triangle-free graph), which the
-    # schema broadcast cannot survive even compacted.
-    wedge_ds = compact_blocks(
-        oriented.groupby("u").map_groups(wedges, batch_format="pandas")
+    # against a zero-row wedge side (triangle-free graph)
+    wedge_ds = oriented.groupby("u").map_groups(
+        wedges, batch_format="pandas"
     ).materialize()
     if wedge_ds.count() == 0:
         import ray.data as rd
@@ -242,12 +227,7 @@ def triangle_counts(edges_ds, num_partitions: int = None,
         )
 
     edge_keys = edges.map_batches(edge_key_rows, batch_format="pyarrow")
-    closed = wedge_ds.join(
-        compact_blocks(edge_keys),
-        join_type="inner",
-        on=("k",),
-        num_partitions=nparts,
-    )
+    closed = hash_join(wedge_ds, edge_keys, on="k", rows=n_edges)
 
     # explode the 3 corners, partial-count, final shuffle
     def corners(t: pa.Table) -> pa.Table:
@@ -289,8 +269,7 @@ def triangle_counts_local(edges) -> dict:
 
 
 def pagerank(edges_ds, num_iters: int = 3, damping: float = 0.85,
-             num_partitions: int = None, max_driver_edges: int = None,
-             route_out: dict = None):
+             max_driver_edges: int = None, route_out: dict = None):
     """Fixed-iteration PageRank over an undirected edge list (columns
     ``a``, ``b``) — returns (entity_id, pr) with ``pr`` rounded to 8
     decimals so the double sums (whose addition order differs between
@@ -303,13 +282,12 @@ def pagerank(edges_ds, num_iters: int = 3, damping: float = 0.85,
     rank/deg messages, partial-sum per batch, one groupby per
     iteration.  The rank table is O(nodes) — the only per-iteration
     shuffle weight is messages O(edges), and the join input is the
-    compacted rank table, never the raw graph.
+    rank table, never the raw graph.
     """
     from ray.data.aggregate import Sum
 
-    edges = compact_blocks(_undirected_edges(edges_ds)).materialize()
+    edges = _undirected_edges(edges_ds)
     n_edges = edges.count()
-    nparts = num_partitions or _graph_join_partitions(n_edges)
 
     out_schema = pa.schema([("entity_id", pa.string()), ("pr", pa.float64())])
     if n_edges == 0:
@@ -360,14 +338,7 @@ def pagerank(edges_ds, num_iters: int = 3, damping: float = 0.85,
     n_nodes = degrees.count()
 
     # adjacency with source degree, built once and reused per iteration
-    adj = compact_blocks(
-        compact_blocks(directed).join(
-            compact_blocks(degrees),
-            join_type="inner",
-            on=("u",),
-            num_partitions=nparts,
-        )
-    ).materialize()
+    adj = hash_join(directed, degrees, on="u", rows=n_edges).materialize()
 
     init = 1.0 / n_nodes
     ranks = degrees.map_batches(
@@ -379,15 +350,7 @@ def pagerank(edges_ds, num_iters: int = 3, damping: float = 0.85,
 
     teleport = (1.0 - damping) / n_nodes
     for _ in range(num_iters):
-        rtab = compact_blocks(
-            ranks.map_batches(
-                lambda t: pa.table({"u": t["u"], "r": t["r"]}),
-                batch_format="pyarrow",
-            )
-        )
-        msgs = adj.join(
-            rtab, join_type="inner", on=("u",), num_partitions=nparts
-        )
+        msgs = hash_join(adj, ranks, on="u", rows=n_edges)
 
         def msg_partials(t: pa.Table) -> pa.Table:
             import pyarrow.compute as pc
@@ -402,6 +365,7 @@ def pagerank(edges_ds, num_iters: int = 3, damping: float = 0.85,
 
         summed = (
             pre_shuffle(
+                # compacted for msg_partials: join output has empty blocks
                 compact_blocks(msgs).map_batches(
                     msg_partials, batch_format="pyarrow"
                 )
@@ -458,9 +422,8 @@ def pagerank_local(edges, num_iters: int = 3, damping: float = 0.85) -> dict:
     return {k: round(v, 8) for k, v in r.items()}
 
 
-def edge_pmi(pairs_ds, num_partitions: int = None,
-             weight_col: str = None, max_driver_edges: int = None,
-             route_out: dict = None):
+def edge_pmi(pairs_ds, weight_col: str = None,
+             max_driver_edges: int = None, route_out: dict = None):
     """Pointwise mutual information per co-occurring entity pair:
     ``pmi = ln((c_xy * n) / (c_x * c_y))`` over OCCURRENCES (input rows
     with columns ``a``, ``b``, duplicates = one co-occurrence each, or
@@ -477,7 +440,7 @@ def edge_pmi(pairs_ds, num_partitions: int = None,
 
     Dataflow: canonicalize per occurrence (map) -> pair counts + node
     counts (two partial-agg groupbys) -> attach node counts to pair
-    rows via two hash joins (compacted inputs) -> vectorized pmi.
+    rows via two hash joins -> vectorized pmi.
     """
     from ray.data.aggregate import Sum
 
@@ -566,11 +529,12 @@ def edge_pmi(pairs_ds, num_partitions: int = None,
             .rename_columns(["a", "b", "c_xy"])
         )
 
-    edge_counts = compact_blocks(
+    edge_counts = (
         pre_shuffle(pairs.map_batches(pair_partials, batch_format="pyarrow"))
         .groupby(["a", "b"])
         .aggregate(Sum("c_xy", alias_name="c_xy"))
-    ).materialize()
+        .materialize()
+    )
 
     def node_partials(t: pa.Table) -> pa.Table:
         ids = pa.concat_arrays(
@@ -592,19 +556,18 @@ def edge_pmi(pairs_ds, num_partitions: int = None,
         .aggregate(Sum("c", alias_name="c"))
     )
 
-    nparts = num_partitions or _graph_join_partitions(n_total)
-    ca = compact_blocks(node_counts).map_batches(
+    ca = node_counts.map_batches(
         lambda t: pa.table({"a": t["node"], "c_a": t["c"]}),
         batch_format="pyarrow",
     )
-    cb = compact_blocks(node_counts).map_batches(
+    cb = node_counts.map_batches(
         lambda t: pa.table({"b": t["node"], "c_b": t["c"]}),
         batch_format="pyarrow",
     )
-    with_counts = compact_blocks(
-        edge_counts.join(ca, join_type="inner", on=("a",),
-                         num_partitions=nparts)
-    ).join(cb, join_type="inner", on=("b",), num_partitions=nparts)
+    with_counts = hash_join(
+        hash_join(edge_counts, ca, on="a", rows=n_total),
+        cb, on="b", rows=n_total,
+    )
 
     def finish(t: pa.Table) -> pa.Table:
         cxy = t["c_xy"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -656,7 +619,6 @@ def shared_neighbor_candidates(
     edges_ds,
     min_shared: int = 2,
     hot_cap: int = 1000,
-    num_partitions: int = None,
     max_driver_edges: int = None,
     route_out: dict = None,
 ):
@@ -681,9 +643,8 @@ def shared_neighbor_candidates(
 
     import ray.data as rd
 
-    edges = compact_blocks(_undirected_edges(edges_ds)).materialize()
+    edges = _undirected_edges(edges_ds)
     n_edges = edges.count()
-    nparts = num_partitions or _graph_join_partitions(n_edges)
 
     out_schema = pa.schema(
         [
@@ -752,6 +713,7 @@ def shared_neighbor_candidates(
             pd.DataFrame({"ea": vs[i], "eb": vs[j]}), schema=_WEDGE
         )
 
+    # compacted for pair_partial: map_groups emits empty blocks
     wedge_ds = compact_blocks(
         pre_shuffle(und).groupby("node").map_groups(
             wedges, batch_format="pandas"
@@ -778,19 +740,19 @@ def shared_neighbor_candidates(
 
         return t.filter(pc.greater_equal(t["n_shared"], min_shared))
 
-    cand = compact_blocks(cand.map_batches(keep, batch_format="pyarrow"))
+    cand = cand.map_batches(keep, batch_format="pyarrow")
 
-    da = compact_blocks(degrees).map_batches(
+    da = degrees.map_batches(
         lambda t: pa.table({"ea": t["node"], "deg_a": t["deg"]}),
         batch_format="pyarrow",
     )
-    db = compact_blocks(degrees).map_batches(
+    db = degrees.map_batches(
         lambda t: pa.table({"eb": t["node"], "deg_b": t["deg"]}),
         batch_format="pyarrow",
     )
-    joined = compact_blocks(
-        cand.join(da, join_type="inner", on=("ea",), num_partitions=nparts)
-    ).join(db, join_type="inner", on=("eb",), num_partitions=nparts)
+    joined = hash_join(
+        hash_join(cand, da, on="ea", rows=n_edges), db, on="eb", rows=n_edges
+    )
 
     def finish(t: pa.Table) -> pa.Table:
         return pa.table(
@@ -834,8 +796,7 @@ def kcore_peel_local(edges, k: int = 2, rounds: int = 3) -> dict:
 
 
 def kcore_peel(edges_ds, k: int = 2, rounds: int = 3,
-               num_partitions: int = None, max_driver_edges: int = None,
-               route_out: dict = None):
+               max_driver_edges: int = None, route_out: dict = None):
     """Fixed-round k-core peeling over the undirected entity graph —
     the standard coreness filter for separating the KG's dense
     backbone from noise-tail entities (Seidman 1983; at web scale the
@@ -861,9 +822,8 @@ def kcore_peel(edges_ds, k: int = 2, rounds: int = 3,
 
     out_schema = pa.schema([("entity_id", pa.string()), ("deg", pa.int64())])
 
-    edges = compact_blocks(_undirected_edges(edges_ds)).materialize()
+    edges = _undirected_edges(edges_ds)
     n_edges = edges.count()
-    nparts = num_partitions or _graph_join_partitions(n_edges)
 
     if n_edges == 0:
         return rd.from_arrow(out_schema.empty_table())
@@ -910,7 +870,9 @@ def kcore_peel(edges_ds, k: int = 2, rounds: int = 3,
 
             return t.filter(pc.greater_equal(t["deg"], _k)).select(["node"])
 
+        # compacted for keep_alive
         degs = compact_blocks(degrees_of(edges)).materialize()
+        # compacted for the node -> a/b rename UDFs below
         alive = compact_blocks(
             degs.map_batches(keep_alive, batch_format="pyarrow")
         ).materialize()
@@ -924,17 +886,20 @@ def kcore_peel(edges_ds, k: int = 2, rounds: int = 3,
         kept = bloom_semi_join(
             edges, alive.map_batches(
                 lambda t: pa.table({"a": t["node"]}), batch_format="pyarrow"
-            ), on="a", num_partitions=nparts, right_is_distinct=True,
+            ), on="a", right_is_distinct=True,
         )
         kept = bloom_semi_join(
-            compact_blocks(kept), alive.map_batches(
+            compact_blocks(kept),  # compacted for the prefilter UDF
+            alive.map_batches(
                 lambda t: pa.table({"b": t["node"]}), batch_format="pyarrow"
-            ), on="b", num_partitions=nparts, right_is_distinct=True,
+            ), on="b", right_is_distinct=True,
         )
+        # compacted for next round's deg_rows and prefilter UDFs
         edges = compact_blocks(kept.select_columns(["a", "b"])).materialize()
 
     if edges.count() == 0:
         return rd.from_arrow(out_schema.empty_table())
+    # compacted for the entity_id/deg rename UDF
     return compact_blocks(degrees_of(edges)).map_batches(
         lambda t: pa.table(
             {
@@ -952,8 +917,7 @@ _TWO_HOP_SCHEMA = pa.schema(
 )
 
 
-def two_hop_pred_paths(store_ds, num_partitions: int = None,
-                       max_driver_rows: int = None,
+def two_hop_pred_paths(store_ds, max_driver_rows: int = None,
                        route_out: dict = None):
     """Two-hop path composition counts over a triple store (columns
     ``subj_id``, ``pred``, ``obj_id``): for every predicate pair
@@ -979,8 +943,6 @@ def two_hop_pred_paths(store_ds, num_partitions: int = None,
     """
     import ray.data as rd
     from ray.data.aggregate import Sum
-
-    from rex_ray.stages.relational import default_join_partitions
 
     store = store_ds.materialize()
     n_rows = store.count()
@@ -1022,10 +984,6 @@ def two_hop_pred_paths(store_ds, num_partitions: int = None,
             )
         )
 
-    nparts = num_partitions or max(
-        2, min(default_join_partitions(), n_rows // 50000 + 1)
-    )
-
     def side_partial(mid_col: str, pred_out: str):
         def fn(t: pa.Table) -> pa.Table:
             if t.num_rows == 0 or mid_col not in t.schema.names:
@@ -1063,10 +1021,7 @@ def two_hop_pred_paths(store_ds, num_partitions: int = None,
         .groupby(["mid", "pred2"])
         .aggregate(Sum("c", alias_name="c2"))
     )
-    joined = compact_blocks(left).join(
-        compact_blocks(right), join_type="inner", on=("mid",),
-        num_partitions=nparts,
-    )
+    joined = hash_join(left, right, on="mid", rows=n_rows)
 
     def mul_partial(t: pa.Table) -> pa.Table:
         if t.num_rows == 0 or "c1" not in t.schema.names:

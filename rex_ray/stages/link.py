@@ -199,19 +199,14 @@ def link_triples_via_join(triples_ds, map_ds, nil_prefix: str = "nil:",
     stream through two partitions (round-4 advice)."""
     import pyarrow as pa
 
-    from rex_ray.functions.blocks import arrow_block, compact_blocks
-    from rex_ray.stages.relational import default_join_partitions
+    from rex_ray.functions.blocks import arrow_block
+    from rex_ray.stages.relational import hash_join
 
     n_map = map_ds.count()
-    # partition count sized to the data (~50k rows per
-    # partition on the BIGGER join side), clamped to the cluster
-    # default — a fixed CPU-count fan-out spends more on aggregator
-    # spin-up than the join itself on small inputs (measured
-    # 6.3 s -> 3.1 s at sf0.1), while sizing only to the map side
+    # partitions sized to the BIGGER join side: sizing only to the map
     # would blow per-partition memory when a huge triple stream meets
     # a just-above-threshold map
     n_size = max(n_map, est_left_rows or 0)
-    nparts = max(2, min(default_join_partitions(), 1 + n_size // 50_000))
 
     # degenerate empty map: every surface is NIL; the left_outer join
     # below would lose the empty right side's schema (Ray 2.49) and
@@ -242,15 +237,14 @@ def link_triples_via_join(triples_ds, map_ds, nil_prefix: str = "nil:",
 
         return fn
 
-    out = compact_blocks(triples_ds).join(
-        compact_blocks(renamed("subj", "subj_id")),
-        join_type="left_outer", on=("subj",), num_partitions=nparts,
+    out = hash_join(
+        triples_ds, renamed("subj", "subj_id"), on="subj",
+        join_type="left_outer", rows=n_size,
     ).map_batches(fill_nil("subj_id"), batch_format="pandas")
-    out = compact_blocks(out).join(
-        compact_blocks(renamed("obj", "obj_id")),
-        join_type="left_outer", on=("obj",), num_partitions=nparts,
+    return hash_join(
+        out, renamed("obj", "obj_id"), on="obj",
+        join_type="left_outer", rows=n_size,
     ).map_batches(fill_nil("obj_id"), batch_format="pandas")
-    return out
 
 
 def ambiguous_mentions_with_context(docs_ds, radius: int = 2):

@@ -3,11 +3,18 @@ joins, money-exact aggregation helpers.
 
 Join strategy (SURVEY.md §2.4): dimension tables (nation, customer at
 TPC-H scale factors) are SMALL-side — loaded once on the driver,
-``ray.put`` once, probed per batch with a vectorized pandas ``map``.
-Fact-fact joins (lineitem x orders) use ``Dataset.join`` (hash
-partitioned).  Money sums are computed in integer CENTS — per-row
-double arithmetic is bit-identical across engines, and integer sums
-are order-insensitive, so results hash-match the SQL oracle exactly
+``ray.put`` once, probed per batch with a vectorized pandas ``map``
+(:func:`broadcast_join`).  Every other join is a hash-partitioned
+shuffle through :func:`hash_join`, the only ``Dataset.join`` call in
+the package: it compacts both inputs (the Ray 2.49 empty-first-block
+schema loss, ``functions.blocks.compact_blocks``) and sizes the
+partition count by one rule, so callers pass keys and, when they hold
+one, a row count — nothing else.  Callers still guard a join side with
+ZERO rows themselves: no compaction can give it a schema.
+
+Money sums are computed in integer CENTS — per-row double arithmetic
+is bit-identical across engines, and integer sums are
+order-insensitive, so results hash-match the SQL oracle exactly
 (double sums would differ in the last ulp by summation order).
 """
 
@@ -23,6 +30,7 @@ import ray
 
 from rex_ray.functions.blocks import (
     arrow_block,
+    cluster_cpus,
     compact_blocks,
     default_concurrency,
     pre_shuffle,
@@ -80,31 +88,31 @@ def broadcast_join(ds, mapping: Dict, key: str, out: str, inner: bool = True,
     )
 
 
-def default_join_partitions() -> int:
-    """Hash-join partition count sized to the cluster: the hash-shuffle
-    backend schedules aggregator actors against the partition count, so
-    a fixed 32 deadlocks a 4-cpu cluster while 4 under-splits a 32-cpu
-    one.  Clamp to [2, 32] (at real scale, pass an explicit count)."""
-    try:
-        n = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        n = 8
-    return max(2, min(32, n))
+def hash_join(left, right, on, join_type: str = "inner", right_on=None,
+              rows: Optional[int] = None):
+    """Hash-partitioned shuffle join — the one ``Dataset.join`` entry
+    point.  ``on`` / ``right_on`` are a column name or a sequence of
+    them (``right_on`` only when the right key names differ).
 
+    Both inputs are compacted first (``functions.blocks.
+    compact_blocks``), so a join, groupby or filter output can feed
+    straight in.  The partition count is ``1 + rows // 50_000`` clamped
+    to [2, cluster CPUs capped at 32], where ``rows`` is a row count
+    the caller already holds (e.g. a metadata ``count()`` of a
+    materialized input); without one it is the cluster width.  An input
+    with zero rows still loses its schema — guard that case before the
+    call.  Each partition is an aggregator actor: a fixed 32 deadlocks
+    a 4-cpu cluster, and fan-out beyond the data is pure spin-up."""
+    width = max(2, min(32, cluster_cpus()))
+    if rows is not None:
+        width = max(2, min(width, 1 + rows // 50_000))
 
-def hash_join(left, right, on: str, num_partitions: int = None,
-              join_type: str = "inner"):
-    """Large-large hash-partitioned join via ``Dataset.join``.
+    def cols(c):
+        return (c,) if isinstance(c, str) else tuple(c)
 
-    If either input's lineage contains a shuffle (join/groupby) or a
-    selective filter, wrap it in ``functions.blocks.compact_blocks``
-    first — an empty first block loses the join's schema broadcast on
-    Ray 2.49 (see compact_blocks docstring)."""
-    return left.join(
-        right,
-        join_type=join_type,
-        num_partitions=num_partitions or default_join_partitions(),
-        on=(on,),
+    return compact_blocks(left).join(
+        compact_blocks(right), join_type=join_type, num_partitions=width,
+        on=cols(on), right_on=cols(right_on) if right_on else None,
     )
 
 
@@ -168,8 +176,7 @@ def per_key_cap(ds, key_col: str, id_col: str, n: int):
 
 
 def bloom_semi_join(left, right, on: str, num_bits: int = 1 << 20,
-                    num_hashes: int = 5, num_partitions: int = None,
-                    right_is_distinct: bool = False):
+                    num_hashes: int = 5, right_is_distinct: bool = False):
     """Exact semi-join ``left ⋉ right`` with a broadcast Bloom
     prefilter: the left side is filtered against a bitmap of the right
     keys BEFORE the exact hash join, so only candidate rows (true
@@ -209,8 +216,8 @@ def bloom_semi_join(left, right, on: str, num_bits: int = 1 << 20,
     # filtered case: an all-empty left side loses its schema inside
     # the hash-shuffle join (Ray 2.49) and aborts with ArrowInvalid —
     # and with zero Bloom-passing rows the exact answer IS empty.
-    candidates = compact_blocks(
-        left.map_batches(prefilter, batch_format="pyarrow")
+    candidates = left.map_batches(
+        prefilter, batch_format="pyarrow"
     ).materialize()
     if candidates.count() == 0:
         import ray.data as rd
@@ -243,13 +250,7 @@ def bloom_semi_join(left, right, on: str, num_bits: int = 1 << 20,
             .aggregate(Count(alias_name="_n"))
             .select_columns([on])
         )
-    # compact both sides: the Bloom prefilter can emit empty first
-    # blocks and `distinct` is a groupby output — either would lose the
-    # join's schema broadcast (functions/blocks.compact_blocks).
-    return compact_blocks(candidates).join(
-        compact_blocks(distinct), join_type="inner", on=(on,),
-        num_partitions=num_partitions or default_join_partitions(),
-    )
+    return hash_join(candidates, distinct, on=on)
 
 
 def bucket_filter(ds, id_col: str, lo: int, hi: int):
@@ -274,7 +275,7 @@ def bucket_filter(ds, id_col: str, lo: int, hi: int):
 
 
 def bloom_anti_join(left, right, on, num_bits: int = 1 << 20,
-                    num_hashes: int = 5, num_partitions: int = None):
+                    num_hashes: int = 5):
     """Exact anti-join ``left ▷ right`` (rows of ``left`` with NO match
     in ``right`` on the key column(s) ``on``), with a broadcast Bloom
     shortcut: a row whose composite key FAILS the Bloom filter of the
@@ -354,10 +355,7 @@ def bloom_anti_join(left, right, on, num_bits: int = 1 << 20,
         .groupby(cols)
         .aggregate(Max("_m", alias_name="_m"))
     )
-    joined = compact_blocks(candidates).join(
-        compact_blocks(distinct), join_type="left_outer", on=tuple(cols),
-        num_partitions=num_partitions or default_join_partitions(),
-    )
+    joined = hash_join(candidates, distinct, on=cols, join_type="left_outer")
 
     def unmatched(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc

@@ -34,6 +34,7 @@ import pyarrow as pa
 import ray
 
 from rex_ray.functions.blocks import fixed_list_column
+from rex_ray.pipelines.spec import MAX_SEQ_LEN
 from rex_ray.stages.extract import (
     TripleExtractor,
     _doc_id_type,
@@ -42,7 +43,6 @@ from rex_ray.stages.extract import (
 from rex_ray.state.dictionaries import Vocab
 
 PIECE_WIDTH = 4
-MAX_SEQ_LEN = 64
 CLS, SEP = "[CLS]", "[SEP]"
 
 

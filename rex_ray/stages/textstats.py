@@ -575,8 +575,7 @@ def cross_doc_dup_ngrams(
         route_out["dup_ngram_regime"] = "join"
         route_out["n_dup_grams"] = n_dup_grams
 
-    from rex_ray.functions.blocks import compact_blocks
-    from rex_ray.stages.relational import default_join_partitions
+    from rex_ray.stages.relational import hash_join
 
     _T = pa.schema(
         [("kind", pa.string()), ("doc_id", pa.int64()),
@@ -636,19 +635,7 @@ def cross_doc_dup_ngrams(
     slim = tagged.filter(expr="kind == 'g'").select_columns(
         ["doc_id", "h", "v"]
     )
-    # partitions sized to the duplicated-gram cardinality (~500k hash
-    # rows per partition, clamped to the cluster default) — the fixed
-    # CPU-count fan-out spends more on aggregator spin-up than the
-    # join itself when the regime is forced on a small corpus
-    joined = compact_blocks(slim).join(
-        compact_blocks(totals),
-        join_type="inner",
-        on=("h",),
-        num_partitions=max(
-            2,
-            min(default_join_partitions(), 1 + n_dup_grams // 500_000),
-        ),
-    )
+    joined = hash_join(slim, totals, on="h", rows=n_dup_grams)
 
     def dup_partial(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -772,8 +759,7 @@ def heavy_hitter_ngrams(docs_ds, n: int = 3, k: int = 4000,
     )
     from rex_ray.functions.blocks import compact_blocks
 
-    # compact: a filter can emit schema-less empty blocks (Ray 2.49)
-    # that the sort's schema broadcast trips over
+    # compacted for the sort: the filter emits schema-less empty blocks
     est = compact_blocks(summed.filter(expr="kind == 'mg'"))
     # global compress: v = (k+1)-th largest summed estimate (bounded
     # k+1-row take off a distributed sort of the slim estimate table)

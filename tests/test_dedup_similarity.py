@@ -685,6 +685,56 @@ def test_segment_dup_stats_matches_local(docs_ds):
     assert dup_group_docs <= set(flagged["doc_id"].astype(int))
 
 
+def _segment_stats(*blocks):
+    """segment_dup_stats over one Dataset block per list of
+    (doc_id, text) -> {doc_id: (n_segments, n_dup_segments)}."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from rex_ray.stages.dedup import segment_dup_stats
+
+    ds = rd.from_arrow(
+        [
+            pa.table(
+                {
+                    "doc_id": pa.array([d for d, _ in b], pa.int64()),
+                    "text": pa.array([t for _, t in b], pa.string()),
+                }
+            )
+            for b in blocks
+        ]
+    )
+    out = segment_dup_stats(ds)
+    return out, {
+        r["doc_id"]: (r["n_segments"], r["n_dup_segments"])
+        for r in out.take_all()
+    }
+
+
+def test_segment_dup_stats_first_block_without_segments():
+    """A first block whose docs are all 'dup' markers emits no segment
+    row; the joins behind it must not lose their schema."""
+    from rex_ray.stages.dedup import SEG_TOKENS
+
+    line = " ".join(f"w{i}" for i in range(SEG_TOKENS))
+    markers = [(1, "dup"), (2, "dup dup")]
+    rest = [(3, line), (4, line), (5, "a b c")]
+    want = {3: (1, 1), 4: (1, 1), 5: (1, 0)}
+    assert _segment_stats(markers, rest)[1] == want
+    assert _segment_stats(rest, markers)[1] == want
+
+
+def test_segment_dup_stats_without_shared_segments():
+    _, got = _segment_stats([(1, "a b c"), (2, "d e f"), (3, "g h i")])
+    assert got == {1: (1, 0), 2: (1, 0), 3: (1, 0)}
+
+
+def test_segment_dup_stats_empty_corpus():
+    out, got = _segment_stats([])
+    assert got == {}
+    assert out.schema().names == ["doc_id", "n_segments", "n_dup_segments"]
+
+
 def test_ivf_topk_int_partition_invariant_and_recall(emb_ds):
     """Exact-int IVF: bit-identical under repartitioning (the oracle
     contract) and reasonable recall vs probing every bucket."""

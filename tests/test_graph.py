@@ -28,7 +28,7 @@ def test_triangle_counts_matches_bruteforce_small():
         ("b", "c"), ("b", "d"), ("c", "d"),
         ("d", "e"),
     ]
-    got = _counts(triangle_counts(_edges_ds(edges), num_partitions=4, max_driver_edges=0))
+    got = _counts(triangle_counts(_edges_ds(edges), max_driver_edges=0))
     want = triangle_counts_local(edges)
     assert got == want == {"a": 3, "b": 3, "c": 3, "d": 3}
 
@@ -39,7 +39,7 @@ def test_triangle_counts_dedup_loops_direction():
         ("x", "y"), ("y", "x"), ("x", "x"),
         ("y", "z"), ("z", "x"), ("x", "y"),
     ]
-    got = _counts(triangle_counts(_edges_ds(edges), num_partitions=4, max_driver_edges=0))
+    got = _counts(triangle_counts(_edges_ds(edges), max_driver_edges=0))
     assert got == {"x": 1, "y": 1, "z": 1}
 
 
@@ -50,7 +50,7 @@ def test_triangle_counts_random_graph_matches_bruteforce():
     for _ in range(260):
         a, b = rng.integers(0, n, size=2)
         edges.append((f"n{a}", f"n{b}"))
-    got = _counts(triangle_counts(_edges_ds(edges), num_partitions=6, max_driver_edges=0))
+    got = _counts(triangle_counts(_edges_ds(edges), max_driver_edges=0))
     want = triangle_counts_local(edges)
     assert got == want
     assert sum(want.values()) % 3 == 0  # sanity: corners come in 3s
@@ -58,7 +58,7 @@ def test_triangle_counts_random_graph_matches_bruteforce():
 
 def test_triangle_counts_no_triangles():
     edges = [("a", "b"), ("b", "c"), ("c", "d")]  # a path
-    got = _counts(triangle_counts(_edges_ds(edges), num_partitions=4, max_driver_edges=0))
+    got = _counts(triangle_counts(_edges_ds(edges), max_driver_edges=0))
     assert got == {}
 
 
@@ -85,6 +85,30 @@ def test_chained_join_needs_compact_blocks():
         db, join_type="inner", on=("b",), num_partitions=4
     )
     rows = fixed.take_all()
+    assert len(rows) == 3
+    assert all(r["deg_a"] == 2 and r["deg_b"] == 2 for r in rows)
+
+
+def test_chained_hash_join_needs_no_caller_compaction():
+    """The same chained join through ``relational.hash_join``, which
+    compacts both inputs itself: a join output feeds straight in."""
+    from rex_ray.stages.relational import hash_join
+
+    edges = rd.from_items(
+        [{"a": "x", "b": "y"}, {"a": "y", "b": "z"}, {"a": "x", "b": "z"}]
+    )
+    deg = rd.from_items(
+        [{"node": k, "deg": 2} for k in ("x", "y", "z")]
+    )
+    da = deg.map_batches(
+        lambda t: pa.table({"a": t["node"], "deg_a": t["deg"]}),
+        batch_format="pyarrow",
+    )
+    db = deg.map_batches(
+        lambda t: pa.table({"b": t["node"], "deg_b": t["deg"]}),
+        batch_format="pyarrow",
+    )
+    rows = hash_join(hash_join(edges, da, on="a"), db, on="b").take_all()
     assert len(rows) == 3
     assert all(r["deg_a"] == 2 and r["deg_b"] == 2 for r in rows)
 
