@@ -8,6 +8,14 @@ groupby-sum at sf0.1).  Every stage UDF that feeds a ``groupby`` /
 Arrow table on the way out with :func:`arrow_block` — the map stages
 keep pandas internally where its groupby/str kernels are the right
 tool, but the object store and the shuffles only ever see Arrow.
+
+Ray contract (pinned by tests/test_empty_batch_contract.py): a
+``map_batches`` or ``map_groups`` UDF is never called on a batch with
+zero rows.  Ray passes an empty input block through unchanged and
+never buffers one into a batch, and ``map_groups`` yields only groups
+that have rows — so stage UDFs carry no empty-batch guards.  An empty
+block passed through keeps its INPUT schema (or none); every consumer
+of the mapped Dataset skips it, so nothing sees that schema.
 """
 
 from __future__ import annotations
@@ -78,8 +86,7 @@ def default_concurrency():
 def compact_blocks(ds, batch_size: int = 65536):
     """Bundle consecutive blocks so empty blocks merge into their
     neighbors.  Applied by :func:`rex_ray.stages.relational.hash_join`
-    to both join inputs; call it yourself only in front of a map UDF
-    (or a sort) that should see typed, non-empty blocks.
+    to both join inputs.
 
     Why joins need it: Ray 2.49's hash-shuffle join broadcasts each
     input's schema to all partition aggregators using the FIRST block

@@ -45,10 +45,6 @@ def _surface_nodes(rows_ds):
     from rex_ray.functions.blocks import pre_shuffle
 
     def part_distinct(t: "pa.Table") -> "pa.Table":
-        # Ray 2.49 can emit schema-dropped empty blocks (e.g. out of a
-        # filter) — guard before selecting
-        if t.num_rows == 0 or "surface" not in t.schema.names:
-            return pa.table({"node": pa.array([], pa.string())})
         return (
             t.select(["surface"])
             .group_by("surface")

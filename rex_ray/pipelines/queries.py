@@ -347,14 +347,16 @@ def q_kg_entity_kcore(sf_dir: str):
 
 
 def _kcore_round_sql(i: int) -> str:
+    # MATERIALIZED: each round reads the previous one three times; an
+    # inlined CTE chain re-evaluates every earlier round per reference
     return f"""
-d{i} AS (
+d{i} AS MATERIALIZED (
     SELECT node, CAST(count(*) AS BIGINT) AS deg FROM (
         SELECT a AS node FROM e{i - 1} UNION ALL SELECT b FROM e{i - 1}
     ) GROUP BY node
 ),
-alive{i} AS (SELECT node FROM d{i} WHERE deg >= {KCORE_K}),
-e{i} AS (
+alive{i} AS MATERIALIZED (SELECT node FROM d{i} WHERE deg >= {KCORE_K}),
+e{i} AS MATERIALIZED (
     SELECT e.a, e.b FROM e{i - 1} e
     JOIN alive{i} x ON e.a = x.node
     JOIN alive{i} y ON e.b = y.node
@@ -1821,14 +1823,14 @@ JOIN sup sb ON sb.pred = c.p2
 _SQL["kg_entity_kcore"] = f"""
 WITH RECURSIVE {_kg_ctes()},
 {_canon_ctes()},
-store AS (
+store AS MATERIALIZED (
     SELECT cs.canonical_id AS subj_id, tri.pred, co.canonical_id AS obj_id
     FROM tri
     JOIN canon cs ON tri.subj = cs.surface
     JOIN canon co ON tri.obj = co.surface
     GROUP BY 1, 2, 3
 ),
-e0 AS (
+e0 AS MATERIALIZED (
     SELECT DISTINCT least(subj_id, obj_id) AS a,
            greatest(subj_id, obj_id) AS b
     FROM store WHERE subj_id <> obj_id

@@ -386,8 +386,6 @@ def predicate_overlap(store_ds, min_shared: int = 2,
     )
 
     def attach(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return out_schema.empty_table()
         import pyarrow.compute as pc
 
         t = t.filter(pc.greater_equal(t["n_shared"], min_shared))
@@ -469,11 +467,6 @@ def predicate_functionality(store_ds, max_driver_rows: int = None,
         )
 
     def rename_c(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or "pred" not in t.schema.names:
-            return pa.schema(
-                [("pred", pa.string()), ("k", pa.string()),
-                 ("c", pa.int64())]
-            ).empty_table()
         return t.rename_columns(list(t.schema.names)[:-1] + ["c"])
 
     out_schema = pa.schema(
@@ -483,8 +476,6 @@ def predicate_functionality(store_ds, max_driver_rows: int = None,
     )
 
     def subj_partial(b: pd.DataFrame) -> pa.Table:
-        if len(b) == 0:
-            return out_schema.empty_table()
         g = b.groupby("pred", sort=False)["c"]
         agg = pd.DataFrame(
             {"n_triples": g.sum(), "n_subj": g.size(), "max_fanout": g.max()}
@@ -496,8 +487,6 @@ def predicate_functionality(store_ds, max_driver_rows: int = None,
         )
 
     def obj_partial(b: pd.DataFrame) -> pa.Table:
-        if len(b) == 0:
-            return out_schema.empty_table()
         g = b.groupby("pred", sort=False)["c"]
         agg = pd.DataFrame({"n_obj": g.size()}).reset_index()
         for col in ("n_triples", "n_subj", "max_fanout"):

@@ -152,13 +152,6 @@ def _labels_checksum(labels_ds) -> tuple:
     MOD = 1 << 40
 
     def part(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or "node" not in t.schema.names:
-            return pa.table(
-                {
-                    "s1": pa.array([], pa.int64()),
-                    "s2": pa.array([], pa.int64()),
-                }
-            )
         keys = [
             f"{n}\x00{c}"
             for n, c in zip(
@@ -269,8 +262,6 @@ def canonical_labels_from_nodes_ds(
     endpoint_set = pa.array(endpoints, pa.string())
 
     def mark_touched(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or "node" not in t.schema.names:
-            return pa.table({"node": pa.array([], pa.string())})
         return t.filter(pc.is_in(t["node"], value_set=endpoint_set))
 
     touched = nodes_ds.map_batches(
@@ -282,13 +273,6 @@ def canonical_labels_from_nodes_ds(
     ]
 
     def identity_untouched(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or "node" not in t.schema.names:
-            return pa.table(
-                {
-                    "node": pa.array([], pa.string()),
-                    "canonical": pa.array([], pa.string()),
-                }
-            )
         keep = t.filter(
             pc.invert(pc.is_in(t["node"], value_set=endpoint_set))
         )
@@ -332,13 +316,6 @@ def canonical_labels_from_nodes_ds(
         labels = untouched_labels
 
     def add_prefix(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or "canonical" not in t.schema.names:
-            return pa.table(
-                {
-                    "node": pa.array([], pa.string()),
-                    "canonical": pa.array([], pa.string()),
-                }
-            )
         return t.set_column(
             t.schema.get_field_index("canonical"),
             "canonical",

@@ -176,8 +176,6 @@ class CrfNerTagger:
 
     def __call__(self, batch: pd.DataFrame) -> pa.Table:
         schema = _entities_schema(_doc_id_type(batch["doc_id"]))
-        if len(batch) == 0:
-            return schema.empty_table()
         em, mask, tok_lists = self.emissions(batch)
         tags, _ = self.decode(em, mask)
         lens = mask.sum(axis=1)

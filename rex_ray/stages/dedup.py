@@ -697,8 +697,6 @@ def embedding_dup_pairs(
     pair_schema = pa.schema([("a_id", pa.int64()), ("b_id", pa.int64())])
 
     def pair_group(g: pd.DataFrame) -> pa.Table:
-        if len(g) == 0:
-            return pair_schema.empty_table()
         key = int(g["pair_key"].iloc[0])
         a, b = key // P, key % P
         ga = g[g["side"] == 0].sort_values(id_col)
@@ -1157,16 +1155,6 @@ def semantic_dup_drops(
 
     def assign(batch: pd.DataFrame) -> pa.Table:
         Cc = _side_object(cref)
-        dim = Cc.shape[1]
-        if len(batch) == 0:
-            return pa.schema(
-                [
-                    (id_col, pa.int64()),
-                    ("cluster_id", pa.int64()),
-                    ("dist", pa.int64()),
-                    ("grid", pa.list_(pa.int64(), dim)),
-                ]
-            ).empty_table()
         X = quantize_grid(batch["embedding"])
         a, d = _assign_int(X, Cc)
         return pa.table(
@@ -1180,18 +1168,7 @@ def semantic_dup_drops(
             }
         )
 
-    out_schema = pa.schema(
-        [
-            (id_col, pa.int64()),
-            ("cluster_id", pa.int64()),
-            ("dist", pa.int64()),
-            ("keep", pa.bool_()),
-        ]
-    )
-
     def cluster_dedup(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0:
-            return out_schema.empty_table()
         ids = g[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
         dist = g["dist"].to_numpy(zero_copy_only=False).astype(np.int64)
         X = matrix_from_column(g, "grid").astype(np.int64)

@@ -94,7 +94,9 @@ def _undirected_edges(edges_ds):
         .aggregate(Count(alias_name="_n"))
         .select_columns(["a", "b"])
     )
-    # compacted for the per-op edge UDFs (deg_rows, both_dirs, und_rows)
+    # coalesces small blocks: the groupby emits one block per shuffle
+    # partition (200 by default) and each per-op edge UDF downstream
+    # would otherwise run one task per block
     return compact_blocks(dedup).materialize()
 
 
@@ -364,12 +366,7 @@ def pagerank(edges_ds, num_iters: int = 3, damping: float = 0.85,
             )
 
         summed = (
-            pre_shuffle(
-                # compacted for msg_partials: join output has empty blocks
-                compact_blocks(msgs).map_batches(
-                    msg_partials, batch_format="pyarrow"
-                )
-            )
+            pre_shuffle(msgs.map_batches(msg_partials, batch_format="pyarrow"))
             .groupby("u")
             .aggregate(Sum("w", alias_name="w"))
         )
@@ -713,12 +710,12 @@ def shared_neighbor_candidates(
             pd.DataFrame({"ea": vs[i], "eb": vs[j]}), schema=_WEDGE
         )
 
-    # compacted for pair_partial: map_groups emits empty blocks
-    wedge_ds = compact_blocks(
-        pre_shuffle(und).groupby("node").map_groups(
-            wedges, batch_format="pandas"
-        )
-    ).materialize()
+    wedge_ds = (
+        pre_shuffle(und)
+        .groupby("node")
+        .map_groups(wedges, batch_format="pandas")
+        .materialize()
+    )
     if wedge_ds.count() == 0:
         return rd.from_arrow(out_schema.empty_table())
 
@@ -870,11 +867,9 @@ def kcore_peel(edges_ds, k: int = 2, rounds: int = 3,
 
             return t.filter(pc.greater_equal(t["deg"], _k)).select(["node"])
 
-        # compacted for keep_alive
-        degs = compact_blocks(degrees_of(edges)).materialize()
-        # compacted for the node -> a/b rename UDFs below
-        alive = compact_blocks(
-            degs.map_batches(keep_alive, batch_format="pyarrow")
+        degs = degrees_of(edges).materialize()
+        alive = degs.map_batches(
+            keep_alive, batch_format="pyarrow"
         ).materialize()
         if alive.count() == 0:
             return rd.from_arrow(out_schema.empty_table())
@@ -889,18 +884,15 @@ def kcore_peel(edges_ds, k: int = 2, rounds: int = 3,
             ), on="a", right_is_distinct=True,
         )
         kept = bloom_semi_join(
-            compact_blocks(kept),  # compacted for the prefilter UDF
-            alive.map_batches(
+            kept, alive.map_batches(
                 lambda t: pa.table({"b": t["node"]}), batch_format="pyarrow"
             ), on="b", right_is_distinct=True,
         )
-        # compacted for next round's deg_rows and prefilter UDFs
-        edges = compact_blocks(kept.select_columns(["a", "b"])).materialize()
+        edges = kept.select_columns(["a", "b"]).materialize()
 
     if edges.count() == 0:
         return rd.from_arrow(out_schema.empty_table())
-    # compacted for the entity_id/deg rename UDF
-    return compact_blocks(degrees_of(edges)).map_batches(
+    return degrees_of(edges).map_batches(
         lambda t: pa.table(
             {
                 "entity_id": t["node"].combine_chunks(),
@@ -986,11 +978,6 @@ def two_hop_pred_paths(store_ds, max_driver_rows: int = None,
 
     def side_partial(mid_col: str, pred_out: str):
         def fn(t: pa.Table) -> pa.Table:
-            if t.num_rows == 0 or mid_col not in t.schema.names:
-                return pa.schema(
-                    [("mid", pa.string()), (pred_out, pa.string()),
-                     ("c", pa.int64())]
-                ).empty_table()
             return (
                 pa.table(
                     {"mid": t[mid_col].combine_chunks().cast(pa.string()),
@@ -1024,8 +1011,6 @@ def two_hop_pred_paths(store_ds, max_driver_rows: int = None,
     joined = hash_join(left, right, on="mid", rows=n_rows)
 
     def mul_partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or "c1" not in t.schema.names:
-            return _TWO_HOP_SCHEMA.empty_table()
         n = t["c1"].to_numpy(zero_copy_only=False).astype(
             np.int64
         ) * t["c2"].to_numpy(zero_copy_only=False).astype(np.int64)

@@ -235,8 +235,6 @@ def ground_mentions(inter_ds):
     )
 
     def fn(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return out_schema.empty_table()
         validate_span_sequence(batch)
         spans = batch["spans"]
         if isinstance(spans, pa.ChunkedArray):

@@ -81,19 +81,6 @@ def _tagged_views(ds, doc_col: str, in_pred: int, in_gold: int):
     key_cols = ["k0", "k1", "k2"]
 
     def tag(b: pd.DataFrame):
-        cols_needed = {doc_col, "subj", "pred", "obj"}
-        if len(b) == 0 or not cols_needed <= set(b.columns):
-            return arrow_block(
-                pd.DataFrame(
-                    {
-                        "view": pd.Series([], dtype=str),
-                        doc_col: pd.Series([], dtype=object),
-                        **{k: pd.Series([], dtype=str) for k in key_cols},
-                        "in_pred": pd.Series([], dtype="int64"),
-                        "in_gold": pd.Series([], dtype="int64"),
-                    }
-                )
-            )
         frames = []
         for view, vcols in views:
             out = b.loc[:, [doc_col, *vcols]].drop_duplicates()
@@ -109,10 +96,9 @@ def _tagged_views(ds, doc_col: str, in_pred: int, in_gold: int):
     return ds.map_batches(tag, batch_format="pandas")
 
 
-#: Bucket fan-out of the membership shuffle.  Sized so test-SF member
-#: tables land a few hundred rows per bucket while leaving headroom at
-#: scale; at 10^12-triple member tables pass num_buckets ~
-#: member_rows / 5M so per-bucket pandas frames stay in worker heap.
+#: Bucket fan-out of the membership shuffle: test-SF member tables land
+#: a few hundred rows per bucket.  Bound: one bucket's member rows
+#: (member_rows / 256) must fit in one worker's pandas frame.
 DEFAULT_PARITY_BUCKETS = 256
 
 # Seeds the bucket hash only; key-tuple IDENTITY is never derived from
@@ -123,16 +109,14 @@ DEFAULT_PARITY_BUCKETS = 256
 _SEP = "\x1f"
 
 
-def _view_counts(
-    pred_ds, gold_ds, doc_col: str, num_buckets: int = None
-) -> Dict[str, Dict[str, int]]:
+def _view_counts(pred_ds, gold_ds, doc_col: str) -> Dict[str, Dict[str, int]]:
     """tp/fp/fn per view in ONE pass over each input and ONE shuffle.
 
     The exchange groups on a single int64 bucket column (md5-64 of the
-    key tuple mod ``num_buckets``) instead of the 5-column string key —
-    Ray's sort-based aggregate on multi-string keys measured ~7x slower
-    than this bucket route at sf0.01 (11.0 s vs 1.5 s for the same 89k
-    member rows).  Exactness is preserved because the bucket is ONLY a
+    key tuple mod ``DEFAULT_PARITY_BUCKETS``) instead of the 5-column
+    string key — Ray's sort-based aggregate on multi-string keys
+    measured ~7x slower than this bucket route at sf0.01 (11.0 s vs
+    1.5 s for the same 89k member rows).  Exactness is preserved because the bucket is ONLY a
     routing key: all rows of a key tuple hash to the same bucket, and
     the reduction inside each bucket groups on the real columns with
     vectorized pandas."""
@@ -140,7 +124,6 @@ def _view_counts(
 
     from rex_ray.functions.hashing import md5_hash64_batch
 
-    nb = num_buckets or DEFAULT_PARITY_BUCKETS
     group_cols = ["view", doc_col, "k0", "k1", "k2"]
     count_cols = ("tp", "fp", "fn")
 
@@ -149,48 +132,30 @@ def _view_counts(
     )
 
     def combine(b: pd.DataFrame):
-        if len(b) == 0 or "view" not in b.columns:
-            return arrow_block(
-                pd.DataFrame(
-                    {
-                        "view": pd.Series([], dtype=str),
-                        doc_col: pd.Series([], dtype=object),
-                        "k0": pd.Series([], dtype=str),
-                        "k1": pd.Series([], dtype=str),
-                        "k2": pd.Series([], dtype=str),
-                        "in_pred": pd.Series([], dtype="int64"),
-                        "in_gold": pd.Series([], dtype="int64"),
-                        "h": pd.Series([], dtype="int64"),
-                    }
-                )
-            )
         g = (
-            b.groupby(group_cols, sort=False, observed=True)[
+            b.groupby(group_cols, sort=False, observed=True, dropna=False)[
                 ["in_pred", "in_gold"]
             ]
             .max()
             .reset_index()
         )
+        # a null key part hashes as '' — the string only routes rows;
+        # key identity is decided by the per-bucket groupby
+        k = g[["k0", "k1", "k2"]].fillna("")
         key = (
             g["view"] + _SEP + g[doc_col].astype(str) + _SEP
-            + g["k0"] + _SEP + g["k1"] + _SEP + g["k2"]
+            + k["k0"] + _SEP + k["k1"] + _SEP + k["k2"]
         )
-        g["h"] = (md5_hash64_batch(key.tolist()) % nb).astype("int64")
+        g["h"] = (
+            md5_hash64_batch(key.tolist()) % DEFAULT_PARITY_BUCKETS
+        ).astype("int64")
         return arrow_block(g)
 
     part = pre_shuffle(u.map_batches(combine, batch_format="pandas"))
 
     def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {
-                "view": pd.Series([], dtype=str),
-                **{c: pd.Series([], dtype="int64") for c in count_cols},
-            }
-        )
-        if len(df) == 0 or "view" not in df.columns:
-            return empty
         m = (
-            df.groupby(group_cols, sort=False, observed=True)[
+            df.groupby(group_cols, sort=False, observed=True, dropna=False)[
                 ["in_pred", "in_gold"]
             ]
             .max()

@@ -250,14 +250,6 @@ class _KMeansPartials:
         from rex_ray.stages.dedup import _side_object
 
         C = _side_object(self.cent_ref)
-        if len(batch) == 0:
-            return pa.schema(
-                [
-                    ("cluster_id", pa.int64()),
-                    ("n", pa.int64()),
-                    ("s", pa.list_(pa.int64())),
-                ]
-            ).empty_table()
         X = quantize_grid(batch["embedding"])
         a, _ = _assign_int(X, C)
         k, dim = C.shape
@@ -329,14 +321,6 @@ def kmeans_assign(emb_ds, C: np.ndarray, id_col: str = "vec_id"):
         from rex_ray.stages.dedup import _side_object
 
         Cc = _side_object(_ref)
-        if len(batch) == 0:
-            return pa.schema(
-                [
-                    (id_col, pa.int64()),
-                    ("cluster_id", pa.int64()),
-                    ("dist", pa.int64()),
-                ]
-            ).empty_table()
         X = quantize_grid(batch["embedding"])
         a, d = _assign_int(X, Cc)
         return pa.table(
@@ -1253,8 +1237,6 @@ def embedding_dim_stats(emb_ds):
     )
 
     def partial(batch: pd.DataFrame) -> pa.Table:
-        if len(batch) == 0 or "embedding" not in batch.columns:
-            return schema.empty_table()
         X = quantize_grid(batch["embedding"])
         n, d = X.shape
         return pa.table(

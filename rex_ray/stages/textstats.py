@@ -616,8 +616,6 @@ def cross_doc_dup_ngrams(
     ).materialize()
 
     def base_rows(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or "doc_id" not in t.schema.names:
-            return out_schema.empty_table()
         return pa.table(
             {
                 "doc_id": t["doc_id"],
@@ -640,10 +638,6 @@ def cross_doc_dup_ngrams(
     def dup_partial(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
-        # an empty join partition can emit a schema-less block
-        # (Ray 2.49) — guard before indexing columns
-        if t.num_rows == 0 or "c" not in t.schema.names:
-            return out_schema.empty_table()
         kept = t.filter(pc.greater(t["c"], t["v"]))
         if kept.num_rows == 0:
             return out_schema.empty_table()
@@ -1741,11 +1735,6 @@ def stratified_bottomk(ds, strata_col: str, id_col: str, k: int = 100):
     import hashlib
 
     def partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or strata_col not in t.schema.names:
-            return pa.schema(
-                [(strata_col, pa.string()), (id_col, pa.int64()),
-                 ("h", pa.string())]
-            ).empty_table()
         strat = t[strata_col].to_pylist()
         ids = t[id_col].to_pylist()
         h = [hashlib.md5(str(v).encode()).hexdigest() for v in ids]

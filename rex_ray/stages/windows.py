@@ -255,7 +255,7 @@ def interval_join_events(
 
     def probe(t: pa.Table) -> pa.Table:
         uid, sid, st, en = _side_object(iref)
-        if t.num_rows == 0 or len(st) == 0:
+        if len(st) == 0:
             return partial_schema.empty_table()
         import pyarrow.compute as pc
 
@@ -295,20 +295,7 @@ def interval_join_events(
         Count(alias_name="n_users"),
     )
 
-    out_schema = pa.schema(
-        [
-            ("user_id", pa.int64()),
-            ("session_id", pa.int64()),
-            ("start_ts_us", pa.int64()),
-            ("end_ts_us", pa.int64()),
-            ("n_events", pa.int64()),
-            ("n_users", pa.int64()),
-        ]
-    )
-
     def attach(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return out_schema.empty_table()
         uid, sid, st, en = _side_object(iref)
         ii = t["iidx"].to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table(

@@ -68,3 +68,18 @@ def test_flagship_parity_gate():
     assert len(gold.gold_triples_frame(
         pd.DataFrame({"doc_id": [1], "text": ["spark join the hash"]})
     )) > 0
+
+
+def test_parity_keeps_null_keys():
+    """A null subj/pred/obj is a key value like any other: per-doc
+    set() semantics count (d1, a, r, None) and (d1, a, r, b) as two
+    triples and None and b as two objects."""
+    from rex_ray.stages.parity import triple_prf
+
+    rows = [("d1", "a", "r", None), ("d1", "a", "r", "b")]
+    got = triple_prf(_ds(rows), _ds(rows))
+    want_tp = {"triple": 2, "subject": 1, "relation": 1, "object": 2}
+    for view, tp in want_tp.items():
+        assert (got[view]["tp"], got[view]["fp"], got[view]["fn"]) == (
+            tp, 0, 0
+        ), (view, got[view])
