@@ -201,16 +201,19 @@ def _ingest(cfg: Dict[str, Any]):
     return {"rows": n, "shape": shape, "ingested": out}
 
 
-def _register_query_pipelines() -> None:
-    from rex_ray.pipelines.queries import queries
+def _query_pipeline(name: str):
+    """Registry query ``name`` run as a pipeline that reports its row
+    count (``pipeline=query:<name>``)."""
+    import rex_ray.pipelines.queries_ext  # noqa: F401  (registers every query)
 
-    for qname, fn in queries().items():
-        def runner(cfg, _fn=fn):
-            res = _fn(cfg["sf_dir"])
-            n = res.count() if hasattr(res, "count") and callable(res.count) else len(res)
-            return {"rows": int(n)}
+    fn = get_registered("query", name)
 
-        register("pipeline", f"query:{qname}")(runner)
+    def run(cfg):
+        res = fn(cfg["sf_dir"])
+        n = res.count() if hasattr(res, "count") and callable(res.count) else len(res)
+        return {"rows": int(n)}
+
+    return run
 
 
 # -- commands --------------------------------------------------------------
@@ -231,8 +234,11 @@ def _init_ray(cfg: Dict[str, Any]) -> None:
 
 
 def cmd_run(cfg: Dict[str, Any], dry: bool = False) -> Dict[str, Any]:
-    _register_query_pipelines()
-    fn = get_registered("pipeline", cfg["pipeline"])
+    name = cfg["pipeline"]
+    if name.startswith("query:"):
+        fn = _query_pipeline(name[len("query:"):])
+    else:
+        fn = get_registered("pipeline", name)
     report: Dict[str, Any] = {"pipeline": cfg["pipeline"], "config": cfg}
     if dry:
         report["dryrun"] = True
@@ -287,8 +293,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.cmd == "list":
-        _register_query_pipelines()
-        for name in list_registered("pipeline"):
+        from rex_ray.pipelines.queries import queries
+
+        for name in sorted(
+            list_registered("pipeline") + [f"query:{q}" for q in queries()]
+        ):
             print(name)
         return 0
     if args.cmd == "new":

@@ -110,16 +110,3 @@ def normalize_dedup_text(text: pd.Series) -> pd.Series:
     return text.str.split(" ").map(
         lambda toks: " ".join(t for t in toks if t != "dup")
     )
-
-
-def rolling_hash_series(text: pd.Series, base: int = 257, mod: int = (1 << 61) - 1) -> pd.Series:
-    """Polynomial rolling hash of the whole document (content
-    fingerprint usable for shard-stable bucketing). Deterministic across
-    processes (unlike Python's ``hash``)."""
-    def rh(s: str) -> int:
-        h = 0
-        for ch in s.encode("utf-8"):
-            h = (h * base + ch) % mod
-        return h
-
-    return text.map(rh).astype("int64")

@@ -2,6 +2,12 @@
 ``(sf_dir) -> Dataset`` callable, with an equivalent DuckDB oracle SQL
 string where SQL can express the semantics.
 
+Adding a query is one decorator on its callable, here or in
+``pipelines/queries_ext.py``::
+
+    @query("kg_mentions", sql=f"SELECT ... FROM mention")  # rows-only: no sql
+    def q_kg_mentions(sf_dir: str): ...
+
 The SQL is rendered from the SAME literals in ``pipelines/spec.py`` that
 the Ray stages use (gazetteer, predicate map, variant edges, window,
 interleaved-synthesis arithmetic), so Ray and oracle cannot drift.
@@ -17,6 +23,38 @@ from typing import Callable, Dict
 import pandas as pd
 
 from rex_ray.pipelines import spec
+from rex_ray.registry import list_registered, register, registered
+
+
+def query(name: str, sql: str | None = None) -> Callable:
+    """Decorator: register the callable as query ``name`` (registry
+    namespace ``"query"``) and ``sql``, when given, as its DuckDB
+    oracle (namespace ``"oracle_sql"``).  A name registered twice
+    raises: a silently shadowed query would drop out of the oracle
+    check."""
+    if name in list_registered("query"):
+        raise ValueError(f"query {name!r} is already registered")
+
+    def deco(fn: Callable) -> Callable:
+        register("query", name)(fn)
+        if sql is not None:
+            register("oracle_sql", name)(sql)
+        return fn
+
+    return deco
+
+
+def queries() -> Dict[str, Callable]:
+    import rex_ray.pipelines.queries_ext  # noqa: F401  (registers its half)
+
+    return registered("query")
+
+
+def oracle_sql() -> Dict[str, str]:
+    import rex_ray.pipelines.queries_ext  # noqa: F401
+
+    return registered("oracle_sql")
+
 
 # --------------------------------------------------------------------------
 # shared SQL fragments
@@ -70,8 +108,9 @@ def _canon_ctes() -> str:
 
 
 # --------------------------------------------------------------------------
-# Ray-side query callables (lazy imports keep module import cheap and
-# keep Ray out of oracle-only contexts)
+# queries: each callable under its @query, oracle SQL included (lazy
+# imports keep module import cheap and keep Ray out of oracle-only
+# contexts)
 # --------------------------------------------------------------------------
 
 def _read(sf_dir: str, table: str, columns=None):
@@ -95,12 +134,21 @@ def _docs(sf_dir: str):
     return _read(sf_dir, "documents", columns=["doc_id", "text"])
 
 
+@query("kg_mentions", sql=f"""
+WITH {_kg_ctes()}
+SELECT doc_id, pos, surface, ent_type FROM mention
+""")
 def q_kg_mentions(sf_dir: str):
     from rex_ray.stages import extract
 
     return extract.extract_mentions(_docs(sf_dir))
 
 
+@query("kg_mention_type_counts", sql=f"""
+WITH {_kg_ctes()}
+SELECT ent_type, CAST(count(*) AS BIGINT) AS n_mentions
+FROM mention GROUP BY ent_type
+""")
 def q_kg_mention_type_counts(sf_dir: str):
     from ray.data.aggregate import Sum
     from rex_ray.stages import extract
@@ -124,12 +172,27 @@ def q_kg_mention_type_counts(sf_dir: str):
     )
 
 
+@query("kg_triples", sql=f"""
+WITH {_kg_ctes()}
+SELECT doc_id, subj, subj_pos, subj_type, pred, obj, obj_pos, obj_type,
+       subj || '{spec.BAG_KEY_SEP}' || obj AS pair_key, score
+FROM tri
+""")
 def q_kg_triples(sf_dir: str):
     from rex_ray.stages import extract
 
     return extract.extract_triples(_docs(sf_dir))
 
 
+@query("kg_triple_tiers", sql=f"""
+WITH {_kg_ctes()},
+tiers AS (SELECT unnest({spec.SCORE_TIERS!r}::DOUBLE[]) AS tier)
+SELECT t.tier,
+       CAST(count(*) AS BIGINT) AS n_triples,
+       CAST(count(DISTINCT tri.pred) AS BIGINT) AS n_predicates
+FROM tiers t JOIN tri ON tri.score >= t.tier
+GROUP BY t.tier
+""")
 def q_kg_triple_tiers(sf_dir: str):
     from rex_ray.stages import aggregate as agg
     from rex_ray.stages import extract
@@ -138,6 +201,24 @@ def q_kg_triple_tiers(sf_dir: str):
     return agg.score_tier_counts(triples, spec.SCORE_TIERS)
 
 
+@query("kg_bags", sql=f"""
+WITH {_kg_ctes()},
+bagcnt AS (
+    SELECT subj || '{spec.BAG_KEY_SEP}' || obj AS pair_key, pred,
+           CAST(count(*) AS BIGINT) AS cnt, max(score) AS mx
+    FROM tri GROUP BY 1, 2
+),
+ranked AS (
+    SELECT pair_key, pred, cnt, mx,
+           row_number() OVER (PARTITION BY pair_key
+                              ORDER BY cnt DESC, pred ASC) AS rn,
+           CAST(sum(cnt) OVER (PARTITION BY pair_key) AS BIGINT) AS n_instances,
+           max(mx) OVER (PARTITION BY pair_key) AS max_score
+    FROM bagcnt
+)
+SELECT pair_key, pred AS bag_label, n_instances, max_score
+FROM ranked WHERE rn = 1
+""")
 def q_kg_bags(sf_dir: str):
     from rex_ray.stages import aggregate as agg
     from rex_ray.stages import extract
@@ -145,6 +226,14 @@ def q_kg_bags(sf_dir: str):
     return agg.aggregate_bags(extract.extract_triples(_docs(sf_dir)))
 
 
+_CANONICAL_MAP_SQL = f"""
+WITH RECURSIVE {_kg_ctes()},
+{_canon_ctes()}
+SELECT surface, canonical_id FROM canon
+"""
+
+
+@query("kg_canonical_map", sql=_CANONICAL_MAP_SQL)
 def q_kg_canonical_map(sf_dir: str):
     import ray.data as rd
     from rex_ray.pipelines import kg
@@ -158,6 +247,7 @@ def q_kg_canonical_map(sf_dir: str):
     )
 
 
+@query("kg_canonical_map_lp", sql=_CANONICAL_MAP_SQL)
 def q_kg_canonical_map_lp(sf_dir: str):
     """The SAME canonical map computed by the DISTRIBUTED route
     (stages/canonical.canonical_labels_from_nodes_ds with the sliver
@@ -176,12 +266,26 @@ def q_kg_canonical_map_lp(sf_dir: str):
     ).rename_columns({"node": "surface", "canonical": "canonical_id"})
 
 
+_TRIPLE_STORE_SQL = f"""
+WITH RECURSIVE {_kg_ctes()},
+{_canon_ctes()}
+SELECT cs.canonical_id AS subj_id, tri.pred, co.canonical_id AS obj_id,
+       max(tri.score) AS score, CAST(count(*) AS BIGINT) AS support
+FROM tri
+JOIN canon cs ON tri.subj = cs.surface
+JOIN canon co ON tri.obj = co.surface
+GROUP BY 1, 2, 3
+"""
+
+
+@query("kg_triple_store", sql=_TRIPLE_STORE_SQL)
 def q_kg_triple_store(sf_dir: str):
     from rex_ray.pipelines import kg
 
     return kg.triple_store_from_text_docs(_docs(sf_dir))
 
 
+@query("kg_triple_store_lp", sql=_TRIPLE_STORE_SQL)
 def q_kg_triple_store_lp(sf_dir: str):
     """The SAME triple store through the fully-distributed route the
     cardinality guard takes above DRIVER_CC_MAX_NODES surfaces:
@@ -201,6 +305,7 @@ def q_kg_triple_store_lp(sf_dir: str):
     return out
 
 
+@query("kg_triple_store_interleaved", sql=_TRIPLE_STORE_SQL)
 def q_kg_triple_store_interleaved(sf_dir: str):
     """Same result as kg_triple_store, but through the full interleaved
     path: synthesize Lance-shaped docs -> validate span sequence ->
@@ -211,6 +316,26 @@ def q_kg_triple_store_interleaved(sf_dir: str):
     return kg.run_flagship(sf_dir)
 
 
+@query("kg_entity_degrees", sql=f"""
+WITH RECURSIVE {_kg_ctes()},
+{_canon_ctes()},
+store AS (
+    SELECT cs.canonical_id AS subj_id, tri.pred, co.canonical_id AS obj_id
+    FROM tri
+    JOIN canon cs ON tri.subj = cs.surface
+    JOIN canon co ON tri.obj = co.surface
+    GROUP BY 1, 2, 3
+)
+SELECT entity_id,
+       CAST(sum(CASE WHEN role = 0 THEN 1 ELSE 0 END) AS BIGINT) AS out_deg,
+       CAST(sum(CASE WHEN role = 1 THEN 1 ELSE 0 END) AS BIGINT) AS in_deg
+FROM (
+    SELECT subj_id AS entity_id, 0 AS role FROM store
+    UNION ALL
+    SELECT obj_id, 1 FROM store
+)
+GROUP BY entity_id
+""")
 def q_kg_entity_degrees(sf_dir: str):
     """Graph view over the materialized store: per-entity in/out
     degree."""
@@ -220,6 +345,35 @@ def q_kg_entity_degrees(sf_dir: str):
     return entity_degrees(kg.triple_store_from_text_docs(_docs(sf_dir)))
 
 
+@query("kg_entity_triangles", sql=f"""
+WITH RECURSIVE {_kg_ctes()},
+{_canon_ctes()},
+store AS (
+    SELECT cs.canonical_id AS subj_id, co.canonical_id AS obj_id
+    FROM tri
+    JOIN canon cs ON tri.subj = cs.surface
+    JOIN canon co ON tri.obj = co.surface
+    GROUP BY 1, 2
+),
+e AS (
+    SELECT DISTINCT least(subj_id, obj_id) AS a,
+           greatest(subj_id, obj_id) AS b
+    FROM store WHERE subj_id != obj_id
+),
+tris AS (
+    SELECT e1.a AS x, e1.b AS y, e2.b AS z
+    FROM e e1
+    JOIN e e2 ON e2.a = e1.b
+    JOIN e e3 ON e3.a = e1.a AND e3.b = e2.b
+)
+SELECT entity_id, CAST(count(*) AS BIGINT) AS n_triangles
+FROM (
+    SELECT x AS entity_id FROM tris
+    UNION ALL SELECT y FROM tris
+    UNION ALL SELECT z FROM tris
+)
+GROUP BY entity_id
+""")
 def q_kg_entity_triangles(sf_dir: str):
     """Distributed triangle counting over the canonical entity graph
     (degree-ordered wedges + edge-closure hash join) — per-entity
@@ -237,6 +391,52 @@ def q_kg_entity_triangles(sf_dir: str):
     return triangle_counts(edges)
 
 
+@query("kg_entity_pagerank", sql=f"""
+WITH RECURSIVE {_kg_ctes()},
+{_canon_ctes()},
+store AS (
+    SELECT cs.canonical_id AS subj_id, co.canonical_id AS obj_id
+    FROM tri
+    JOIN canon cs ON tri.subj = cs.surface
+    JOIN canon co ON tri.obj = co.surface
+    GROUP BY 1, 2
+),
+e AS (
+    SELECT DISTINCT least(subj_id, obj_id) AS a,
+           greatest(subj_id, obj_id) AS b
+    FROM store WHERE subj_id != obj_id
+),
+dir AS (
+    SELECT a AS u, b AS v FROM e
+    UNION ALL
+    SELECT b AS u, a AS v FROM e
+),
+deg AS (SELECT u, CAST(count(*) AS DOUBLE) AS deg FROM dir GROUP BY u),
+nn AS (SELECT CAST(count(*) AS DOUBLE) AS n FROM deg),
+pr0 AS (SELECT u, 1.0 / (SELECT n FROM nn) AS r FROM deg),
+pr1 AS (
+    SELECT d.v AS u,
+           (1.0 - 0.85) / (SELECT n FROM nn)
+               + 0.85 * SUM(p.r / g.deg) AS r
+    FROM dir d JOIN pr0 p ON d.u = p.u JOIN deg g ON d.u = g.u
+    GROUP BY d.v
+),
+pr2 AS (
+    SELECT d.v AS u,
+           (1.0 - 0.85) / (SELECT n FROM nn)
+               + 0.85 * SUM(p.r / g.deg) AS r
+    FROM dir d JOIN pr1 p ON d.u = p.u JOIN deg g ON d.u = g.u
+    GROUP BY d.v
+),
+pr3 AS (
+    SELECT d.v AS u,
+           (1.0 - 0.85) / (SELECT n FROM nn)
+               + 0.85 * SUM(p.r / g.deg) AS r
+    FROM dir d JOIN pr2 p ON d.u = p.u JOIN deg g ON d.u = g.u
+    GROUP BY d.v
+)
+SELECT u AS entity_id, ROUND(r, 8) AS pr FROM pr3
+""")
 def q_kg_entity_pagerank(sf_dir: str):
     """Fixed-iteration (3) PageRank over the canonical entity graph —
     one rank-join + message-sum shuffle per Pregel superstep."""
@@ -253,6 +453,33 @@ def q_kg_entity_pagerank(sf_dir: str):
     return pagerank(edges, num_iters=3, damping=0.85)
 
 
+@query("kg_edge_pmi", sql=f"""
+WITH RECURSIVE {_kg_ctes()},
+{_canon_ctes()},
+occ AS (
+    SELECT least(cs.canonical_id, co.canonical_id) AS a,
+           greatest(cs.canonical_id, co.canonical_id) AS b
+    FROM tri
+    JOIN canon cs ON tri.subj = cs.surface
+    JOIN canon co ON tri.obj = co.surface
+    WHERE cs.canonical_id != co.canonical_id
+),
+cxy AS (
+    SELECT a, b, CAST(count(*) AS BIGINT) AS c_xy FROM occ GROUP BY a, b
+),
+nodes AS (
+    SELECT node, CAST(count(*) AS BIGINT) AS c FROM (
+        SELECT a AS node FROM occ UNION ALL SELECT b FROM occ
+    ) GROUP BY node
+),
+nn AS (SELECT CAST(count(*) AS BIGINT) AS n FROM occ)
+SELECT cxy.a AS entity_a, cxy.b AS entity_b, c_xy AS n_cooc,
+       ROUND(LN(CAST(c_xy * (SELECT n FROM nn) AS DOUBLE)
+                / CAST(na.c * nb.c AS DOUBLE)), 8) AS pmi
+FROM cxy
+JOIN nodes na ON cxy.a = na.node
+JOIN nodes nb ON cxy.b = nb.node
+""")
 def q_kg_edge_pmi(sf_dir: str):
     """PMI association weight per co-occurring canonical entity pair,
     support-weighted over the deduped triple store."""
@@ -271,6 +498,43 @@ def q_kg_edge_pmi(sf_dir: str):
     return edge_pmi(pairs, weight_col="support")
 
 
+@query("kg_merge_candidates", sql=f"""
+WITH RECURSIVE {_kg_ctes()},
+{_canon_ctes()},
+store AS (
+    SELECT cs.canonical_id AS subj_id, tri.pred, co.canonical_id AS obj_id
+    FROM tri
+    JOIN canon cs ON tri.subj = cs.surface
+    JOIN canon co ON tri.obj = co.surface
+    GROUP BY 1, 2, 3
+),
+edges AS (
+    SELECT DISTINCT least(subj_id, obj_id) AS a,
+           greatest(subj_id, obj_id) AS b
+    FROM store WHERE subj_id <> obj_id
+),
+und AS (
+    SELECT a AS node, b AS nb FROM edges
+    UNION ALL
+    SELECT b, a FROM edges
+),
+deg AS (SELECT node, CAST(count(*) AS BIGINT) AS deg FROM und GROUP BY 1),
+wedge AS (
+    SELECT u1.nb AS ea, u2.nb AS eb
+    FROM und u1
+    JOIN und u2 ON u1.node = u2.node AND u1.nb < u2.nb
+    JOIN deg d ON d.node = u1.node AND d.deg <= 50
+),
+cand AS (
+    SELECT ea, eb, CAST(count(*) AS BIGINT) AS n_shared
+    FROM wedge GROUP BY 1, 2 HAVING count(*) >= 2
+)
+SELECT c.ea AS entity_a, c.eb AS entity_b, c.n_shared,
+       da.deg AS deg_a, db.deg AS deg_b
+FROM cand c
+JOIN deg da ON da.node = c.ea
+JOIN deg db ON db.node = c.eb
+""")
 def q_kg_merge_candidates(sf_dir: str):
     """Neighborhood-overlap merge candidates over the canonical entity
     graph (CESI-style entity-resolution blocking): pairs sharing >= 2
@@ -289,6 +553,15 @@ def q_kg_merge_candidates(sf_dir: str):
     return shared_neighbor_candidates(edges, min_shared=2, hot_cap=50)
 
 
+@query("kg_grounded_mentions", sql=f"""
+WITH {_kg_ctes()}
+SELECT printf('doc-%08d', m.doc_id) AS doc_id, m.pos, m.surface,
+       m.ent_type,
+       'media://' || m.doc_id || '/'
+           || ((m.pos // (4 + m.doc_id % 4)) // 2) AS media_ref
+FROM mention m
+WHERE (m.pos // (4 + m.doc_id % 4)) // 2 >= 1
+""")
 def q_kg_grounded_mentions(sf_dir: str):
     """Mention->media grounding over the interleaved docs: each
     gazetteer mention attached to the last media span preceding it in
@@ -299,6 +572,35 @@ def q_kg_grounded_mentions(sf_dir: str):
     return ground_mentions(il.synthesize_interleaved(_docs(sf_dir)))
 
 
+@query("kg_functional_preds", sql=f"""
+WITH RECURSIVE {_kg_ctes()},
+{_canon_ctes()},
+store AS (
+    SELECT cs.canonical_id AS subj_id, tri.pred, co.canonical_id AS obj_id
+    FROM tri
+    JOIN canon cs ON tri.subj = cs.surface
+    JOIN canon co ON tri.obj = co.surface
+    GROUP BY 1, 2, 3
+),
+s AS (
+    SELECT pred, subj_id, count(*) AS c FROM store GROUP BY 1, 2
+),
+o AS (
+    SELECT pred, CAST(count(DISTINCT obj_id) AS BIGINT) AS n_obj
+    FROM store GROUP BY 1
+),
+a AS (
+    SELECT pred,
+           CAST(sum(c) AS BIGINT) AS n_triples,
+           CAST(count(*) AS BIGINT) AS n_subj,
+           CAST(max(c) AS BIGINT) AS max_fanout
+    FROM s GROUP BY 1
+)
+SELECT a.pred, a.n_triples, a.n_subj, o.n_obj, a.max_fanout,
+       CAST(floor(1e9 * a.n_subj / a.n_triples + 0.5) AS BIGINT)
+           AS functionality_ppb
+FROM a JOIN o USING (pred)
+""")
 def q_kg_functional_preds(sf_dir: str):
     """Per-predicate functionality statistics over the triple store
     (AMIE/PARIS-style schema signal): n_triples, distinct subj/obj
@@ -312,6 +614,33 @@ def q_kg_functional_preds(sf_dir: str):
     )
 
 
+@query("kg_predicate_overlap", sql=f"""
+WITH RECURSIVE {_kg_ctes()},
+{_canon_ctes()},
+store AS (
+    SELECT cs.canonical_id AS subj_id, tri.pred, co.canonical_id AS obj_id
+    FROM tri
+    JOIN canon cs ON tri.subj = cs.surface
+    JOIN canon co ON tri.obj = co.surface
+    GROUP BY 1, 2, 3
+),
+sp AS (SELECT DISTINCT subj_id, pred FROM store),
+pp AS (
+    SELECT s1.pred AS p1, s2.pred AS p2
+    FROM sp s1
+    JOIN sp s2 ON s1.subj_id = s2.subj_id AND s1.pred < s2.pred
+),
+cand AS (
+    SELECT p1, p2, CAST(count(*) AS BIGINT) AS n_shared
+    FROM pp GROUP BY 1, 2 HAVING count(*) >= 2
+),
+sup AS (SELECT pred, CAST(count(*) AS BIGINT) AS n FROM sp GROUP BY 1)
+SELECT c.p1 AS pred_a, c.p2 AS pred_b, c.n_shared,
+       sa.n AS n_a, sb.n AS n_b
+FROM cand c
+JOIN sup sa ON sa.pred = c.p1
+JOIN sup sb ON sb.pred = c.p2
+""")
 def q_kg_predicate_overlap(sf_dir: str):
     """AMIE/PATTY-style predicate domain-overlap candidates:
     predicates attested for >= 2 identical distinct subjects, with
@@ -327,23 +656,6 @@ def q_kg_predicate_overlap(sf_dir: str):
 
 KCORE_K = 2
 KCORE_ROUNDS = 3
-
-
-def q_kg_entity_kcore(sf_dir: str):
-    """Fixed-round k-core peel (k=2, 3 rounds) over the canonical
-    entity graph — coreness filter separating the KG's dense backbone
-    from noise-tail entities."""
-    import pyarrow as pa
-
-    from rex_ray.pipelines import kg
-    from rex_ray.stages.graph import kcore_peel
-
-    store = kg.triple_store_from_text_docs(_docs(sf_dir))
-    edges = store.map_batches(
-        lambda t: pa.table({"a": t["subj_id"], "b": t["obj_id"]}),
-        batch_format="pyarrow",
-    )
-    return kcore_peel(edges, k=KCORE_K, rounds=KCORE_ROUNDS)
 
 
 def _kcore_round_sql(i: int) -> str:
@@ -363,6 +675,43 @@ e{i} AS MATERIALIZED (
 )"""
 
 
+@query("kg_entity_kcore", sql=f"""
+WITH RECURSIVE {_kg_ctes()},
+{_canon_ctes()},
+store AS MATERIALIZED (
+    SELECT cs.canonical_id AS subj_id, tri.pred, co.canonical_id AS obj_id
+    FROM tri
+    JOIN canon cs ON tri.subj = cs.surface
+    JOIN canon co ON tri.obj = co.surface
+    GROUP BY 1, 2, 3
+),
+e0 AS MATERIALIZED (
+    SELECT DISTINCT least(subj_id, obj_id) AS a,
+           greatest(subj_id, obj_id) AS b
+    FROM store WHERE subj_id <> obj_id
+),{",".join(_kcore_round_sql(i) for i in range(1, KCORE_ROUNDS + 1))}
+SELECT node AS entity_id, CAST(count(*) AS BIGINT) AS deg FROM (
+    SELECT a AS node FROM e{KCORE_ROUNDS}
+    UNION ALL SELECT b FROM e{KCORE_ROUNDS}
+) GROUP BY node
+""")
+def q_kg_entity_kcore(sf_dir: str):
+    """Fixed-round k-core peel (k=2, 3 rounds) over the canonical
+    entity graph — coreness filter separating the KG's dense backbone
+    from noise-tail entities."""
+    import pyarrow as pa
+
+    from rex_ray.pipelines import kg
+    from rex_ray.stages.graph import kcore_peel
+
+    store = kg.triple_store_from_text_docs(_docs(sf_dir))
+    edges = store.map_batches(
+        lambda t: pa.table({"a": t["subj_id"], "b": t["obj_id"]}),
+        batch_format="pyarrow",
+    )
+    return kcore_peel(edges, k=KCORE_K, rounds=KCORE_ROUNDS)
+
+
 def _bucket_filter(docs_ds, lo: int, hi: int):
     """Docs whose md5(doc_id) % 100 bucket falls in [lo, hi)
     (stages/relational.bucket_filter; DuckDB computes the identical
@@ -372,6 +721,37 @@ def _bucket_filter(docs_ds, lo: int, hi: int):
     return bucket_filter(docs_ds, "doc_id", lo, hi)
 
 
+@query("kg_store_delta", sql=f"""
+WITH RECURSIVE {_kg_ctes()},
+{_canon_ctes()},
+bucket AS (
+    SELECT doc_id,
+           ('0x' || substr(md5(CAST(doc_id AS VARCHAR)), 1, 8))::UBIGINT
+               % 100 AS b
+    FROM documents
+),
+base_keys AS (
+    SELECT DISTINCT cs.canonical_id AS subj_id, tri.pred,
+           co.canonical_id AS obj_id
+    FROM tri
+    JOIN bucket bk ON tri.doc_id = bk.doc_id AND bk.b < 2
+    JOIN canon cs ON tri.subj = cs.surface
+    JOIN canon co ON tri.obj = co.surface
+),
+delta_store AS (
+    SELECT cs.canonical_id AS subj_id, tri.pred,
+           co.canonical_id AS obj_id,
+           max(tri.score) AS score, CAST(count(*) AS BIGINT) AS support
+    FROM tri
+    JOIN bucket bk ON tri.doc_id = bk.doc_id AND bk.b >= 2
+    JOIN canon cs ON tri.subj = cs.surface
+    JOIN canon co ON tri.obj = co.surface
+    GROUP BY 1, 2, 3
+)
+SELECT d.subj_id, d.pred, d.obj_id, d.score, d.support
+FROM delta_store d
+ANTI JOIN base_keys b USING (subj_id, pred, obj_id)
+""")
 def q_kg_store_delta(sf_dir: str):
     """Incremental triple-store update: the corpus is split into a BASE
     slice (md5 doc buckets 0-1, the bootstrap store) and a DELTA
@@ -406,6 +786,18 @@ def q_kg_store_delta(sf_dir: str):
     )
 
 
+@query("kg_predicate_signatures", sql=f"""
+WITH {_kg_ctes()},
+sig AS (
+    SELECT pred, subj_type, obj_type, CAST(count(*) AS BIGINT) AS n
+    FROM tri GROUP BY 1, 2, 3
+),
+tot AS (SELECT pred, CAST(sum(n) AS BIGINT) AS tot FROM sig GROUP BY 1)
+SELECT sig.pred, sig.subj_type, sig.obj_type, sig.n,
+       CAST(floor(CAST(sig.n AS DOUBLE) * 1000000000.0
+                  / CAST(tot.tot AS DOUBLE) + 0.5) AS BIGINT) AS share_ppb
+FROM sig JOIN tot ON sig.pred = tot.pred
+""")
 def q_kg_predicate_signatures(sf_dir: str):
     """Ontology/schema induction over the extracted triples: for each
     predicate, the (subj_type, obj_type) signature distribution —
@@ -461,6 +853,25 @@ def q_kg_predicate_signatures(sf_dir: str):
     return joined.map_batches(finish, batch_format="pyarrow")
 
 
+_STORE_KEYS_CTE = """
+store AS (
+    SELECT DISTINCT cs.canonical_id AS subj_id, tri.pred,
+           co.canonical_id AS obj_id
+    FROM tri
+    JOIN canon cs ON tri.subj = cs.surface
+    JOIN canon co ON tri.obj = co.surface
+)"""
+
+
+@query("kg_two_hop_paths", sql=f"""
+WITH RECURSIVE {_kg_ctes()},
+{_canon_ctes()},
+{_STORE_KEYS_CTE}
+SELECT e1.pred AS pred1, e2.pred AS pred2,
+       CAST(count(*) AS BIGINT) AS n_paths
+FROM store e1 JOIN store e2 ON e1.obj_id = e2.subj_id
+GROUP BY 1, 2
+""")
 def q_kg_two_hop_paths(sf_dir: str):
     """Two-hop path composition over the materialized store: for every
     predicate pair (p1, p2), the number of entity paths
@@ -476,6 +887,37 @@ def q_kg_two_hop_paths(sf_dir: str):
     return two_hop_pred_paths(kg.triple_store_from_text_docs(_docs(sf_dir)))
 
 
+@query("kg_negative_samples", sql=f"""
+WITH RECURSIVE {_kg_ctes()},
+{_canon_ctes()},
+{_STORE_KEYS_CTE},
+ent AS (
+    -- DISTINCT over UNION ALL, not bare UNION: inside a WITH RECURSIVE
+    -- block DuckDB gives union CTEs the recursive-union treatment and
+    -- does NOT deduplicate
+    SELECT DISTINCT e FROM (
+        SELECT subj_id AS e FROM store
+        UNION ALL SELECT obj_id FROM store
+    )
+),
+ents AS (SELECT e, row_number() OVER (ORDER BY e) - 1 AS rk FROM ent),
+cand AS (
+    SELECT s.subj_id, s.pred, s.obj_id, kk.k,
+           ('0x' || substr(md5(s.subj_id || '|' || s.pred || '|'
+                               || s.obj_id || '|'
+                               || CAST(kk.k AS VARCHAR)), 1, 8))::UBIGINT
+               % CAST((SELECT count(*) FROM ents) AS UBIGINT) AS rk
+    FROM store s CROSS JOIN (VALUES (0), (1)) AS kk(k)
+)
+SELECT c.subj_id, c.pred, c.obj_id, CAST(c.k AS BIGINT) AS k,
+       e.e AS neg_obj_id,
+       CAST(CASE WHEN s2.subj_id IS NULL THEN 0 ELSE 1 END AS BIGINT)
+           AS is_known
+FROM cand c
+JOIN ents e ON e.rk = c.rk
+LEFT JOIN store s2
+  ON s2.subj_id = c.subj_id AND s2.pred = c.pred AND s2.obj_id = e.e
+""")
 def q_kg_negative_samples(sf_dir: str):
     """Deterministic filtered negative sampling for KG-embedding
     training (corrupt-tail protocol of TransE et al.): each store
@@ -604,6 +1046,21 @@ def q_kg_negative_samples(sf_dir: str):
     return joined.map_batches(finish, batch_format="pyarrow")
 
 
+@query("kg_triple_provenance", sql=f"""
+WITH RECURSIVE {_kg_ctes()},
+{_canon_ctes()}
+SELECT cs.canonical_id AS subj_id, tri.pred, co.canonical_id AS obj_id,
+       CAST(count(DISTINCT tri.doc_id) AS BIGINT) AS n_docs,
+       array_to_string(
+           list_transform(
+               list_slice(list_sort(list(DISTINCT tri.doc_id)), 1, 3),
+               x -> CAST(x AS VARCHAR)),
+           ',') AS evidence
+FROM tri
+JOIN canon cs ON tri.subj = cs.surface
+JOIN canon co ON tri.obj = co.surface
+GROUP BY 1, 2, 3
+""")
 def q_kg_triple_provenance(sf_dir: str):
     """Per-triple provenance: distinct supporting-doc count + the 3
     smallest doc_ids as a deterministic evidence sample
@@ -616,6 +1073,26 @@ def q_kg_triple_provenance(sf_dir: str):
     )
 
 
+@query("kg_parity_prf", sql=f"""
+WITH {_kg_ctes()},
+views AS (
+    SELECT 'triple' AS v,
+           CAST(count(*) AS BIGINT) AS n
+    FROM (SELECT DISTINCT doc_id, subj, pred, obj FROM tri)
+    UNION ALL
+    SELECT 'subject', CAST(count(*) AS BIGINT)
+    FROM (SELECT DISTINCT doc_id, subj FROM tri)
+    UNION ALL
+    SELECT 'relation', CAST(count(*) AS BIGINT)
+    FROM (SELECT DISTINCT doc_id, pred FROM tri)
+    UNION ALL
+    SELECT 'object', CAST(count(*) AS BIGINT)
+    FROM (SELECT DISTINCT doc_id, obj FROM tri)
+)
+SELECT v AS "view", 1.0::DOUBLE AS p, 1.0::DOUBLE AS r, 1.0::DOUBLE AS f1,
+       n AS tp, CAST(0 AS BIGINT) AS fp, CAST(0 AS BIGINT) AS fn
+FROM views
+""")
 def q_kg_parity_prf(sf_dir: str):
     """Triple-set P/R/F1 of the distributed extractor vs the
     independent straight-line gold implementation (north_rule's
@@ -631,6 +1108,20 @@ def q_kg_parity_prf(sf_dir: str):
     return parity.parity_table(pred, gold.gold_triples_ds(sf_dir))
 
 
+@query("kg_feature_rows", sql=f"""
+WITH {_kg_ctes()},
+doclen AS (
+    SELECT doc_id, len(string_split(text, ' ')) AS n_tok FROM documents
+)
+SELECT t.doc_id, t.subj_pos, t.obj_pos, t.pred,
+       LEAST(d.n_tok, {spec.MAX_SEQ_LEN}) AS n_real_tokens,
+       LEAST(t.subj_pos, t.obj_pos) AS seg1_len,
+       GREATEST(t.subj_pos, t.obj_pos) - LEAST(t.subj_pos, t.obj_pos)
+           AS seg2_len,
+       LEAST(d.n_tok, {spec.MAX_SEQ_LEN}) - GREATEST(t.subj_pos, t.obj_pos) AS seg3_len
+FROM tri t JOIN doclen d ON t.doc_id = d.doc_id
+WHERE t.subj_pos < {spec.MAX_SEQ_LEN} AND t.obj_pos < {spec.MAX_SEQ_LEN}
+""")
 def q_kg_feature_rows(sf_dir: str):
     """Model-ready feature rows projected to their SQL-expressible
     invariants: pad-mask token count and the three piecewise-segment
@@ -665,6 +1156,7 @@ def q_kg_feature_rows(sf_dir: str):
     return feats.map_batches(project, batch_format="pyarrow")
 
 
+@query("kg_scored_triples")
 def q_kg_scored_triples(sf_dir: str):
     """PCNN-style scorer over feature rows, FUSED featurize+score actor
     (feature tensors never enter the object store).  Deterministic
@@ -675,6 +1167,7 @@ def q_kg_scored_triples(sf_dir: str):
     return scorer.score_docs(_docs(sf_dir)).drop_columns(["scores"])
 
 
+@query("kg_scored_triples_bilstm")
 def q_kg_scored_triples_bilstm(sf_dir: str):
     """BiLSTM-attention scorer variant over the same feature rows,
     fused (rows-only; determinism + masking asserted in tests)."""
@@ -690,18 +1183,21 @@ def q_kg_scored_triples_bilstm(sf_dir: str):
     ).drop_columns(["scores"])
 
 
+@query("kg_bag_one")
 def q_kg_bag_one(sf_dir: str):
     from rex_ray.stages import scorer
 
     return scorer.bag_scores_one(scorer.score_docs(_docs(sf_dir)))
 
 
+@query("kg_bag_att")
 def q_kg_bag_att(sf_dir: str):
     from rex_ray.stages import scorer
 
     return scorer.bag_scores_att(scorer.score_docs(_docs(sf_dir)))
 
 
+@query("kg_pcnn_rule", sql=spec.sql_pcnn_rule())
 def q_kg_pcnn_rule(sf_dir: str):
     """The PCNN dataflow (token + 2 relative-position channels ->
     width-3 conv -> piecewise segment max-pool -> per-relation dense)
@@ -714,6 +1210,26 @@ def q_kg_pcnn_rule(sf_dir: str):
     return scorer.score_pcnn_rule(_docs(sf_dir))
 
 
+@query("kg_bag_one_rule", sql=f"""
+WITH {_kg_ctes()},
+mem AS (
+    SELECT subj || '{spec.BAG_KEY_SEP}' || obj AS pair_key, pred,
+           CAST(round(12 * score) AS DOUBLE) AS s
+    FROM tri
+),
+per_rel AS (
+    SELECT pair_key, pred, max(s) AS mx FROM mem GROUP BY 1, 2
+),
+nm AS (
+    SELECT pair_key, CAST(count(*) AS BIGINT) AS n_members
+    FROM mem GROUP BY 1
+)
+SELECT p.pair_key, p.pred AS bag_label, p.mx AS bag_score, nm.n_members
+FROM per_rel p JOIN nm USING (pair_key)
+QUALIFY row_number() OVER (
+    PARTITION BY p.pair_key ORDER BY p.mx DESC, p.pred ASC
+) = 1
+""")
 def q_kg_bag_one_rule(sf_dir: str):
     """The bag-ONE reduce (per-relation max, argmax label) over
     deterministic integer member scores — upgrades the reduce operator
@@ -724,6 +1240,23 @@ def q_kg_bag_one_rule(sf_dir: str):
     return scorer.bag_scores_one(scorer.rule_scored_pairs(_docs(sf_dir)))
 
 
+@query("kg_bag_att_rule", sql=f"""
+WITH {_kg_ctes()},
+mem AS (
+    SELECT subj || '{spec.BAG_KEY_SEP}' || obj AS pair_key, pred,
+           CAST(round(12 * score) AS DOUBLE) AS s
+    FROM tri
+),
+num AS (
+    SELECT pair_key, pred, sum(s * s) AS num FROM mem GROUP BY 1, 2
+),
+wt AS (SELECT pair_key, sum(s) AS wsum FROM mem GROUP BY 1)
+SELECT n.pair_key, n.pred AS bag_label, n.num / w.wsum AS bag_score
+FROM num n JOIN wt w USING (pair_key)
+QUALIFY row_number() OVER (
+    PARTITION BY n.pair_key ORDER BY n.num / w.wsum DESC, n.pred ASC
+) = 1
+""")
 def q_kg_bag_att_rule(sf_dir: str):
     """The bag-ATT reduce in linear-weight mode over integer member
     scores: weighted sums are exact in float64, so the attention
@@ -735,6 +1268,12 @@ def q_kg_bag_att_rule(sf_dir: str):
     )
 
 
+@query("kg_ner_roundtrip", sql=f"""
+WITH {_kg_ctes()}
+SELECT doc_id, surface, ent_type,
+       pos AS start_pos, pos + 1 AS end_pos
+FROM mention
+""")
 def q_kg_ner_roundtrip(sf_dir: str):
     """mentions -> BIO tags -> reference decoder -> entity rows; the
     oracle derives the same rows directly from the mention CTE, so any
@@ -744,6 +1283,23 @@ def q_kg_ner_roundtrip(sf_dir: str):
     return ner.ner_roundtrip(_docs(sf_dir))
 
 
+@query("kg_crf_entities", sql=f"""
+WITH {_kg_ctes()},
+capped AS (SELECT * FROM mention WHERE pos < {spec.MAX_SEQ_LEN}),
+runs AS (
+    SELECT doc_id, pos, surface, ent_type,
+           pos - ROW_NUMBER() OVER (
+               PARTITION BY doc_id, ent_type ORDER BY pos
+           ) AS grp
+    FROM capped
+)
+SELECT doc_id,
+       CAST(MIN(pos) AS BIGINT) AS start_pos,
+       CAST(MAX(pos) + 1 AS BIGINT) AS end_pos,
+       STRING_AGG(surface, ' ' ORDER BY pos) AS surface,
+       ent_type
+FROM runs GROUP BY doc_id, ent_type, grp
+""")
 def q_kg_crf_entities(sf_dir: str):
     """Gazetteer emissions -> seeded masked-CRF viterbi decode ->
     entity spans (consecutive same-type mentions merge into one span).
@@ -756,6 +1312,51 @@ def q_kg_crf_entities(sf_dir: str):
     return crf.crf_entities(_docs(sf_dir))
 
 
+@query("kg_feature_rows_subword", sql=f"""
+WITH {_kg_ctes()},
+wc AS (
+    SELECT doc_id, pos,
+           CAST(ceil(length(tok) / 4.0) AS BIGINT) AS cnt
+    FROM tok
+),
+off AS (
+    SELECT doc_id, pos, cnt,
+           COALESCE(SUM(cnt) OVER (
+               PARTITION BY doc_id ORDER BY pos
+               ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING
+           ), 0) AS sub_start
+    FROM wc
+),
+doc_tot AS (
+    SELECT doc_id, MAX(pos) + 1 AS n_words,
+           CAST(LEAST(SUM(cnt), {spec.MAX_SEQ_LEN - 2}) + 2 AS BIGINT) AS n_subwords
+    FROM wc GROUP BY doc_id
+),
+remapped AS (
+    SELECT tri.doc_id,
+           tri.subj || '{spec.BAG_KEY_SEP}' || tri.obj AS pair_key,
+           tri.pred, tri.subj_pos, tri.obj_pos,
+           CAST(so.sub_start AS BIGINT) AS subj_sub_start,
+           CAST(CASE WHEN tri.subj_pos + 1 >= dt.n_words THEN -1
+                ELSE so.sub_start + so.cnt END AS BIGINT) AS subj_sub_end,
+           CAST(oo.sub_start AS BIGINT) AS obj_sub_start,
+           CAST(CASE WHEN tri.obj_pos + 1 >= dt.n_words THEN -1
+                ELSE oo.sub_start + oo.cnt END AS BIGINT) AS obj_sub_end,
+           dt.n_subwords
+    FROM tri
+    JOIN off so ON so.doc_id = tri.doc_id AND so.pos = tri.subj_pos
+    JOIN off oo ON oo.doc_id = tri.doc_id AND oo.pos = tri.obj_pos
+    JOIN doc_tot dt ON dt.doc_id = tri.doc_id
+)
+SELECT doc_id, pair_key, pred, subj_pos, obj_pos,
+       subj_sub_start, subj_sub_end, obj_sub_start, obj_sub_end,
+       n_subwords
+FROM remapped
+WHERE subj_sub_start > 0 AND subj_sub_start < {spec.MAX_SEQ_LEN}
+  AND subj_sub_end   > 0 AND subj_sub_end   < {spec.MAX_SEQ_LEN}
+  AND obj_sub_start  > 0 AND obj_sub_start  < {spec.MAX_SEQ_LEN}
+  AND obj_sub_end    > 0 AND obj_sub_end    < {spec.MAX_SEQ_LEN}
+""")
 def q_kg_feature_rows_subword(sf_dir: str):
     """Subword-tokenized feature rows: deterministic fixed-width
     BPE-ish split, CLS/SEP assembly, word->subword offset remap and the
@@ -768,6 +1369,17 @@ def q_kg_feature_rows_subword(sf_dir: str):
     return feats.drop_columns(["token_ids", "mask"])
 
 
+@query("kg_usm_relations", sql=f"""
+WITH {_kg_ctes()},
+hp AS (SELECT DISTINCT doc_id, subj_pos AS pos, pred FROM tri),
+tp AS (SELECT DISTINCT doc_id, obj_pos AS pos, pred FROM tri)
+SELECT DISTINCT t.doc_id, t.subj_pos AS head_pos, hp.pred,
+       t.obj_pos AS tail_pos
+FROM tri t
+JOIN hp ON hp.doc_id = t.doc_id AND hp.pos = t.subj_pos
+JOIN tp ON tp.doc_id = t.doc_id AND tp.pos = t.obj_pos
+       AND tp.pred = hp.pred
+""")
 def q_kg_usm_relations(sf_dir: str):
     """USM three-pointer emission + five-way structured join decode
     (functions/usm.py).  The oracle replicates the decode's exact
@@ -781,6 +1393,46 @@ def q_kg_usm_relations(sf_dir: str):
     return usm.usm_relations(_docs(sf_dir))
 
 
+def _event_ctes() -> str:
+    """trig / ea / hp / tp CTEs of the event layer (requires the
+    ``mention`` CTE in scope): trig = typed triggers, ea = rule-emitted
+    trigger->argument role links (EITHER side, EVENT_WINDOW), hp/tp =
+    the per-span role-attachment sets the five-way decode actually
+    joins on (cross-pair label ambiguity, kg_usm_relations pattern)."""
+    return f"""
+    trig AS (
+        SELECT doc_id, pos,
+               {spec.sql_event_type_case("ent_type")} AS event_type
+        FROM mention
+        WHERE ent_type IN ({spec.sql_event_trigger_types()})
+    ),
+    ea AS (
+        SELECT tr.doc_id, tr.event_type, tr.pos AS trigger_pos,
+               {spec.sql_role_case("tr.event_type", "m.ent_type")} AS role,
+               m.pos AS arg_pos
+        FROM trig tr
+        JOIN mention m
+          ON m.doc_id = tr.doc_id
+         AND m.pos <> tr.pos
+         AND abs(m.pos - tr.pos) <= {spec.EVENT_WINDOW}
+    ),
+    hp AS (SELECT DISTINCT doc_id, trigger_pos AS pos, role FROM ea),
+    tp AS (SELECT DISTINCT doc_id, arg_pos AS pos, role FROM ea),
+    dec AS (
+        SELECT DISTINCT e.doc_id, e.event_type, e.trigger_pos,
+               hp.role, e.arg_pos
+        FROM ea e
+        JOIN hp ON hp.doc_id = e.doc_id AND hp.pos = e.trigger_pos
+        JOIN tp ON tp.doc_id = e.doc_id AND tp.pos = e.arg_pos
+               AND tp.role = hp.role
+    )"""
+
+
+@query("kg_event_args", sql=f"""
+WITH {_kg_ctes()},
+{_event_ctes()}
+SELECT doc_id, event_type, trigger_pos, role, arg_pos FROM dec
+""")
 def q_kg_event_args(sf_dir: str):
     """Event extraction on the USM decode base (the reference's event
     shape, joint.py:97: typed trigger + role-labeled arguments): one
@@ -793,6 +1445,17 @@ def q_kg_event_args(sf_dir: str):
     return usm.usm_event_args(_docs(sf_dir))
 
 
+@query("kg_events", sql=f"""
+WITH {_kg_ctes()},
+{_event_ctes()}
+SELECT tr.doc_id, tr.event_type, tr.pos AS trigger_pos,
+       CAST(count(DISTINCT d.arg_pos) AS BIGINT) AS n_args,
+       CAST(count(DISTINCT d.role) AS BIGINT) AS n_roles,
+       CAST(count(d.role) AS BIGINT) AS n_links
+FROM trig tr
+LEFT JOIN dec d ON d.doc_id = tr.doc_id AND d.trigger_pos = tr.pos
+GROUP BY 1, 2, 3
+""")
 def q_kg_events(sf_dir: str):
     """Per-event assembly over the decoded event layer: one row per
     trigger span (argless triggers included with zero counts) with
@@ -804,6 +1467,7 @@ def q_kg_events(sf_dir: str):
     return usm.usm_events(_docs(sf_dir))
 
 
+@query("kg_globalpointer_scored")
 def q_kg_globalpointer_scored(sf_dir: str):
     """Seeded biaffine + RoPE + tril-masked GlobalPointer forward ->
     thresholded spans with scores.  Model-random output: rows-only
@@ -814,6 +1478,7 @@ def q_kg_globalpointer_scored(sf_dir: str):
     return gpointer.score_globalpointer(_docs(sf_dir))
 
 
+@query("kg_globalpointer_rule", sql=spec.sql_gp_rule())
 def q_kg_globalpointer_rule(sf_dir: str):
     """The SAME GlobalPointer forward (embedding lookup, linear heads,
     RoPE rotation, biaffine einsum, pad+tril masking, threshold decode)
@@ -828,6 +1493,32 @@ def q_kg_globalpointer_rule(sf_dir: str):
 _IPRE_ID2REL = {0: "rel_a", 1: "rel_b", 2: "rel_c"}
 
 
+# id2rel rule shared with _IPRE_ID2REL: 'rel_' || chr(97 + id)
+@query("kg_ingest_ipre", sql="""
+WITH raw AS (
+    SELECT doc_id, text, string_split(text, ' ') AS ts FROM documents
+),
+sides AS (
+    SELECT doc_id, text,
+           CASE WHEN len(ts) > 1 THEN ts[2] ELSE ts[1] END AS head,
+           CASE WHEN len(ts) > 4 THEN ts[5]
+                ELSE chr(0) || 'absent' END AS tail,
+           doc_id % 3 AS ra, (doc_id // 3) % 3 AS rb
+    FROM raw
+)
+SELECT doc_id,
+       CAST(strpos(text, head) - 1 AS BIGINT) AS head_start,
+       CAST(strpos(text, head) - 1 + length(head) AS BIGINT) AS head_end,
+       CAST(strpos(text, tail) - 1 AS BIGINT) AS tail_start,
+       CAST(strpos(text, tail) - 1 + length(tail) AS BIGINT) AS tail_end,
+       CASE WHEN ra = rb THEN 'rel_' || chr(97 + CAST(ra AS INT))
+            WHEN ra < rb THEN 'rel_' || chr(97 + CAST(ra AS INT))
+                 || ',rel_' || chr(97 + CAST(rb AS INT))
+            ELSE 'rel_' || chr(97 + CAST(rb AS INT))
+                 || ',rel_' || chr(97 + CAST(ra AS INT)) END AS preds
+FROM sides
+WHERE strpos(text, head) > 0 AND strpos(text, tail) > 0
+""")
 def q_kg_ingest_ipre(sf_dir: str):
     """IPRE-shaped ingest (sources/ingest.ingest_ipre): two raw sides
     synthesized deterministically from documents (sentences: head =
@@ -900,6 +1591,42 @@ def q_kg_ingest_ipre(sf_dir: str):
     return canon.map_batches(flat, batch_format="pandas")
 
 
+@query("kg_ingest_webnlg", sql="""
+WITH base AS (
+    SELECT doc_id, string_split(text, ' ') AS ts FROM documents
+),
+tri AS (
+    SELECT doc_id, ts, i AS h, (i + 3) % len(ts) AS t,
+           (doc_id + i) % 3 AS r, i // 7 AS rel_idx
+    FROM base, LATERAL (SELECT unnest(range(0, len(ts), 7)) AS i)
+),
+app AS (
+    SELECT doc_id, pos, MIN(ord) AS first_app FROM (
+        SELECT doc_id, h AS pos, 2 * rel_idx AS ord FROM tri
+        UNION ALL
+        SELECT doc_id, t AS pos, 2 * rel_idx + 1 AS ord FROM tri
+    ) GROUP BY doc_id, pos
+),
+idx AS (
+    SELECT doc_id, pos,
+           ROW_NUMBER() OVER (
+               PARTITION BY doc_id ORDER BY first_app
+           ) - 1 AS ent_idx
+    FROM app
+)
+SELECT tri.doc_id,
+       CAST(rel_idx AS BIGINT) AS rel_idx,
+       'rel_' || chr(97 + CAST(r AS INT)) AS predicate,
+       CAST(h AS BIGINT) AS head_pos,
+       CAST(t AS BIGINT) AS tail_pos,
+       CAST(hi.ent_idx AS BIGINT) AS head_ent_idx,
+       CAST(ti.ent_idx AS BIGINT) AS tail_ent_idx,
+       ts[h + 1] AS head_text,
+       ts[t + 1] AS tail_text
+FROM tri
+JOIN idx hi ON hi.doc_id = tri.doc_id AND hi.pos = tri.h
+JOIN idx ti ON ti.doc_id = tri.doc_id AND ti.pos = tri.t
+""")
 def q_kg_ingest_webnlg(sf_dir: str):
     """WebNLG-shaped ingest (sources/ingest.ingest_webnlg): docs coded
     into word ids under the corpus vocab, triples at every 7th
@@ -976,6 +1703,22 @@ def q_kg_ingest_webnlg(sf_dir: str):
     return canon.map_batches(flat, batch_format="pandas")
 
 
+@query("kg_ingest_bmes", sql=f"""
+WITH {_kg_ctes()},
+runs AS (
+    SELECT doc_id, pos, surface, ent_type,
+           pos - ROW_NUMBER() OVER (
+               PARTITION BY doc_id, ent_type ORDER BY pos
+           ) AS grp
+    FROM mention
+)
+SELECT doc_id,
+       ent_type,
+       CAST(MIN(pos) AS BIGINT) AS start_pos,
+       CAST(MAX(pos) + 1 AS BIGINT) AS end_pos,
+       STRING_AGG(surface, ' ' ORDER BY pos) AS surface
+FROM runs GROUP BY doc_id, ent_type, grp
+""")
 def q_kg_ingest_bmes(sf_dir: str):
     """MSRA-BMES-shaped ingest: gazetteer runs rendered to B/M/E/S tag
     lines, round-tripped through the REAL line parser
@@ -1019,209 +1762,7 @@ def q_kg_ingest_bmes(sf_dir: str):
     return _docs(sf_dir).map_batches(fn, batch_format="pandas")
 
 
-def q_kg_disambiguated_mentions(sf_dir: str):
-    """Ambiguous-surface mentions resolved by embedding-cosine context
-    similarity (broadcast candidate matrix, one matmul per batch).
-    One-hot marker embeddings make the cosine argmax equal a
-    marker-count rule the oracle replicates; ties break to the smaller
-    entity id."""
-    from rex_ray.stages import link
-
-    return link.disambiguate_mentions(_docs(sf_dir))
-
-
-def q_kg_ner_type_prf(sf_dir: str):
-    """Per-entity-type P/R/F1 of the decoded NER path vs the direct
-    gazetteer mentions (macro breakdown semantics of
-    rex/metrics/tagging.py:52-93; exact match expected)."""
-    from rex_ray.stages import extract, ner
-
-    pred = ner.ner_roundtrip(_docs(sf_dir))
-    gold = extract.extract_mentions(_docs(sf_dir)).map_batches(
-        lambda t: t.append_column(
-            "start_pos", t["pos"]
-        ).append_column(
-            "end_pos", __import__("pyarrow").compute.add(t["pos"], 1)
-        ).drop_columns(["pos"]),
-        batch_format="pyarrow",
-    )
-    return ner.ner_type_prf(pred, gold)
-
-
-def q_kg_pointer_entities(sf_dir: str):
-    """GlobalPointer-family matrix decode: per-class pointer matrix ->
-    spans (exclusive end, reference +1 shift) -> entity rows; oracle
-    derives the same rows from the mention CTE."""
-    from rex_ray.stages import pointer
-
-    return pointer.pointer_entities(_docs(sf_dir))
-
-
-def q_docs_top_longest(sf_dir: str):
-    """Global sort (n_tokens desc, doc_id asc) + limit — the
-    'sorted output ordering' family (SURVEY.md §2.6)."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    from rex_ray.functions.blocks import pre_shuffle
-
-    docs = _docs(sf_dir)
-
-    def measure(t: pa.Table) -> pa.Table:
-        n = pc.list_value_length(pc.split_pattern(t["text"], pattern=" "))
-        return pa.Table.from_arrays(
-            [t["doc_id"].combine_chunks(), pc.cast(n, pa.int64()).combine_chunks()],
-            names=["doc_id", "n_tokens"],
-        )
-
-    sized = pre_shuffle(docs.map_batches(measure, batch_format="pyarrow"))
-    return sized.sort(
-        ["n_tokens", "doc_id"], descending=[True, False]
-    ).limit(10)
-
-
-def q_kg_mrc_entities(sf_dir: str):
-    """MRC-style per-type query fan-out + pointer decode; oracle
-    derives the same (inclusive-end) spans from the mention CTE."""
-    from rex_ray.stages import mrc
-
-    return mrc.mrc_entities(_docs(sf_dir))
-
-
-def q_kg_mrc_doc_counts(sf_dir: str):
-    """Per-doc union of per-type MRC results (id2ents merge pattern)."""
-    from rex_ray.stages import mrc
-
-    return mrc.union_per_doc(mrc.mrc_entities(_docs(sf_dir)))
-
-
-def q_kg_entity_resolution_salted(sf_dir: str):
-    """Per-canonical-entity resolution stats via the EXPLICITLY salted
-    groupby (hot head entities split across n_salts sub-keys, folded by
-    an associative merge) — result provably identical to a plain
-    groupby, oracle-checked."""
-    from rex_ray.pipelines import kg
-    from rex_ray.stages import salt
-
-    return salt.salted_entity_resolution(kg.linked_triples(_docs(sf_dir)))
-
-
-def q_kg_cascade_triples(sf_dir: str):
-    """CasRel-style two-step cascade (subjects -> per-subject objects,
-    batch-1 per doc inside the actor); provably equal to the one-shot
-    extractor under the deterministic rules — the oracle is the same
-    triple CTE."""
-    from rex_ray.stages import cascade
-
-    return cascade.cascade_triples(_docs(sf_dir))
-
-
-def q_mm_media_stats(sf_dir: str):
-    from ray.data.aggregate import Sum
-    from rex_ray.sources import interleaved as il
-
-    inter = il.synthesize_interleaved(_docs(sf_dir))
-    media = il.media_spans(inter)
-    from rex_ray.functions.blocks import arrow_block
-
-    partial = media.map_batches(
-        lambda b: arrow_block(
-            b.groupby("kind", sort=False)
-            .size()
-            .rename("n_spans")
-            .reset_index()
-        ),
-        batch_format="pandas",
-    )
-    from rex_ray.functions.blocks import pre_shuffle
-
-    return pre_shuffle(partial).groupby("kind").aggregate(
-        Sum("n_spans", alias_name="n_spans")
-    )
-
-
-# --------------------------------------------------------------------------
-# oracle SQL
-# --------------------------------------------------------------------------
-
-_SQL: Dict[str, str] = {}
-
-_SQL["kg_mentions"] = f"""
-WITH {_kg_ctes()}
-SELECT doc_id, pos, surface, ent_type FROM mention
-"""
-
-_SQL["kg_mention_type_counts"] = f"""
-WITH {_kg_ctes()}
-SELECT ent_type, CAST(count(*) AS BIGINT) AS n_mentions
-FROM mention GROUP BY ent_type
-"""
-
-_SQL["kg_crf_entities"] = f"""
-WITH {_kg_ctes()},
-capped AS (SELECT * FROM mention WHERE pos < {spec.MAX_SEQ_LEN}),
-runs AS (
-    SELECT doc_id, pos, surface, ent_type,
-           pos - ROW_NUMBER() OVER (
-               PARTITION BY doc_id, ent_type ORDER BY pos
-           ) AS grp
-    FROM capped
-)
-SELECT doc_id,
-       CAST(MIN(pos) AS BIGINT) AS start_pos,
-       CAST(MAX(pos) + 1 AS BIGINT) AS end_pos,
-       STRING_AGG(surface, ' ' ORDER BY pos) AS surface,
-       ent_type
-FROM runs GROUP BY doc_id, ent_type, grp
-"""
-
-_SQL["kg_feature_rows_subword"] = f"""
-WITH {_kg_ctes()},
-wc AS (
-    SELECT doc_id, pos,
-           CAST(ceil(length(tok) / 4.0) AS BIGINT) AS cnt
-    FROM tok
-),
-off AS (
-    SELECT doc_id, pos, cnt,
-           COALESCE(SUM(cnt) OVER (
-               PARTITION BY doc_id ORDER BY pos
-               ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING
-           ), 0) AS sub_start
-    FROM wc
-),
-doc_tot AS (
-    SELECT doc_id, MAX(pos) + 1 AS n_words,
-           CAST(LEAST(SUM(cnt), {spec.MAX_SEQ_LEN - 2}) + 2 AS BIGINT) AS n_subwords
-    FROM wc GROUP BY doc_id
-),
-remapped AS (
-    SELECT tri.doc_id,
-           tri.subj || '{spec.BAG_KEY_SEP}' || tri.obj AS pair_key,
-           tri.pred, tri.subj_pos, tri.obj_pos,
-           CAST(so.sub_start AS BIGINT) AS subj_sub_start,
-           CAST(CASE WHEN tri.subj_pos + 1 >= dt.n_words THEN -1
-                ELSE so.sub_start + so.cnt END AS BIGINT) AS subj_sub_end,
-           CAST(oo.sub_start AS BIGINT) AS obj_sub_start,
-           CAST(CASE WHEN tri.obj_pos + 1 >= dt.n_words THEN -1
-                ELSE oo.sub_start + oo.cnt END AS BIGINT) AS obj_sub_end,
-           dt.n_subwords
-    FROM tri
-    JOIN off so ON so.doc_id = tri.doc_id AND so.pos = tri.subj_pos
-    JOIN off oo ON oo.doc_id = tri.doc_id AND oo.pos = tri.obj_pos
-    JOIN doc_tot dt ON dt.doc_id = tri.doc_id
-)
-SELECT doc_id, pair_key, pred, subj_pos, obj_pos,
-       subj_sub_start, subj_sub_end, obj_sub_start, obj_sub_end,
-       n_subwords
-FROM remapped
-WHERE subj_sub_start > 0 AND subj_sub_start < {spec.MAX_SEQ_LEN}
-  AND subj_sub_end   > 0 AND subj_sub_end   < {spec.MAX_SEQ_LEN}
-  AND obj_sub_start  > 0 AND obj_sub_start  < {spec.MAX_SEQ_LEN}
-  AND obj_sub_end    > 0 AND obj_sub_end    < {spec.MAX_SEQ_LEN}
-"""
-
-_SQL["kg_disambiguated_mentions"] = f"""
+@query("kg_disambiguated_mentions", sql=f"""
 WITH tok AS ({spec.SQL_TOKENS}),
 amb AS (SELECT * FROM {spec.sql_ambig_values()}),
 m AS (
@@ -1250,662 +1791,19 @@ QUALIFY row_number() OVER (
     PARTITION BY doc_id, pos, surface
     ORDER BY score DESC, entity_id ASC
 ) = 1
-"""
+""")
+def q_kg_disambiguated_mentions(sf_dir: str):
+    """Ambiguous-surface mentions resolved by embedding-cosine context
+    similarity (broadcast candidate matrix, one matmul per batch).
+    One-hot marker embeddings make the cosine argmax equal a
+    marker-count rule the oracle replicates; ties break to the smaller
+    entity id."""
+    from rex_ray.stages import link
 
-_SQL["kg_bag_one_rule"] = f"""
-WITH {_kg_ctes()},
-mem AS (
-    SELECT subj || '{spec.BAG_KEY_SEP}' || obj AS pair_key, pred,
-           CAST(round(12 * score) AS DOUBLE) AS s
-    FROM tri
-),
-per_rel AS (
-    SELECT pair_key, pred, max(s) AS mx FROM mem GROUP BY 1, 2
-),
-nm AS (
-    SELECT pair_key, CAST(count(*) AS BIGINT) AS n_members
-    FROM mem GROUP BY 1
-)
-SELECT p.pair_key, p.pred AS bag_label, p.mx AS bag_score, nm.n_members
-FROM per_rel p JOIN nm USING (pair_key)
-QUALIFY row_number() OVER (
-    PARTITION BY p.pair_key ORDER BY p.mx DESC, p.pred ASC
-) = 1
-"""
-
-_SQL["kg_bag_att_rule"] = f"""
-WITH {_kg_ctes()},
-mem AS (
-    SELECT subj || '{spec.BAG_KEY_SEP}' || obj AS pair_key, pred,
-           CAST(round(12 * score) AS DOUBLE) AS s
-    FROM tri
-),
-num AS (
-    SELECT pair_key, pred, sum(s * s) AS num FROM mem GROUP BY 1, 2
-),
-wt AS (SELECT pair_key, sum(s) AS wsum FROM mem GROUP BY 1)
-SELECT n.pair_key, n.pred AS bag_label, n.num / w.wsum AS bag_score
-FROM num n JOIN wt w USING (pair_key)
-QUALIFY row_number() OVER (
-    PARTITION BY n.pair_key ORDER BY n.num / w.wsum DESC, n.pred ASC
-) = 1
-"""
-
-_SQL["kg_globalpointer_rule"] = spec.sql_gp_rule()
-_SQL["kg_pcnn_rule"] = spec.sql_pcnn_rule()
-
-# id2rel rule shared with _IPRE_ID2REL: 'rel_' || chr(97 + id)
-_SQL["kg_ingest_ipre"] = """
-WITH raw AS (
-    SELECT doc_id, text, string_split(text, ' ') AS ts FROM documents
-),
-sides AS (
-    SELECT doc_id, text,
-           CASE WHEN len(ts) > 1 THEN ts[2] ELSE ts[1] END AS head,
-           CASE WHEN len(ts) > 4 THEN ts[5]
-                ELSE chr(0) || 'absent' END AS tail,
-           doc_id % 3 AS ra, (doc_id // 3) % 3 AS rb
-    FROM raw
-)
-SELECT doc_id,
-       CAST(strpos(text, head) - 1 AS BIGINT) AS head_start,
-       CAST(strpos(text, head) - 1 + length(head) AS BIGINT) AS head_end,
-       CAST(strpos(text, tail) - 1 AS BIGINT) AS tail_start,
-       CAST(strpos(text, tail) - 1 + length(tail) AS BIGINT) AS tail_end,
-       CASE WHEN ra = rb THEN 'rel_' || chr(97 + CAST(ra AS INT))
-            WHEN ra < rb THEN 'rel_' || chr(97 + CAST(ra AS INT))
-                 || ',rel_' || chr(97 + CAST(rb AS INT))
-            ELSE 'rel_' || chr(97 + CAST(rb AS INT))
-                 || ',rel_' || chr(97 + CAST(ra AS INT)) END AS preds
-FROM sides
-WHERE strpos(text, head) > 0 AND strpos(text, tail) > 0
-"""
-
-_SQL["kg_ingest_webnlg"] = """
-WITH base AS (
-    SELECT doc_id, string_split(text, ' ') AS ts FROM documents
-),
-tri AS (
-    SELECT doc_id, ts, i AS h, (i + 3) % len(ts) AS t,
-           (doc_id + i) % 3 AS r, i // 7 AS rel_idx
-    FROM base, LATERAL (SELECT unnest(range(0, len(ts), 7)) AS i)
-),
-app AS (
-    SELECT doc_id, pos, MIN(ord) AS first_app FROM (
-        SELECT doc_id, h AS pos, 2 * rel_idx AS ord FROM tri
-        UNION ALL
-        SELECT doc_id, t AS pos, 2 * rel_idx + 1 AS ord FROM tri
-    ) GROUP BY doc_id, pos
-),
-idx AS (
-    SELECT doc_id, pos,
-           ROW_NUMBER() OVER (
-               PARTITION BY doc_id ORDER BY first_app
-           ) - 1 AS ent_idx
-    FROM app
-)
-SELECT tri.doc_id,
-       CAST(rel_idx AS BIGINT) AS rel_idx,
-       'rel_' || chr(97 + CAST(r AS INT)) AS predicate,
-       CAST(h AS BIGINT) AS head_pos,
-       CAST(t AS BIGINT) AS tail_pos,
-       CAST(hi.ent_idx AS BIGINT) AS head_ent_idx,
-       CAST(ti.ent_idx AS BIGINT) AS tail_ent_idx,
-       ts[h + 1] AS head_text,
-       ts[t + 1] AS tail_text
-FROM tri
-JOIN idx hi ON hi.doc_id = tri.doc_id AND hi.pos = tri.h
-JOIN idx ti ON ti.doc_id = tri.doc_id AND ti.pos = tri.t
-"""
-
-_SQL["kg_ingest_bmes"] = f"""
-WITH {_kg_ctes()},
-runs AS (
-    SELECT doc_id, pos, surface, ent_type,
-           pos - ROW_NUMBER() OVER (
-               PARTITION BY doc_id, ent_type ORDER BY pos
-           ) AS grp
-    FROM mention
-)
-SELECT doc_id,
-       ent_type,
-       CAST(MIN(pos) AS BIGINT) AS start_pos,
-       CAST(MAX(pos) + 1 AS BIGINT) AS end_pos,
-       STRING_AGG(surface, ' ' ORDER BY pos) AS surface
-FROM runs GROUP BY doc_id, ent_type, grp
-"""
-
-_SQL["kg_usm_relations"] = f"""
-WITH {_kg_ctes()},
-hp AS (SELECT DISTINCT doc_id, subj_pos AS pos, pred FROM tri),
-tp AS (SELECT DISTINCT doc_id, obj_pos AS pos, pred FROM tri)
-SELECT DISTINCT t.doc_id, t.subj_pos AS head_pos, hp.pred,
-       t.obj_pos AS tail_pos
-FROM tri t
-JOIN hp ON hp.doc_id = t.doc_id AND hp.pos = t.subj_pos
-JOIN tp ON tp.doc_id = t.doc_id AND tp.pos = t.obj_pos
-       AND tp.pred = hp.pred
-"""
-
-def _event_ctes() -> str:
-    """trig / ea / hp / tp CTEs of the event layer (requires the
-    ``mention`` CTE in scope): trig = typed triggers, ea = rule-emitted
-    trigger->argument role links (EITHER side, EVENT_WINDOW), hp/tp =
-    the per-span role-attachment sets the five-way decode actually
-    joins on (cross-pair label ambiguity, kg_usm_relations pattern)."""
-    return f"""
-    trig AS (
-        SELECT doc_id, pos,
-               {spec.sql_event_type_case("ent_type")} AS event_type
-        FROM mention
-        WHERE ent_type IN ({spec.sql_event_trigger_types()})
-    ),
-    ea AS (
-        SELECT tr.doc_id, tr.event_type, tr.pos AS trigger_pos,
-               {spec.sql_role_case("tr.event_type", "m.ent_type")} AS role,
-               m.pos AS arg_pos
-        FROM trig tr
-        JOIN mention m
-          ON m.doc_id = tr.doc_id
-         AND m.pos <> tr.pos
-         AND abs(m.pos - tr.pos) <= {spec.EVENT_WINDOW}
-    ),
-    hp AS (SELECT DISTINCT doc_id, trigger_pos AS pos, role FROM ea),
-    tp AS (SELECT DISTINCT doc_id, arg_pos AS pos, role FROM ea),
-    dec AS (
-        SELECT DISTINCT e.doc_id, e.event_type, e.trigger_pos,
-               hp.role, e.arg_pos
-        FROM ea e
-        JOIN hp ON hp.doc_id = e.doc_id AND hp.pos = e.trigger_pos
-        JOIN tp ON tp.doc_id = e.doc_id AND tp.pos = e.arg_pos
-               AND tp.role = hp.role
-    )"""
+    return link.disambiguate_mentions(_docs(sf_dir))
 
 
-_SQL["kg_event_args"] = f"""
-WITH {_kg_ctes()},
-{_event_ctes()}
-SELECT doc_id, event_type, trigger_pos, role, arg_pos FROM dec
-"""
-
-_SQL["kg_events"] = f"""
-WITH {_kg_ctes()},
-{_event_ctes()}
-SELECT tr.doc_id, tr.event_type, tr.pos AS trigger_pos,
-       CAST(count(DISTINCT d.arg_pos) AS BIGINT) AS n_args,
-       CAST(count(DISTINCT d.role) AS BIGINT) AS n_roles,
-       CAST(count(d.role) AS BIGINT) AS n_links
-FROM trig tr
-LEFT JOIN dec d ON d.doc_id = tr.doc_id AND d.trigger_pos = tr.pos
-GROUP BY 1, 2, 3
-"""
-
-_SQL["kg_triples"] = f"""
-WITH {_kg_ctes()}
-SELECT doc_id, subj, subj_pos, subj_type, pred, obj, obj_pos, obj_type,
-       subj || '{spec.BAG_KEY_SEP}' || obj AS pair_key, score
-FROM tri
-"""
-
-_SQL["kg_triple_tiers"] = f"""
-WITH {_kg_ctes()},
-tiers AS (SELECT unnest({spec.SCORE_TIERS!r}::DOUBLE[]) AS tier)
-SELECT t.tier,
-       CAST(count(*) AS BIGINT) AS n_triples,
-       CAST(count(DISTINCT tri.pred) AS BIGINT) AS n_predicates
-FROM tiers t JOIN tri ON tri.score >= t.tier
-GROUP BY t.tier
-"""
-
-_SQL["kg_bags"] = f"""
-WITH {_kg_ctes()},
-bagcnt AS (
-    SELECT subj || '{spec.BAG_KEY_SEP}' || obj AS pair_key, pred,
-           CAST(count(*) AS BIGINT) AS cnt, max(score) AS mx
-    FROM tri GROUP BY 1, 2
-),
-ranked AS (
-    SELECT pair_key, pred, cnt, mx,
-           row_number() OVER (PARTITION BY pair_key
-                              ORDER BY cnt DESC, pred ASC) AS rn,
-           CAST(sum(cnt) OVER (PARTITION BY pair_key) AS BIGINT) AS n_instances,
-           max(mx) OVER (PARTITION BY pair_key) AS max_score
-    FROM bagcnt
-)
-SELECT pair_key, pred AS bag_label, n_instances, max_score
-FROM ranked WHERE rn = 1
-"""
-
-_SQL["kg_canonical_map"] = f"""
-WITH RECURSIVE {_kg_ctes()},
-{_canon_ctes()}
-SELECT surface, canonical_id FROM canon
-"""
-_SQL["kg_canonical_map_lp"] = _SQL["kg_canonical_map"]
-
-_TRIPLE_STORE_SQL = f"""
-WITH RECURSIVE {_kg_ctes()},
-{_canon_ctes()}
-SELECT cs.canonical_id AS subj_id, tri.pred, co.canonical_id AS obj_id,
-       max(tri.score) AS score, CAST(count(*) AS BIGINT) AS support
-FROM tri
-JOIN canon cs ON tri.subj = cs.surface
-JOIN canon co ON tri.obj = co.surface
-GROUP BY 1, 2, 3
-"""
-_SQL["kg_triple_store"] = _TRIPLE_STORE_SQL
-_SQL["kg_triple_store_lp"] = _TRIPLE_STORE_SQL
-_SQL["kg_triple_store_interleaved"] = _TRIPLE_STORE_SQL
-
-_SQL["kg_store_delta"] = f"""
-WITH RECURSIVE {_kg_ctes()},
-{_canon_ctes()},
-bucket AS (
-    SELECT doc_id,
-           ('0x' || substr(md5(CAST(doc_id AS VARCHAR)), 1, 8))::UBIGINT
-               % 100 AS b
-    FROM documents
-),
-base_keys AS (
-    SELECT DISTINCT cs.canonical_id AS subj_id, tri.pred,
-           co.canonical_id AS obj_id
-    FROM tri
-    JOIN bucket bk ON tri.doc_id = bk.doc_id AND bk.b < 2
-    JOIN canon cs ON tri.subj = cs.surface
-    JOIN canon co ON tri.obj = co.surface
-),
-delta_store AS (
-    SELECT cs.canonical_id AS subj_id, tri.pred,
-           co.canonical_id AS obj_id,
-           max(tri.score) AS score, CAST(count(*) AS BIGINT) AS support
-    FROM tri
-    JOIN bucket bk ON tri.doc_id = bk.doc_id AND bk.b >= 2
-    JOIN canon cs ON tri.subj = cs.surface
-    JOIN canon co ON tri.obj = co.surface
-    GROUP BY 1, 2, 3
-)
-SELECT d.subj_id, d.pred, d.obj_id, d.score, d.support
-FROM delta_store d
-ANTI JOIN base_keys b USING (subj_id, pred, obj_id)
-"""
-
-_SQL["kg_triple_provenance"] = f"""
-WITH RECURSIVE {_kg_ctes()},
-{_canon_ctes()}
-SELECT cs.canonical_id AS subj_id, tri.pred, co.canonical_id AS obj_id,
-       CAST(count(DISTINCT tri.doc_id) AS BIGINT) AS n_docs,
-       array_to_string(
-           list_transform(
-               list_slice(list_sort(list(DISTINCT tri.doc_id)), 1, 3),
-               x -> CAST(x AS VARCHAR)),
-           ',') AS evidence
-FROM tri
-JOIN canon cs ON tri.subj = cs.surface
-JOIN canon co ON tri.obj = co.surface
-GROUP BY 1, 2, 3
-"""
-
-_SQL["kg_predicate_signatures"] = f"""
-WITH {_kg_ctes()},
-sig AS (
-    SELECT pred, subj_type, obj_type, CAST(count(*) AS BIGINT) AS n
-    FROM tri GROUP BY 1, 2, 3
-),
-tot AS (SELECT pred, CAST(sum(n) AS BIGINT) AS tot FROM sig GROUP BY 1)
-SELECT sig.pred, sig.subj_type, sig.obj_type, sig.n,
-       CAST(floor(CAST(sig.n AS DOUBLE) * 1000000000.0
-                  / CAST(tot.tot AS DOUBLE) + 0.5) AS BIGINT) AS share_ppb
-FROM sig JOIN tot ON sig.pred = tot.pred
-"""
-
-_STORE_KEYS_CTE = """
-store AS (
-    SELECT DISTINCT cs.canonical_id AS subj_id, tri.pred,
-           co.canonical_id AS obj_id
-    FROM tri
-    JOIN canon cs ON tri.subj = cs.surface
-    JOIN canon co ON tri.obj = co.surface
-)"""
-
-_SQL["kg_two_hop_paths"] = f"""
-WITH RECURSIVE {_kg_ctes()},
-{_canon_ctes()},
-{_STORE_KEYS_CTE}
-SELECT e1.pred AS pred1, e2.pred AS pred2,
-       CAST(count(*) AS BIGINT) AS n_paths
-FROM store e1 JOIN store e2 ON e1.obj_id = e2.subj_id
-GROUP BY 1, 2
-"""
-
-_SQL["kg_negative_samples"] = f"""
-WITH RECURSIVE {_kg_ctes()},
-{_canon_ctes()},
-{_STORE_KEYS_CTE},
-ent AS (
-    -- DISTINCT over UNION ALL, not bare UNION: inside a WITH RECURSIVE
-    -- block DuckDB gives union CTEs the recursive-union treatment and
-    -- does NOT deduplicate
-    SELECT DISTINCT e FROM (
-        SELECT subj_id AS e FROM store
-        UNION ALL SELECT obj_id FROM store
-    )
-),
-ents AS (SELECT e, row_number() OVER (ORDER BY e) - 1 AS rk FROM ent),
-cand AS (
-    SELECT s.subj_id, s.pred, s.obj_id, kk.k,
-           ('0x' || substr(md5(s.subj_id || '|' || s.pred || '|'
-                               || s.obj_id || '|'
-                               || CAST(kk.k AS VARCHAR)), 1, 8))::UBIGINT
-               % CAST((SELECT count(*) FROM ents) AS UBIGINT) AS rk
-    FROM store s CROSS JOIN (VALUES (0), (1)) AS kk(k)
-)
-SELECT c.subj_id, c.pred, c.obj_id, CAST(c.k AS BIGINT) AS k,
-       e.e AS neg_obj_id,
-       CAST(CASE WHEN s2.subj_id IS NULL THEN 0 ELSE 1 END AS BIGINT)
-           AS is_known
-FROM cand c
-JOIN ents e ON e.rk = c.rk
-LEFT JOIN store s2
-  ON s2.subj_id = c.subj_id AND s2.pred = c.pred AND s2.obj_id = e.e
-"""
-
-_SQL["kg_entity_triangles"] = f"""
-WITH RECURSIVE {_kg_ctes()},
-{_canon_ctes()},
-store AS (
-    SELECT cs.canonical_id AS subj_id, co.canonical_id AS obj_id
-    FROM tri
-    JOIN canon cs ON tri.subj = cs.surface
-    JOIN canon co ON tri.obj = co.surface
-    GROUP BY 1, 2
-),
-e AS (
-    SELECT DISTINCT least(subj_id, obj_id) AS a,
-           greatest(subj_id, obj_id) AS b
-    FROM store WHERE subj_id != obj_id
-),
-tris AS (
-    SELECT e1.a AS x, e1.b AS y, e2.b AS z
-    FROM e e1
-    JOIN e e2 ON e2.a = e1.b
-    JOIN e e3 ON e3.a = e1.a AND e3.b = e2.b
-)
-SELECT entity_id, CAST(count(*) AS BIGINT) AS n_triangles
-FROM (
-    SELECT x AS entity_id FROM tris
-    UNION ALL SELECT y FROM tris
-    UNION ALL SELECT z FROM tris
-)
-GROUP BY entity_id
-"""
-
-_SQL["kg_entity_pagerank"] = f"""
-WITH RECURSIVE {_kg_ctes()},
-{_canon_ctes()},
-store AS (
-    SELECT cs.canonical_id AS subj_id, co.canonical_id AS obj_id
-    FROM tri
-    JOIN canon cs ON tri.subj = cs.surface
-    JOIN canon co ON tri.obj = co.surface
-    GROUP BY 1, 2
-),
-e AS (
-    SELECT DISTINCT least(subj_id, obj_id) AS a,
-           greatest(subj_id, obj_id) AS b
-    FROM store WHERE subj_id != obj_id
-),
-dir AS (
-    SELECT a AS u, b AS v FROM e
-    UNION ALL
-    SELECT b AS u, a AS v FROM e
-),
-deg AS (SELECT u, CAST(count(*) AS DOUBLE) AS deg FROM dir GROUP BY u),
-nn AS (SELECT CAST(count(*) AS DOUBLE) AS n FROM deg),
-pr0 AS (SELECT u, 1.0 / (SELECT n FROM nn) AS r FROM deg),
-pr1 AS (
-    SELECT d.v AS u,
-           (1.0 - 0.85) / (SELECT n FROM nn)
-               + 0.85 * SUM(p.r / g.deg) AS r
-    FROM dir d JOIN pr0 p ON d.u = p.u JOIN deg g ON d.u = g.u
-    GROUP BY d.v
-),
-pr2 AS (
-    SELECT d.v AS u,
-           (1.0 - 0.85) / (SELECT n FROM nn)
-               + 0.85 * SUM(p.r / g.deg) AS r
-    FROM dir d JOIN pr1 p ON d.u = p.u JOIN deg g ON d.u = g.u
-    GROUP BY d.v
-),
-pr3 AS (
-    SELECT d.v AS u,
-           (1.0 - 0.85) / (SELECT n FROM nn)
-               + 0.85 * SUM(p.r / g.deg) AS r
-    FROM dir d JOIN pr2 p ON d.u = p.u JOIN deg g ON d.u = g.u
-    GROUP BY d.v
-)
-SELECT u AS entity_id, ROUND(r, 8) AS pr FROM pr3
-"""
-
-_SQL["kg_edge_pmi"] = f"""
-WITH RECURSIVE {_kg_ctes()},
-{_canon_ctes()},
-occ AS (
-    SELECT least(cs.canonical_id, co.canonical_id) AS a,
-           greatest(cs.canonical_id, co.canonical_id) AS b
-    FROM tri
-    JOIN canon cs ON tri.subj = cs.surface
-    JOIN canon co ON tri.obj = co.surface
-    WHERE cs.canonical_id != co.canonical_id
-),
-cxy AS (
-    SELECT a, b, CAST(count(*) AS BIGINT) AS c_xy FROM occ GROUP BY a, b
-),
-nodes AS (
-    SELECT node, CAST(count(*) AS BIGINT) AS c FROM (
-        SELECT a AS node FROM occ UNION ALL SELECT b FROM occ
-    ) GROUP BY node
-),
-nn AS (SELECT CAST(count(*) AS BIGINT) AS n FROM occ)
-SELECT cxy.a AS entity_a, cxy.b AS entity_b, c_xy AS n_cooc,
-       ROUND(LN(CAST(c_xy * (SELECT n FROM nn) AS DOUBLE)
-                / CAST(na.c * nb.c AS DOUBLE)), 8) AS pmi
-FROM cxy
-JOIN nodes na ON cxy.a = na.node
-JOIN nodes nb ON cxy.b = nb.node
-"""
-
-_SQL["kg_merge_candidates"] = f"""
-WITH RECURSIVE {_kg_ctes()},
-{_canon_ctes()},
-store AS (
-    SELECT cs.canonical_id AS subj_id, tri.pred, co.canonical_id AS obj_id
-    FROM tri
-    JOIN canon cs ON tri.subj = cs.surface
-    JOIN canon co ON tri.obj = co.surface
-    GROUP BY 1, 2, 3
-),
-edges AS (
-    SELECT DISTINCT least(subj_id, obj_id) AS a,
-           greatest(subj_id, obj_id) AS b
-    FROM store WHERE subj_id <> obj_id
-),
-und AS (
-    SELECT a AS node, b AS nb FROM edges
-    UNION ALL
-    SELECT b, a FROM edges
-),
-deg AS (SELECT node, CAST(count(*) AS BIGINT) AS deg FROM und GROUP BY 1),
-wedge AS (
-    SELECT u1.nb AS ea, u2.nb AS eb
-    FROM und u1
-    JOIN und u2 ON u1.node = u2.node AND u1.nb < u2.nb
-    JOIN deg d ON d.node = u1.node AND d.deg <= 50
-),
-cand AS (
-    SELECT ea, eb, CAST(count(*) AS BIGINT) AS n_shared
-    FROM wedge GROUP BY 1, 2 HAVING count(*) >= 2
-)
-SELECT c.ea AS entity_a, c.eb AS entity_b, c.n_shared,
-       da.deg AS deg_a, db.deg AS deg_b
-FROM cand c
-JOIN deg da ON da.node = c.ea
-JOIN deg db ON db.node = c.eb
-"""
-
-_SQL["kg_grounded_mentions"] = f"""
-WITH {_kg_ctes()}
-SELECT printf('doc-%08d', m.doc_id) AS doc_id, m.pos, m.surface,
-       m.ent_type,
-       'media://' || m.doc_id || '/'
-           || ((m.pos // (4 + m.doc_id % 4)) // 2) AS media_ref
-FROM mention m
-WHERE (m.pos // (4 + m.doc_id % 4)) // 2 >= 1
-"""
-
-_SQL["kg_functional_preds"] = f"""
-WITH RECURSIVE {_kg_ctes()},
-{_canon_ctes()},
-store AS (
-    SELECT cs.canonical_id AS subj_id, tri.pred, co.canonical_id AS obj_id
-    FROM tri
-    JOIN canon cs ON tri.subj = cs.surface
-    JOIN canon co ON tri.obj = co.surface
-    GROUP BY 1, 2, 3
-),
-s AS (
-    SELECT pred, subj_id, count(*) AS c FROM store GROUP BY 1, 2
-),
-o AS (
-    SELECT pred, CAST(count(DISTINCT obj_id) AS BIGINT) AS n_obj
-    FROM store GROUP BY 1
-),
-a AS (
-    SELECT pred,
-           CAST(sum(c) AS BIGINT) AS n_triples,
-           CAST(count(*) AS BIGINT) AS n_subj,
-           CAST(max(c) AS BIGINT) AS max_fanout
-    FROM s GROUP BY 1
-)
-SELECT a.pred, a.n_triples, a.n_subj, o.n_obj, a.max_fanout,
-       CAST(floor(1e9 * a.n_subj / a.n_triples + 0.5) AS BIGINT)
-           AS functionality_ppb
-FROM a JOIN o USING (pred)
-"""
-
-_SQL["kg_predicate_overlap"] = f"""
-WITH RECURSIVE {_kg_ctes()},
-{_canon_ctes()},
-store AS (
-    SELECT cs.canonical_id AS subj_id, tri.pred, co.canonical_id AS obj_id
-    FROM tri
-    JOIN canon cs ON tri.subj = cs.surface
-    JOIN canon co ON tri.obj = co.surface
-    GROUP BY 1, 2, 3
-),
-sp AS (SELECT DISTINCT subj_id, pred FROM store),
-pp AS (
-    SELECT s1.pred AS p1, s2.pred AS p2
-    FROM sp s1
-    JOIN sp s2 ON s1.subj_id = s2.subj_id AND s1.pred < s2.pred
-),
-cand AS (
-    SELECT p1, p2, CAST(count(*) AS BIGINT) AS n_shared
-    FROM pp GROUP BY 1, 2 HAVING count(*) >= 2
-),
-sup AS (SELECT pred, CAST(count(*) AS BIGINT) AS n FROM sp GROUP BY 1)
-SELECT c.p1 AS pred_a, c.p2 AS pred_b, c.n_shared,
-       sa.n AS n_a, sb.n AS n_b
-FROM cand c
-JOIN sup sa ON sa.pred = c.p1
-JOIN sup sb ON sb.pred = c.p2
-"""
-
-_SQL["kg_entity_kcore"] = f"""
-WITH RECURSIVE {_kg_ctes()},
-{_canon_ctes()},
-store AS MATERIALIZED (
-    SELECT cs.canonical_id AS subj_id, tri.pred, co.canonical_id AS obj_id
-    FROM tri
-    JOIN canon cs ON tri.subj = cs.surface
-    JOIN canon co ON tri.obj = co.surface
-    GROUP BY 1, 2, 3
-),
-e0 AS MATERIALIZED (
-    SELECT DISTINCT least(subj_id, obj_id) AS a,
-           greatest(subj_id, obj_id) AS b
-    FROM store WHERE subj_id <> obj_id
-),{",".join(_kcore_round_sql(i) for i in range(1, KCORE_ROUNDS + 1))}
-SELECT node AS entity_id, CAST(count(*) AS BIGINT) AS deg FROM (
-    SELECT a AS node FROM e{KCORE_ROUNDS}
-    UNION ALL SELECT b FROM e{KCORE_ROUNDS}
-) GROUP BY node
-"""
-
-_SQL["kg_entity_degrees"] = f"""
-WITH RECURSIVE {_kg_ctes()},
-{_canon_ctes()},
-store AS (
-    SELECT cs.canonical_id AS subj_id, tri.pred, co.canonical_id AS obj_id
-    FROM tri
-    JOIN canon cs ON tri.subj = cs.surface
-    JOIN canon co ON tri.obj = co.surface
-    GROUP BY 1, 2, 3
-)
-SELECT entity_id,
-       CAST(sum(CASE WHEN role = 0 THEN 1 ELSE 0 END) AS BIGINT) AS out_deg,
-       CAST(sum(CASE WHEN role = 1 THEN 1 ELSE 0 END) AS BIGINT) AS in_deg
-FROM (
-    SELECT subj_id AS entity_id, 0 AS role FROM store
-    UNION ALL
-    SELECT obj_id, 1 FROM store
-)
-GROUP BY entity_id
-"""
-
-_SQL["kg_parity_prf"] = f"""
-WITH {_kg_ctes()},
-views AS (
-    SELECT 'triple' AS v,
-           CAST(count(*) AS BIGINT) AS n
-    FROM (SELECT DISTINCT doc_id, subj, pred, obj FROM tri)
-    UNION ALL
-    SELECT 'subject', CAST(count(*) AS BIGINT)
-    FROM (SELECT DISTINCT doc_id, subj FROM tri)
-    UNION ALL
-    SELECT 'relation', CAST(count(*) AS BIGINT)
-    FROM (SELECT DISTINCT doc_id, pred FROM tri)
-    UNION ALL
-    SELECT 'object', CAST(count(*) AS BIGINT)
-    FROM (SELECT DISTINCT doc_id, obj FROM tri)
-)
-SELECT v AS "view", 1.0::DOUBLE AS p, 1.0::DOUBLE AS r, 1.0::DOUBLE AS f1,
-       n AS tp, CAST(0 AS BIGINT) AS fp, CAST(0 AS BIGINT) AS fn
-FROM views
-"""
-
-_SQL["kg_feature_rows"] = f"""
-WITH {_kg_ctes()},
-doclen AS (
-    SELECT doc_id, len(string_split(text, ' ')) AS n_tok FROM documents
-)
-SELECT t.doc_id, t.subj_pos, t.obj_pos, t.pred,
-       LEAST(d.n_tok, {spec.MAX_SEQ_LEN}) AS n_real_tokens,
-       LEAST(t.subj_pos, t.obj_pos) AS seg1_len,
-       GREATEST(t.subj_pos, t.obj_pos) - LEAST(t.subj_pos, t.obj_pos)
-           AS seg2_len,
-       LEAST(d.n_tok, {spec.MAX_SEQ_LEN}) - GREATEST(t.subj_pos, t.obj_pos) AS seg3_len
-FROM tri t JOIN doclen d ON t.doc_id = d.doc_id
-WHERE t.subj_pos < {spec.MAX_SEQ_LEN} AND t.obj_pos < {spec.MAX_SEQ_LEN}
-"""
-
-_SQL["kg_ner_roundtrip"] = f"""
-WITH {_kg_ctes()}
-SELECT doc_id, surface, ent_type,
-       pos AS start_pos, pos + 1 AS end_pos
-FROM mention
-"""
-
-_SQL["kg_ner_type_prf"] = f"""
+@query("kg_ner_type_prf", sql=f"""
 WITH {_kg_ctes()},
 bytype AS (
     SELECT ent_type, CAST(count(*) AS BIGINT) AS n FROM mention
@@ -1914,9 +1812,95 @@ bytype AS (
 SELECT ent_type, 1.0::DOUBLE AS p, 1.0::DOUBLE AS r, 1.0::DOUBLE AS f1,
        n AS tp, CAST(0 AS BIGINT) AS fp, CAST(0 AS BIGINT) AS fn
 FROM bytype
-"""
+""")
+def q_kg_ner_type_prf(sf_dir: str):
+    """Per-entity-type P/R/F1 of the decoded NER path vs the direct
+    gazetteer mentions (macro breakdown semantics of
+    rex/metrics/tagging.py:52-93; exact match expected)."""
+    from rex_ray.stages import extract, ner
 
-_SQL["kg_entity_resolution_salted"] = f"""
+    pred = ner.ner_roundtrip(_docs(sf_dir))
+    gold = extract.extract_mentions(_docs(sf_dir)).map_batches(
+        lambda t: t.append_column(
+            "start_pos", t["pos"]
+        ).append_column(
+            "end_pos", __import__("pyarrow").compute.add(t["pos"], 1)
+        ).drop_columns(["pos"]),
+        batch_format="pyarrow",
+    )
+    return ner.ner_type_prf(pred, gold)
+
+
+@query("kg_pointer_entities", sql=f"""
+WITH {_kg_ctes()}
+SELECT doc_id, ent_type, pos AS start_pos, pos + 1 AS end_pos
+FROM mention
+""")
+def q_kg_pointer_entities(sf_dir: str):
+    """GlobalPointer-family matrix decode: per-class pointer matrix ->
+    spans (exclusive end, reference +1 shift) -> entity rows; oracle
+    derives the same rows from the mention CTE."""
+    from rex_ray.stages import pointer
+
+    return pointer.pointer_entities(_docs(sf_dir))
+
+
+@query("docs_top_longest", sql="""
+SELECT doc_id,
+       CAST(len(string_split(text, ' ')) AS BIGINT) AS n_tokens
+FROM documents
+ORDER BY n_tokens DESC, doc_id ASC
+LIMIT 10
+""")
+def q_docs_top_longest(sf_dir: str):
+    """Global sort (n_tokens desc, doc_id asc) + limit — the
+    'sorted output ordering' family (SURVEY.md §2.6)."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    from rex_ray.functions.blocks import pre_shuffle
+
+    docs = _docs(sf_dir)
+
+    def measure(t: pa.Table) -> pa.Table:
+        n = pc.list_value_length(pc.split_pattern(t["text"], pattern=" "))
+        return pa.Table.from_arrays(
+            [t["doc_id"].combine_chunks(), pc.cast(n, pa.int64()).combine_chunks()],
+            names=["doc_id", "n_tokens"],
+        )
+
+    sized = pre_shuffle(docs.map_batches(measure, batch_format="pyarrow"))
+    return sized.sort(
+        ["n_tokens", "doc_id"], descending=[True, False]
+    ).limit(10)
+
+
+@query("kg_mrc_entities", sql=f"""
+WITH {_kg_ctes()}
+SELECT doc_id, ent_type, pos AS start_pos, pos AS end_pos
+FROM mention
+""")
+def q_kg_mrc_entities(sf_dir: str):
+    """MRC-style per-type query fan-out + pointer decode; oracle
+    derives the same (inclusive-end) spans from the mention CTE."""
+    from rex_ray.stages import mrc
+
+    return mrc.mrc_entities(_docs(sf_dir))
+
+
+@query("kg_mrc_doc_counts", sql=f"""
+WITH {_kg_ctes()}
+SELECT doc_id, CAST(count(*) AS BIGINT) AS n_entities
+FROM mention GROUP BY doc_id
+""")
+def q_kg_mrc_doc_counts(sf_dir: str):
+    """Per-doc union of per-type MRC results (id2ents merge pattern)."""
+    from rex_ray.stages import mrc
+
+    return mrc.union_per_doc(mrc.mrc_entities(_docs(sf_dir)))
+
+
+@query("kg_entity_resolution_salted", sql=f"""
 WITH RECURSIVE {_kg_ctes()},
 {_canon_ctes()}
 SELECT cs.canonical_id AS subj_id,
@@ -1924,40 +1908,33 @@ SELECT cs.canonical_id AS subj_id,
        max(tri.score) AS best_score
 FROM tri JOIN canon cs ON tri.subj = cs.surface
 GROUP BY 1
-"""
+""")
+def q_kg_entity_resolution_salted(sf_dir: str):
+    """Per-canonical-entity resolution stats via the EXPLICITLY salted
+    groupby (hot head entities split across n_salts sub-keys, folded by
+    an associative merge) — result provably identical to a plain
+    groupby, oracle-checked."""
+    from rex_ray.pipelines import kg
+    from rex_ray.stages import salt
 
-_SQL["kg_cascade_triples"] = f"""
+    return salt.salted_entity_resolution(kg.linked_triples(_docs(sf_dir)))
+
+
+@query("kg_cascade_triples", sql=f"""
 WITH {_kg_ctes()}
 SELECT doc_id, subj, subj_pos, pred, obj, obj_pos, score FROM tri
-"""
+""")
+def q_kg_cascade_triples(sf_dir: str):
+    """CasRel-style two-step cascade (subjects -> per-subject objects,
+    batch-1 per doc inside the actor); provably equal to the one-shot
+    extractor under the deterministic rules — the oracle is the same
+    triple CTE."""
+    from rex_ray.stages import cascade
 
-_SQL["kg_mrc_entities"] = f"""
-WITH {_kg_ctes()}
-SELECT doc_id, ent_type, pos AS start_pos, pos AS end_pos
-FROM mention
-"""
+    return cascade.cascade_triples(_docs(sf_dir))
 
-_SQL["kg_mrc_doc_counts"] = f"""
-WITH {_kg_ctes()}
-SELECT doc_id, CAST(count(*) AS BIGINT) AS n_entities
-FROM mention GROUP BY doc_id
-"""
 
-_SQL["kg_pointer_entities"] = f"""
-WITH {_kg_ctes()}
-SELECT doc_id, ent_type, pos AS start_pos, pos + 1 AS end_pos
-FROM mention
-"""
-
-_SQL["docs_top_longest"] = """
-SELECT doc_id,
-       CAST(len(string_split(text, ' ')) AS BIGINT) AS n_tokens
-FROM documents
-ORDER BY n_tokens DESC, doc_id ASC
-LIMIT 10
-"""
-
-_SQL["mm_media_stats"] = """
+@query("mm_media_stats", sql="""
 WITH stats AS (
     SELECT doc_id, len(string_split(text, ' ')) AS n,
            4 + doc_id % 4 AS c
@@ -1981,81 +1958,26 @@ per_doc AS (
 )
 SELECT kind, CAST(sum(n) AS BIGINT) AS n_spans
 FROM per_doc GROUP BY kind HAVING sum(n) > 0
-"""
+""")
+def q_mm_media_stats(sf_dir: str):
+    from ray.data.aggregate import Sum
+    from rex_ray.sources import interleaved as il
 
+    inter = il.synthesize_interleaved(_docs(sf_dir))
+    media = il.media_spans(inter)
+    from rex_ray.functions.blocks import arrow_block
 
-# --------------------------------------------------------------------------
-# registry
-# --------------------------------------------------------------------------
+    partial = media.map_batches(
+        lambda b: arrow_block(
+            b.groupby("kind", sort=False)
+            .size()
+            .rename("n_spans")
+            .reset_index()
+        ),
+        batch_format="pandas",
+    )
+    from rex_ray.functions.blocks import pre_shuffle
 
-QUERIES: Dict[str, Callable] = {
-    "kg_mentions": q_kg_mentions,
-    "kg_mention_type_counts": q_kg_mention_type_counts,
-    "kg_triples": q_kg_triples,
-    "kg_triple_tiers": q_kg_triple_tiers,
-    "kg_bags": q_kg_bags,
-    "kg_canonical_map": q_kg_canonical_map,
-    "kg_triple_store": q_kg_triple_store,
-    "kg_triple_store_lp": q_kg_triple_store_lp,
-    "kg_entity_degrees": q_kg_entity_degrees,
-    "kg_entity_triangles": q_kg_entity_triangles,
-    "kg_entity_pagerank": q_kg_entity_pagerank,
-    "kg_edge_pmi": q_kg_edge_pmi,
-    "kg_merge_candidates": q_kg_merge_candidates,
-    "kg_entity_kcore": q_kg_entity_kcore,
-    "kg_functional_preds": q_kg_functional_preds,
-    "kg_predicate_overlap": q_kg_predicate_overlap,
-    "kg_grounded_mentions": q_kg_grounded_mentions,
-    "kg_triple_store_interleaved": q_kg_triple_store_interleaved,
-    "kg_store_delta": q_kg_store_delta,
-    "kg_triple_provenance": q_kg_triple_provenance,
-    "kg_predicate_signatures": q_kg_predicate_signatures,
-    "kg_two_hop_paths": q_kg_two_hop_paths,
-    "kg_negative_samples": q_kg_negative_samples,
-    "kg_parity_prf": q_kg_parity_prf,
-    "kg_feature_rows": q_kg_feature_rows,
-    "kg_scored_triples": q_kg_scored_triples,
-    "kg_scored_triples_bilstm": q_kg_scored_triples_bilstm,
-    "kg_bag_one": q_kg_bag_one,
-    "kg_bag_att": q_kg_bag_att,
-    "kg_pcnn_rule": q_kg_pcnn_rule,
-    "kg_bag_one_rule": q_kg_bag_one_rule,
-    "kg_bag_att_rule": q_kg_bag_att_rule,
-    "kg_ner_roundtrip": q_kg_ner_roundtrip,
-    "kg_crf_entities": q_kg_crf_entities,
-    "kg_feature_rows_subword": q_kg_feature_rows_subword,
-    "kg_usm_relations": q_kg_usm_relations,
-    "kg_event_args": q_kg_event_args,
-    "kg_events": q_kg_events,
-    "kg_disambiguated_mentions": q_kg_disambiguated_mentions,
-    "kg_globalpointer_scored": q_kg_globalpointer_scored,
-    "kg_globalpointer_rule": q_kg_globalpointer_rule,
-    "kg_canonical_map_lp": q_kg_canonical_map_lp,
-    "kg_ingest_ipre": q_kg_ingest_ipre,
-    "kg_ingest_webnlg": q_kg_ingest_webnlg,
-    "kg_ingest_bmes": q_kg_ingest_bmes,
-    "kg_ner_type_prf": q_kg_ner_type_prf,
-    "kg_mrc_entities": q_kg_mrc_entities,
-    "kg_mrc_doc_counts": q_kg_mrc_doc_counts,
-    "kg_pointer_entities": q_kg_pointer_entities,
-    "kg_cascade_triples": q_kg_cascade_triples,
-    "kg_entity_resolution_salted": q_kg_entity_resolution_salted,
-    "docs_top_longest": q_docs_top_longest,
-    "mm_media_stats": q_mm_media_stats,
-}
-
-
-def queries() -> Dict[str, Callable]:
-    from rex_ray.pipelines.queries_ext import EXT_QUERIES
-
-    out = dict(QUERIES)
-    out.update(EXT_QUERIES)
-    return out
-
-
-def oracle_sql() -> Dict[str, str]:
-    from rex_ray.pipelines.queries_ext import EXT_SQL
-
-    out = dict(_SQL)
-    out.update(EXT_SQL)
-    return out
+    return pre_shuffle(partial).groupby("kind").aggregate(
+        Sum("n_spans", alias_name="n_spans")
+    )

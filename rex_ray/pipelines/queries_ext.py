@@ -1,7 +1,7 @@
 """Extended query registry: relational operators over the TPC-H-ish
 tables, text analysis, the dedup family, similarity search, and the
-multimodal stub pipeline.  Merged into the driver registry by
-``pipelines/queries.py``.
+multimodal stub pipeline.  Each query is one ``@query(name, sql=...)``
+on its callable (see ``pipelines/queries.py``).
 
 Float policy for oracle-checked queries: per-row float math uses the
 identical operation order as the SQL (bit-identical IEEE results);
@@ -12,12 +12,14 @@ results hash-match exactly regardless of summation order.
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from typing import Dict
 
 import numpy as np
 import pandas as pd
 
-from rex_ray.pipelines.queries import _read  # shared reader
+from rex_ray.functions.text import LANG_STOPWORDS, QUALITY_STOPWORDS
+from rex_ray.pipelines import spec
+from rex_ray.pipelines.queries import _read, query
 
 Q1_CUTOFF = "1998-09-02"
 EVENTS_WINDOW_US = 3_600_000_000  # 1 hour
@@ -36,10 +38,28 @@ def _cents(values) -> np.ndarray:
     )
 
 
+_CENTS = "CAST(floor({expr} * 100.0 + 0.5) AS BIGINT)"
+
+
 # --------------------------------------------------------------------------
 # relational
 # --------------------------------------------------------------------------
 
+@query("q1_pricing_summary", sql=f"""
+SELECT l_returnflag, l_linestatus,
+       sum(l_quantity) AS sum_qty,
+       CAST(sum({_CENTS.format(expr='l_extendedprice')}) AS BIGINT)
+           AS sum_base_cents,
+       CAST(sum({_CENTS.format(expr='l_extendedprice * (1.0 - l_discount)')})
+           AS BIGINT) AS sum_disc_cents,
+       CAST(sum({_CENTS.format(
+           expr='l_extendedprice * (1.0 - l_discount) * (1.0 + l_tax)')})
+           AS BIGINT) AS sum_charge_cents,
+       CAST(count(*) AS BIGINT) AS n_rows
+FROM lineitem
+WHERE l_shipdate <= TIMESTAMP '{Q1_CUTOFF} 00:00:00'
+GROUP BY l_returnflag, l_linestatus
+""")
 def q_q1_pricing_summary(sf_dir: str):
     """TPC-H Q1 shape: filtered scan -> partial aggregate -> small
     groupby (reference analog: the metric-style grouped aggregation of
@@ -102,6 +122,11 @@ def _nationkey_to_name(sf_dir: str) -> Dict[int, str]:
     }
 
 
+@query("orders_with_returns", sql="""
+SELECT o_orderkey FROM orders
+WHERE o_orderkey IN
+      (SELECT l_orderkey FROM lineitem WHERE l_returnflag = 'R')
+""")
 def q_orders_with_returns(sf_dir: str):
     """Exact semi-join via broadcast Bloom prefilter: orders with at
     least one returned lineitem.  The Bloom pass drops non-candidate
@@ -123,6 +148,17 @@ def q_orders_with_returns(sf_dir: str):
     return bloom_semi_join(orders, li, on="o_orderkey")
 
 
+@query("revenue_by_nation", sql=f"""
+SELECT n.n_name,
+       CAST(sum({_CENTS.format(expr='l.l_extendedprice * (1.0 - l.l_discount)')})
+           AS BIGINT) AS revenue_cents,
+       CAST(count(*) AS BIGINT) AS n_items
+FROM lineitem l
+JOIN orders o ON l.l_orderkey = o.o_orderkey
+JOIN customer c ON o.o_custkey = c.c_custkey
+JOIN nation n ON c.c_nationkey = n.n_nationkey
+GROUP BY n.n_name
+""")
 def q_revenue_by_nation(sf_dir: str):
     """Large-large hash join (lineitem x orders on orderkey) ->
     pre-aggregate per customer (shrinks the second join's left side to
@@ -177,6 +213,17 @@ def q_revenue_by_nation(sf_dir: str):
     )
 
 
+@query("top_customers", sql=f"""
+SELECT o_custkey, c_name, revenue_cents
+FROM (
+    SELECT o_custkey,
+           CAST(sum({_CENTS.format(expr='o_totalprice')}) AS BIGINT)
+               AS revenue_cents
+    FROM orders GROUP BY o_custkey
+) r JOIN customer ON c_custkey = o_custkey
+ORDER BY revenue_cents DESC, o_custkey ASC
+LIMIT 10
+""")
 def q_top_customers(sf_dir: str):
     """Pre-aggregate -> global sort (revenue desc, custkey asc) ->
     limit 10 -> resolve the TEN names with a distributed filter over
@@ -223,6 +270,14 @@ def q_top_customers(sf_dir: str):
     return top
 
 
+@query("events_hourly", sql=f"""
+SELECT user_id,
+       epoch_us(ts) // {EVENTS_WINDOW_US} AS hour_bucket,
+       CAST(sum({_CENTS.format(expr='value')}) AS BIGINT) AS sum_value_cents,
+       CAST(count(*) AS BIGINT) AS n_events
+FROM events
+GROUP BY 1, 2
+""")
 def q_events_hourly(sf_dir: str):
     """Tumbling-window aggregate over the event stream: key =
     (user_id, hour bucket), implemented as a partial-agg groupby — no
@@ -250,6 +305,11 @@ def q_events_hourly(sf_dir: str):
     )
 
 
+@query("events_type_stats", sql="""
+SELECT event_type, min(value) AS min_value, max(value) AS max_value,
+       CAST(count(*) AS BIGINT) AS n_events
+FROM events GROUP BY event_type
+""")
 def q_events_type_stats(sf_dir: str):
     """Per-event-type min/max/count (order-insensitive float aggs)."""
     from ray.data.aggregate import Max, Min, Sum
@@ -281,6 +341,30 @@ SLIDE_WIDTH_US = 2 * 3_600_000_000
 SLIDE_STEP_US = 3_600_000_000
 
 
+@query("events_sessions", sql=f"""
+WITH e AS (
+    SELECT user_id, epoch_us(ts) AS ts_us FROM events
+),
+marked AS (
+    SELECT user_id, ts_us,
+           CASE WHEN lag(ts_us) OVER w IS NULL
+                  OR ts_us - lag(ts_us) OVER w > {SESSION_GAP_US}
+                THEN 1 ELSE 0 END AS new_s
+    FROM e
+    WINDOW w AS (PARTITION BY user_id ORDER BY ts_us)
+),
+sess AS (
+    SELECT user_id, ts_us,
+           SUM(new_s) OVER (PARTITION BY user_id ORDER BY ts_us
+                            ROWS UNBOUNDED PRECEDING) - 1 AS session_id
+    FROM marked
+)
+SELECT user_id, CAST(session_id AS BIGINT) AS session_id,
+       CAST(count(*) AS BIGINT) AS n_events,
+       min(ts_us) AS start_ts_us, max(ts_us) AS end_ts_us,
+       max(ts_us) - min(ts_us) AS duration_us
+FROM sess GROUP BY 1, 2
+""")
 def q_events_sessions(sf_dir: str):
     """Gap-based session windows per user (custom operator: groupby
     co-locates a user's events, in-group sort by ts; see
@@ -293,6 +377,17 @@ def q_events_sessions(sf_dir: str):
     )
 
 
+@query("events_sliding", sql=f"""
+WITH e AS (SELECT epoch_us(ts) AS ts_us FROM events),
+k AS (SELECT unnest(range({SLIDE_WIDTH_US // SLIDE_STEP_US})) AS i)
+SELECT (ts_us // {SLIDE_STEP_US}) * {SLIDE_STEP_US}
+           - i * {SLIDE_STEP_US} AS window_start_us,
+       CAST(count(*) AS BIGINT) AS n_events
+FROM e, k
+WHERE ts_us < (ts_us // {SLIDE_STEP_US}) * {SLIDE_STEP_US}
+          - i * {SLIDE_STEP_US} + {SLIDE_WIDTH_US}
+GROUP BY 1
+""")
 def q_events_sliding(sf_dir: str):
     """Sliding-window event counts (width 2h, slide 1h): windows as
     derived keys from a vectorized flat-map + partial-sum groupby."""
@@ -309,6 +404,35 @@ def q_events_sliding(sf_dir: str):
 # text analysis
 # --------------------------------------------------------------------------
 
+@query("ta_fingerprints", sql="""
+WITH grams AS (
+    SELECT doc_id, i + 1 AS pos,
+           ('0x' || substr(md5(ts[i+1] || ' ' || ts[i+2] || ' ' || ts[i+3]),
+                           1, 8))::BIGINT AS h
+    FROM (SELECT doc_id, string_split(text, ' ') AS ts FROM documents),
+         unnest(range(len(ts) - 2)) AS u(i)
+    WHERE len(ts) >= 3
+),
+wins AS (
+    SELECT doc_id, pos AS wstart, mn FROM (
+        SELECT doc_id, pos,
+               min(h) OVER (PARTITION BY doc_id ORDER BY pos
+                            ROWS BETWEEN CURRENT ROW AND 3 FOLLOWING) AS mn,
+               count(*) OVER (PARTITION BY doc_id) AS m
+        FROM grams)
+    WHERE pos <= m - 3
+),
+picks AS (
+    SELECT w.doc_id, w.wstart, max(g.pos) AS pos
+    FROM wins w JOIN grams g
+      ON g.doc_id = w.doc_id
+     AND g.pos BETWEEN w.wstart AND w.wstart + 3
+     AND g.h = w.mn
+    GROUP BY w.doc_id, w.wstart
+)
+SELECT DISTINCT p.doc_id, p.pos, g.h
+FROM picks p JOIN grams g ON g.doc_id = p.doc_id AND g.pos = p.pos
+""")
 def q_ta_fingerprints(sf_dir: str):
     from rex_ray.stages.textstats import document_fingerprints
 
@@ -319,6 +443,18 @@ def q_ta_fingerprints(sf_dir: str):
     )
 
 
+@query("events_quantiles", sql="""
+WITH n AS (SELECT event_type, count(*) AS n FROM events GROUP BY 1),
+r AS (SELECT event_type, value,
+             row_number() OVER (PARTITION BY event_type
+                                ORDER BY value) AS rn
+      FROM events)
+SELECT r.event_type, p.p, r.value AS q
+FROM r
+JOIN n USING (event_type)
+JOIN (VALUES (0.5), (0.9), (0.99)) AS p(p)
+  ON r.rn = CAST(ceil(p.p * n.n) AS BIGINT)
+""")
 def q_events_quantiles(sf_dir: str):
     """Exact per-type value quantiles via 3-pass histogram drill-down
     (no sort, no per-group gather)."""
@@ -332,6 +468,22 @@ def q_events_quantiles(sf_dir: str):
     )
 
 
+@query("events_asof", sql="""
+WITH c AS (
+    SELECT event_id, user_id, epoch_us(ts) AS ts_us
+    FROM events WHERE event_type = 'click'
+),
+v AS (
+    SELECT user_id, epoch_us(ts) AS ts_us, value
+    FROM events WHERE event_type = 'view'
+    QUALIFY row_number() OVER (PARTITION BY user_id, epoch_us(ts)
+                               ORDER BY event_id DESC) = 1
+)
+SELECT c.event_id, c.user_id, c.ts_us,
+       v.ts_us AS asof_ts_us, v.value AS asof_value
+FROM c ASOF JOIN v
+  ON c.user_id = v.user_id AND c.ts_us >= v.ts_us
+""")
 def q_events_asof(sf_dir: str):
     from rex_ray.stages.windows import asof_join_events
 
@@ -347,6 +499,24 @@ def q_events_asof(sf_dir: str):
 BURST_LOOKBACK, BURST_MULT = 3, 2
 
 
+@query("events_bursts", sql=f"""
+WITH c AS (
+    SELECT event_type, epoch_us(ts) // 3600000000 AS bucket,
+           CAST(count(*) AS BIGINT) AS n
+    FROM events GROUP BY 1, 2
+),
+w AS (
+    SELECT event_type, bucket, n,
+           max(n) OVER (PARTITION BY event_type ORDER BY bucket
+                        ROWS BETWEEN {BURST_LOOKBACK} PRECEDING
+                        AND 1 PRECEDING) AS prev_max
+    FROM c
+)
+SELECT event_type, bucket * 3600000000 AS bucket_start_us, n AS n_events,
+       prev_max,
+       (prev_max IS NOT NULL AND n > {BURST_MULT} * prev_max) AS is_burst
+FROM w
+""")
 def q_events_bursts(sf_dir: str):
     """Per-type hourly burst flags: n > 2x the max of the 3 preceding
     non-empty hour buckets (row window, all-integer)."""
@@ -362,6 +532,34 @@ def q_events_bursts(sf_dir: str):
 INTERVAL_COHORT_MOD = 20
 
 
+@query("events_interval", sql=f"""
+WITH e AS (SELECT user_id, epoch_us(ts) AS ts_us FROM events),
+ce AS (SELECT * FROM e WHERE user_id % {INTERVAL_COHORT_MOD} = 0),
+marked AS (
+    SELECT user_id, ts_us,
+           CASE WHEN lag(ts_us) OVER w IS NULL
+                  OR ts_us - lag(ts_us) OVER w > {SESSION_GAP_US}
+                THEN 1 ELSE 0 END AS new_s
+    FROM ce
+    WINDOW w AS (PARTITION BY user_id ORDER BY ts_us)
+),
+sess AS (
+    SELECT user_id, ts_us,
+           SUM(new_s) OVER (PARTITION BY user_id ORDER BY ts_us
+                            ROWS UNBOUNDED PRECEDING) - 1 AS session_id
+    FROM marked
+),
+ivals AS (
+    SELECT user_id, CAST(session_id AS BIGINT) AS session_id,
+           min(ts_us) AS start_ts_us, max(ts_us) AS end_ts_us
+    FROM sess GROUP BY 1, 2
+)
+SELECT i.user_id, i.session_id, i.start_ts_us, i.end_ts_us,
+       CAST(count(*) AS BIGINT) AS n_events,
+       CAST(count(DISTINCT e.user_id) AS BIGINT) AS n_users
+FROM ivals i JOIN e ON e.ts_us BETWEEN i.start_ts_us AND i.end_ts_us
+GROUP BY 1, 2, 3, 4
+""")
 def q_events_interval(sf_dir: str):
     """Broadcast interval (range) join: sampled-cohort session windows
     vs every event ts (inclusive BETWEEN); per-interval traffic counts."""
@@ -373,6 +571,15 @@ def q_events_interval(sf_dir: str):
     )
 
 
+@query("ta_inverted_index", sql="""
+WITH pairs AS (
+    SELECT DISTINCT u.token, doc_id
+    FROM documents, unnest(string_split(text, ' ')) AS u(token)
+)
+SELECT token, CAST(count(*) AS BIGINT) AS df,
+       string_agg(CAST(doc_id AS VARCHAR), ',' ORDER BY doc_id) AS postings
+FROM pairs GROUP BY token
+""")
 def q_ta_inverted_index(sf_dir: str):
     from rex_ray.stages.textstats import inverted_index
 
@@ -381,6 +588,12 @@ def q_ta_inverted_index(sf_dir: str):
     )
 
 
+@query("ta_source_cap", sql=f"""
+SELECT source, doc_id FROM documents
+QUALIFY row_number() OVER (
+    PARTITION BY source
+    ORDER BY md5(CAST(doc_id AS VARCHAR)), doc_id) <= {SOURCE_CAP_N}
+""")
 def q_ta_source_cap(sf_dir: str):
     from rex_ray.stages.relational import per_key_cap
 
@@ -392,6 +605,25 @@ def q_ta_source_cap(sf_dir: str):
     )
 
 
+@query("ta_hll_registers", sql="""
+WITH toks AS (
+    SELECT u.tok
+    FROM documents, unnest(string_split(text, ' ')) AS u(tok)
+    WHERE u.tok != ''
+),
+hs AS (
+    SELECT ('0x' || substr(md5(tok), 1, 16))::UBIGINT AS h FROM toks
+),
+reg AS (
+    SELECT CAST(h % 1024 AS BIGINT) AS bucket,
+           CAST(h >> 10 AS BIGINT) AS r
+    FROM hs
+)
+SELECT bucket,
+       max(CASE WHEN r = 0 THEN 55
+                ELSE bit_count((~r) & (r - 1)) + 1 END) AS max_rho
+FROM reg GROUP BY bucket
+""")
 def q_ta_hll_registers(sf_dir: str):
     """HyperLogLog register table (bucket, max_rho) for distinct-token
     cardinality — exact, deterministic, oracle-checkable even though
@@ -403,6 +635,27 @@ def q_ta_hll_registers(sf_dir: str):
     )
 
 
+@query("ta_packed_bins", sql="""
+WITH counted AS (
+    SELECT doc_id,
+           len(list_filter(string_split(text, ' '), x -> x != ''))
+               AS n_tokens
+    FROM documents
+),
+scanned AS (
+    SELECT doc_id, n_tokens,
+           COALESCE(SUM(n_tokens) OVER (
+               ORDER BY doc_id
+               ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING
+           ), 0) AS prefix
+    FROM counted
+)
+SELECT doc_id, CAST(n_tokens AS BIGINT) AS n_tokens,
+       CAST(prefix AS BIGINT) AS prefix,
+       CAST(prefix // 2048 AS BIGINT) AS bin_id,
+       CAST(prefix % 2048 AS BIGINT) AS bin_offset
+FROM scanned
+""")
 def q_ta_packed_bins(sf_dir: str):
     """Sequence packing: exclusive token-prefix scan over doc_id order,
     chunked into 2048-token bins (concat-then-chunk layout)."""
@@ -414,6 +667,18 @@ def q_ta_packed_bins(sf_dir: str):
     )
 
 
+@query("ta_dataset_splits", sql="""
+SELECT doc_id,
+       CASE WHEN b < 80 THEN 'train'
+            WHEN b < 90 THEN 'val'
+            ELSE 'test' END AS split
+FROM (
+    SELECT doc_id,
+           ('0x' || substr(md5(CAST(doc_id AS VARCHAR)), 1, 8))::UBIGINT
+               % 100 AS b
+    FROM documents
+)
+""")
 def q_ta_dataset_splits(sf_dir: str):
     """Deterministic md5-bucket train/val/test assignment (80/10/10)."""
     from rex_ray.stages.relational import hash_split
@@ -423,6 +688,13 @@ def q_ta_dataset_splits(sf_dir: str):
     )
 
 
+@query("ta_doc_stats", sql="""
+SELECT doc_id,
+       CAST(len(string_split(text, ' ')) AS BIGINT) AS n_tokens,
+       CAST(length(text) AS BIGINT) AS n_chars,
+       md5(text) AS fingerprint
+FROM documents
+""")
 def q_ta_doc_stats(sf_dir: str):
     from rex_ray.stages.textstats import DocStats
 
@@ -431,6 +703,33 @@ def q_ta_doc_stats(sf_dir: str):
     )
 
 
+@query("ta_regex_tokens", sql=r"""
+WITH m AS (
+    SELECT doc_id,
+           regexp_extract_all(text, '[a-zA-Z]+|[0-9]+|[^a-zA-Z0-9\s]')
+               AS toks
+    FROM documents
+),
+f AS (
+    SELECT doc_id, unnest(toks) AS tok FROM m
+),
+c AS (
+    SELECT doc_id,
+           CAST(count(*) AS BIGINT) AS n_regex_tokens,
+           CAST(sum(CASE WHEN substr(tok, 1, 1) BETWEEN 'a' AND 'z'
+                           OR substr(tok, 1, 1) BETWEEN 'A' AND 'Z'
+                         THEN 1 ELSE 0 END) AS BIGINT) AS n_alpha,
+           CAST(sum(CASE WHEN substr(tok, 1, 1) BETWEEN '0' AND '9'
+                         THEN 1 ELSE 0 END) AS BIGINT) AS n_num
+    FROM f GROUP BY doc_id
+)
+SELECT m.doc_id,
+       COALESCE(c.n_regex_tokens, 0) AS n_regex_tokens,
+       COALESCE(c.n_alpha, 0) AS n_alpha,
+       COALESCE(c.n_num, 0) AS n_num,
+       COALESCE(c.n_regex_tokens - c.n_alpha - c.n_num, 0) AS n_other
+FROM m LEFT JOIN c USING (doc_id)
+""")
 def q_ta_regex_tokens(sf_dir: str):
     """Token counting under the BPE-ish pretokenizer regex (letter
     runs / digit runs / single marks) — the tokenizer-eye token count
@@ -443,6 +742,34 @@ def q_ta_regex_tokens(sf_dir: str):
     )
 
 
+_HITS = {
+    code: "len(list_filter(string_split(text, ' '), x -> x IN ({})))".format(
+        ", ".join(f"'{w}'" for w in words)
+    )
+    for code, words in sorted(LANG_STOPWORDS.items())
+}
+
+
+@query("ta_langid_confusion", sql=f"""
+WITH hits AS (
+    SELECT doc_id, lang,
+           {_HITS['de']} AS h_de, {_HITS['en']} AS h_en,
+           {_HITS['es']} AS h_es, {_HITS['fr']} AS h_fr
+    FROM documents
+),
+pred AS (
+    SELECT lang,
+           CASE
+             WHEN h_de >= h_en AND h_de >= h_es AND h_de >= h_fr THEN 'de'
+             WHEN h_en >= h_es AND h_en >= h_fr THEN 'en'
+             WHEN h_es >= h_fr THEN 'es'
+             ELSE 'fr'
+           END AS pred_lang
+    FROM hits
+)
+SELECT lang, pred_lang, CAST(count(*) AS BIGINT) AS n_docs
+FROM pred GROUP BY lang, pred_lang
+""")
 def q_ta_langid_confusion(sf_dir: str):
     from rex_ray.stages.textstats import langid_confusion
 
@@ -451,6 +778,31 @@ def q_ta_langid_confusion(sf_dir: str):
     )
 
 
+_Q_STOP = ", ".join(f"'{w}'" for w in QUALITY_STOPWORDS)
+
+
+@query("ta_quality", sql=f"""
+WITH base AS (
+    SELECT doc_id,
+           string_split(text, ' ') AS ts,
+           CAST(len(string_split(text, ' ')) AS BIGINT) AS n_tokens,
+           CAST(len(list_filter(string_split(text, ' '),
+                                x -> x IN ({_Q_STOP}))) AS BIGINT) AS stop_hits
+    FROM documents
+),
+ratios AS (
+    SELECT doc_id, n_tokens,
+           CAST(len(list_distinct(ts)) AS DOUBLE) / n_tokens
+               AS distinct_ratio,
+           CAST(stop_hits AS DOUBLE) / n_tokens AS stopword_ratio
+    FROM base
+)
+SELECT doc_id, n_tokens, distinct_ratio, stopword_ratio,
+       0.5 * least(1.0, n_tokens / 64.0)
+       + 0.3 * distinct_ratio
+       + 0.2 * least(1.0, 5.0 * stopword_ratio) AS quality_score
+FROM ratios
+""")
 def q_ta_quality(sf_dir: str):
     from rex_ray.stages.textstats import QualityScore
 
@@ -459,6 +811,48 @@ def q_ta_quality(sf_dir: str):
     )
 
 
+# stages/textstats.repetition_stats: per-doc duplicate/top n-gram
+# occurrence counts, n in {2, 3}; docs too short for any n-gram get
+# zeros on the Ray side, mirrored here with LEFT JOIN + COALESCE.
+@query("ta_repetition", sql="""
+WITH toks AS (
+    SELECT doc_id, string_split(text, ' ') AS t FROM documents
+),
+g2 AS (
+    SELECT doc_id, array_to_string(t[i+1:i+2], ' ') AS g
+    FROM toks,
+         LATERAL (SELECT unnest(range(greatest(len(t) - 1, 0))) AS i) u
+),
+c2 AS (SELECT doc_id, g, count(*) AS cnt FROM g2 GROUP BY 1, 2),
+s2 AS (
+    SELECT doc_id, CAST(sum(cnt) AS BIGINT) AS n2_total,
+           CAST(sum(cnt) - count(*) AS BIGINT) AS n2_dup,
+           CAST(max(cnt) AS BIGINT) AS n2_top
+    FROM c2 GROUP BY doc_id
+),
+g3 AS (
+    SELECT doc_id, array_to_string(t[i+1:i+3], ' ') AS g
+    FROM toks,
+         LATERAL (SELECT unnest(range(greatest(len(t) - 2, 0))) AS i) u
+),
+c3 AS (SELECT doc_id, g, count(*) AS cnt FROM g3 GROUP BY 1, 2),
+s3 AS (
+    SELECT doc_id, CAST(sum(cnt) AS BIGINT) AS n3_total,
+           CAST(sum(cnt) - count(*) AS BIGINT) AS n3_dup,
+           CAST(max(cnt) AS BIGINT) AS n3_top
+    FROM c3 GROUP BY doc_id
+)
+SELECT d.doc_id,
+       COALESCE(n2_total, 0) AS n2_total,
+       COALESCE(n2_dup, 0) AS n2_dup,
+       COALESCE(n2_top, 0) AS n2_top,
+       COALESCE(n3_total, 0) AS n3_total,
+       COALESCE(n3_dup, 0) AS n3_dup,
+       COALESCE(n3_top, 0) AS n3_top
+FROM documents d
+LEFT JOIN s2 USING (doc_id)
+LEFT JOIN s3 USING (doc_id)
+""")
 def q_ta_repetition(sf_dir: str):
     """Gopher-style intra-doc repetition signals: per doc, total /
     duplicate / top-gram occurrence counts for 2- and 3-grams
@@ -476,6 +870,19 @@ REDACT_PATTERNS = (
 )
 
 
+# stages/textstats.PatternScrubber with the query's corpus-firing
+# patterns; counts on original text, sequential replace (replacements
+# never re-create a pattern).
+@query("ta_redact", sql=r"""
+SELECT doc_id,
+       regexp_replace(
+           regexp_replace(text, '\bcustomer\b', '[PII1]', 'g'),
+           '\bline\b', '[PII2]', 'g') AS clean_text,
+       CAST(len(regexp_extract_all(text, '\bcustomer\b'))
+            + len(regexp_extract_all(text, '\bline\b'))
+            AS BIGINT) AS n_pii
+FROM documents
+""")
 def q_ta_redact(sf_dir: str):
     """Regex PII scrubbing (compiled-pattern actor pool).  Patterns
     here are chosen to fire on the synthetic corpus; production
@@ -488,6 +895,35 @@ def q_ta_redact(sf_dir: str):
     )
 
 
+_LM_SQL_CORE = """
+WITH d AS (SELECT doc_id, string_split(text, ' ') AS l FROM documents),
+pos AS (SELECT doc_id, l, unnest(range(1, len(l))) AS x FROM d),
+big AS (SELECT doc_id, l[x] AS a, l[x + 1] AS b FROM pos),
+uni AS (SELECT u.token AS tok, CAST(count(*) AS BIGINT) AS c
+        FROM documents, unnest(string_split(text, ' ')) AS u(token)
+        GROUP BY 1),
+v AS (SELECT CAST(count(*) AS BIGINT) AS v FROM uni),
+bc AS (SELECT a, b, CAST(count(*) AS BIGINT) AS c_ab
+       FROM big GROUP BY 1, 2),
+terms AS (
+    SELECT big.doc_id,
+           CAST(floor(1e6 * ln(CAST(bc.c_ab + 1 AS DOUBLE)
+                               / CAST(uni.c + v.v AS DOUBLE)) + 0.5)
+                AS BIGINT) AS term
+    FROM big JOIN bc USING (a, b)
+             JOIN uni ON uni.tok = big.a
+             CROSS JOIN v
+),
+scored AS (
+    SELECT doc_id, CAST(count(*) AS BIGINT) AS n_bigrams,
+           CAST(-sum(term) AS BIGINT) AS nll_micronats
+    FROM terms GROUP BY doc_id
+)"""
+
+
+@query("ta_lm_perplexity", sql=_LM_SQL_CORE + """
+SELECT doc_id, n_bigrams, nll_micronats FROM scored
+""")
 def q_ta_lm_perplexity(sf_dir: str):
     """Per-doc bigram-LM negative log-likelihood (the CCNet perplexity
     quality signal, Wenzek et al. LREC'20), model trained on the corpus
@@ -499,6 +935,26 @@ def q_ta_lm_perplexity(sf_dir: str):
     )
 
 
+@query("ta_ppl_tiers", sql=_LM_SQL_CORE + """,
+m AS (SELECT doc_id, nll_micronats // n_bigrams AS metric FROM scored),
+cnt AS (SELECT CAST(count(*) AS BIGINT) AS c FROM m),
+ranked AS (
+    SELECT metric, row_number() OVER (ORDER BY metric) AS rn FROM m
+),
+th AS (
+    SELECT
+        max(CASE WHEN rn = greatest(
+            1, CAST(ceil((1.0/3) * c) AS BIGINT)) THEN metric END) AS c1,
+        max(CASE WHEN rn = greatest(
+            1, CAST(ceil((2.0/3) * c) AS BIGINT)) THEN metric END) AS c2
+    FROM ranked, cnt
+)
+SELECT m.doc_id, m.metric,
+       CASE WHEN m.metric <= th.c1 THEN 'head'
+            WHEN m.metric <= th.c2 THEN 'middle'
+            ELSE 'tail' END AS tier
+FROM m, th
+""")
 def q_ta_ppl_tiers(sf_dir: str):
     """CCNet head/middle/tail corpus split at the exact 1/3 and 2/3
     order statistics of micronats-per-bigram."""
@@ -512,6 +968,27 @@ def q_ta_ppl_tiers(sf_dir: str):
 CHUNK_TOKENS, CHUNK_OVERLAP = 64, 16
 
 
+_CHUNK_STRIDE = CHUNK_TOKENS - CHUNK_OVERLAP
+
+
+@query("ta_chunks", sql=f"""
+WITH d AS (SELECT doc_id, string_split(text, ' ') AS l FROM documents),
+k AS (
+    SELECT doc_id, l,
+           unnest(range(0, (len(l) + {_CHUNK_STRIDE} - 1)
+                           // {_CHUNK_STRIDE})) AS c
+    FROM d
+)
+SELECT doc_id, CAST(c AS BIGINT) AS chunk_id,
+       CAST(c * {_CHUNK_STRIDE} + 1 AS BIGINT) AS start_tok,
+       CAST(len(list_slice(l, c * {_CHUNK_STRIDE} + 1,
+                           c * {_CHUNK_STRIDE} + {CHUNK_TOKENS}))
+            AS BIGINT) AS n_tokens,
+       array_to_string(list_slice(l, c * {_CHUNK_STRIDE} + 1,
+                                  c * {_CHUNK_STRIDE} + {CHUNK_TOKENS}),
+                       ' ') AS chunk_text
+FROM k
+""")
 def q_ta_chunks(sf_dir: str):
     """RAG-style fixed-stride overlapping chunker: stable
     (doc_id, chunk_id) keys, token spans, chunk text."""
@@ -527,6 +1004,17 @@ def q_ta_chunks(sf_dir: str):
 SKIPGRAM_WINDOW = 2
 
 
+@query("ta_skipgram_pairs", sql=f"""
+WITH d AS (SELECT doc_id, string_split(text, ' ') AS l FROM documents),
+pos AS (SELECT doc_id, l, unnest(range(1, len(l) + 1)) AS x FROM d),
+tok AS (SELECT doc_id, x, l[x] AS t FROM pos)
+SELECT t1.t AS center, t2.t AS context, CAST(count(*) AS BIGINT) AS n
+FROM tok t1
+JOIN tok t2 ON t1.doc_id = t2.doc_id
+    AND t2.x BETWEEN t1.x - {SKIPGRAM_WINDOW} AND t1.x + {SKIPGRAM_WINDOW}
+    AND t2.x <> t1.x
+GROUP BY 1, 2
+""")
 def q_ta_skipgram_pairs(sf_dir: str):
     """word2vec skip-gram (center, context) pair counts within a
     2-token window — the embedding-training pair-generation pass."""
@@ -541,6 +1029,44 @@ def q_ta_skipgram_pairs(sf_dir: str):
 DSIR_TARGET_MOD = 10
 
 
+_DSIR_CTES = f"""
+WITH d AS (SELECT doc_id, string_split(text, ' ') AS l FROM documents),
+pos AS (SELECT doc_id, l, unnest(range(1, len(l))) AS x FROM d),
+big AS (SELECT doc_id, l[x] AS a, l[x + 1] AS b FROM pos),
+tuni AS (SELECT u.token AS tok, CAST(count(*) AS BIGINT) AS c
+         FROM documents, unnest(string_split(text, ' ')) AS u(token)
+         WHERE doc_id % {DSIR_TARGET_MOD} = 0 GROUP BY 1),
+tv AS (SELECT CAST(count(*) AS BIGINT) AS v FROM tuni),
+tbc AS (SELECT a, b, CAST(count(*) AS BIGINT) AS c_ab
+        FROM big WHERE doc_id % {DSIR_TARGET_MOD} = 0 GROUP BY 1, 2),
+runi AS (SELECT u.token AS tok, CAST(count(*) AS BIGINT) AS c
+         FROM documents, unnest(string_split(text, ' ')) AS u(token)
+         GROUP BY 1),
+rv AS (SELECT CAST(count(*) AS BIGINT) AS v FROM runi),
+rbc AS (SELECT a, b, CAST(count(*) AS BIGINT) AS c_ab
+        FROM big GROUP BY 1, 2),
+terms AS (
+    SELECT big.doc_id,
+           CAST(floor(1e6 * ln(CAST(COALESCE(tbc.c_ab, 0) + 1 AS DOUBLE)
+                               / CAST(COALESCE(tuni.c, 0) + tv.v AS DOUBLE))
+                      + 0.5) AS BIGINT)
+           - CAST(floor(1e6 * ln(CAST(rbc.c_ab + 1 AS DOUBLE)
+                                 / CAST(runi.c + rv.v AS DOUBLE))
+                        + 0.5) AS BIGINT) AS term
+    FROM big
+    LEFT JOIN tbc USING (a, b)
+    LEFT JOIN tuni ON tuni.tok = big.a
+    JOIN rbc USING (a, b)
+    JOIN runi ON runi.tok = big.a
+    CROSS JOIN tv CROSS JOIN rv
+)"""
+
+
+@query("ta_dsir_weights", sql=_DSIR_CTES + """
+SELECT doc_id, CAST(count(*) AS BIGINT) AS n_bigrams,
+       CAST(sum(term) AS BIGINT) AS weight_micronats
+FROM terms GROUP BY doc_id
+""")
 def q_ta_dsir_weights(sf_dir: str):
     """DSIR importance weights: log p_target - log p_raw per doc under
     two corpus-trained bigram LMs (target = benchmark partition);
@@ -553,6 +1079,23 @@ def q_ta_dsir_weights(sf_dir: str):
     )
 
 
+@query("ta_dsir_resample", sql=_DSIR_CTES + """,
+w AS (SELECT doc_id, CAST(sum(term) AS BIGINT) AS weight_micronats
+      FROM terms GROUP BY doc_id),
+cnt AS (SELECT CAST(count(*) AS BIGINT) AS c FROM w),
+ranked AS (
+    SELECT weight_micronats AS wm,
+           row_number() OVER (ORDER BY wm) AS rn
+    FROM w
+),
+th AS (
+    SELECT max(CASE WHEN rn = greatest(
+        1, CAST(ceil((2.0/3) * c) AS BIGINT)) THEN wm END) AS cut
+    FROM ranked, cnt
+)
+SELECT w.doc_id, w.weight_micronats, w.weight_micronats > th.cut AS keep
+FROM w, th
+""")
 def q_ta_dsir_resample(sf_dir: str):
     """DSIR end-to-end: importance weights -> exact-quantile cut ->
     keep decision for the top third of the corpus (ties out)."""
@@ -565,6 +1108,19 @@ def q_ta_dsir_resample(sf_dir: str):
     )
 
 
+# stages/textstats.bpe_pair_counts: pairs within words only (the Ray
+# side masks the token separator), codes decoded back to chars.
+@query("ta_bpe_pairs", sql="""
+WITH words AS (
+    SELECT unnest(string_split(text, ' ')) AS w FROM documents
+),
+pairs AS (
+    SELECT substring(w, i, 1) AS a, substring(w, i + 1, 1) AS b
+    FROM words, LATERAL (SELECT unnest(range(1, len(w))) AS i) u
+)
+SELECT a, b, CAST(count(*) AS BIGINT) AS freq
+FROM pairs GROUP BY a, b
+""")
 def q_ta_bpe_pairs(sf_dir: str):
     """Adjacent char-pair frequencies (BPE training step 1) as a
     bounded-partial distributed count."""
@@ -575,6 +1131,7 @@ def q_ta_bpe_pairs(sf_dir: str):
     )
 
 
+@query("ta_bpe_merges", sql=spec.sql_bpe_merges(num_merges=10, top_k=20000))
 def q_ta_bpe_merges(sf_dir: str):
     """Full BPE merge training (10 merges) on the distributed word
     vocabulary — oracle-checked: the bounded merge loop unrolls into
@@ -589,6 +1146,7 @@ def q_ta_bpe_merges(sf_dir: str):
     )
 
 
+@query("ta_bpe_encode", sql=spec.sql_bpe_encode())
 def q_ta_bpe_encode(sf_dir: str):
     """BPE tokenizer APPLICATION (the encode half pairing with
     ta_bpe_merges' training): the fixed spec.BPE_ENCODE_MERGES list
@@ -604,6 +1162,12 @@ def q_ta_bpe_encode(sf_dir: str):
     )
 
 
+@query("ta_corpus_sample", sql="""
+SELECT doc_id, md5(CAST(doc_id AS VARCHAR)) AS h
+FROM documents
+ORDER BY h, doc_id
+LIMIT 100
+""")
 def q_ta_corpus_sample(sf_dir: str):
     """Bottom-k/KMV uniform corpus sample: the 100 docs with the
     smallest md5(doc_id) — deterministic, associative (each batch
@@ -616,6 +1180,16 @@ def q_ta_corpus_sample(sf_dir: str):
     )
 
 
+@query("ta_stratified_sample", sql="""
+SELECT lang, doc_id, h FROM (
+    SELECT lang, doc_id, md5(CAST(doc_id AS VARCHAR)) AS h,
+           row_number() OVER (
+               PARTITION BY lang
+               ORDER BY md5(CAST(doc_id AS VARCHAR)), doc_id
+           ) AS rn
+    FROM documents
+) WHERE rn <= 20
+""")
 def q_ta_stratified_sample(sf_dir: str):
     """Per-language deterministic uniform sample (k=20 per stratum):
     the KMV bottom-k rule applied WITHIN each stratum — the
@@ -629,6 +1203,25 @@ def q_ta_stratified_sample(sf_dir: str):
     )
 
 
+_DUP_NGRAMS_SQL = """
+WITH g AS (
+    SELECT doc_id, ts[i + 1] || ' ' || ts[i + 2] || ' ' || ts[i + 3] AS gram
+    FROM (SELECT doc_id, string_split(text, ' ') AS ts FROM documents),
+         LATERAL (SELECT unnest(range(len(ts) - 2)) AS i)
+    WHERE len(ts) >= 3
+),
+dg AS (SELECT doc_id, gram, count(*) AS c FROM g GROUP BY 1, 2),
+cg AS (SELECT gram, sum(c) AS tot FROM dg GROUP BY 1)
+SELECT dg.doc_id,
+       CAST(count(*) AS BIGINT) AS n_distinct,
+       CAST(sum(CASE WHEN cg.tot > dg.c THEN 1 ELSE 0 END) AS BIGINT)
+           AS n_dup
+FROM dg JOIN cg USING (gram)
+GROUP BY dg.doc_id
+"""
+
+
+@query("ta_dup_ngrams", sql=_DUP_NGRAMS_SQL)
 def q_ta_dup_ngrams(sf_dir: str):
     """Cross-doc duplicated-trigram counts per doc (the Gopher/Dolma
     boilerplate signal): one slim count shuffle + a singleton-pruned
@@ -640,6 +1233,19 @@ def q_ta_dup_ngrams(sf_dir: str):
     )
 
 
+@query("ta_heavy_hitters", sql="""
+WITH g AS (
+    SELECT ts[i + 1] || ' ' || ts[i + 2] || ' ' || ts[i + 3] AS gram
+    FROM (SELECT string_split(text, ' ') AS ts FROM documents),
+         LATERAL (SELECT unnest(range(len(ts) - 2)) AS i)
+    WHERE len(ts) >= 3
+),
+tot AS (SELECT count(*) AS t FROM g)
+SELECT gram, CAST(count(*) AS BIGINT) AS n
+FROM g, tot
+GROUP BY gram, tot.t
+HAVING count(*) * 4000 > tot.t
+""")
 def q_ta_heavy_hitters(sf_dir: str):
     """Exact heavy-hitter trigrams (count > total/4000) via the
     two-pass Misra-Gries sketch-then-verify dataflow: per-batch <= k-row
@@ -653,6 +1259,7 @@ def q_ta_heavy_hitters(sf_dir: str):
     )
 
 
+@query("ta_dup_ngrams_joined", sql=_DUP_NGRAMS_SQL)
 def q_ta_dup_ngrams_joined(sf_dir: str):
     """The SAME dup-ngram signal through the degradation regime the
     cardinality guard takes on boilerplate-heavy crawls (duplicated-
@@ -671,6 +1278,19 @@ def q_ta_dup_ngrams_joined(sf_dir: str):
     return out
 
 
+@query("ta_tfidf", sql="""
+WITH tf AS (
+    SELECT doc_id, u.token, CAST(count(*) AS BIGINT) AS tf
+    FROM documents, unnest(string_split(text, ' ')) AS u(token)
+    GROUP BY 1, 2
+),
+df AS (SELECT token, CAST(count(*) AS BIGINT) AS df FROM tf GROUP BY 1),
+n AS (SELECT CAST(count(*) AS DOUBLE) AS n FROM documents)
+SELECT tf.doc_id, tf.token, tf.tf, df.df,
+       round(tf.tf * ln((SELECT n FROM n) / CAST(df.df AS DOUBLE)), 8)
+           AS tfidf
+FROM tf JOIN df USING (token)
+""")
 def q_ta_tfidf(sf_dir: str):
     """Distributed TF-IDF per (doc_id, token): one slim doc-token
     shuffle for tf, a vocabulary-sized broadcast for df (no second
@@ -686,6 +1306,11 @@ def q_ta_tfidf(sf_dir: str):
     )
 
 
+@query("ta_word_freq", sql="""
+SELECT u.token, CAST(count(*) AS BIGINT) AS n
+FROM documents, unnest(string_split(text, ' ')) AS u(token)
+GROUP BY u.token
+""")
 def q_ta_word_freq(sf_dir: str):
     from rex_ray.stages.textstats import word_frequency
 
@@ -696,6 +1321,17 @@ def q_ta_word_freq(sf_dir: str):
 # dedup
 # --------------------------------------------------------------------------
 
+_NORM_TEXT = (
+    "array_to_string(list_filter(string_split(text, ' '), "
+    "x -> x != 'dup'), ' ')"
+)
+
+
+@query("dd_exact_groups", sql=f"""
+SELECT min(doc_id) AS survivor_doc_id, CAST(count(*) AS BIGINT) AS group_size
+FROM (SELECT doc_id, {_NORM_TEXT} AS k FROM documents)
+GROUP BY k
+""")
 def q_dd_exact_groups(sf_dir: str):
     from rex_ray.stages.dedup import exact_dedup_groups
 
@@ -704,6 +1340,26 @@ def q_dd_exact_groups(sf_dir: str):
     )
 
 
+_SHINGLES = f"""
+    SELECT doc_id,
+           CASE WHEN len(ts) < 3 THEN [array_to_string(ts, ' ')]
+                ELSE list_distinct(list_transform(
+                    range(1, len(ts) - 1),
+                    i -> ts[i] || ' ' || ts[i + 1] || ' ' || ts[i + 2]))
+           END AS sh
+    FROM (SELECT doc_id,
+                 list_filter(string_split(text, ' '), x -> x != 'dup') AS ts
+          FROM documents)
+"""
+
+
+@query("dd_minhash_pairs", sql=f"""
+WITH sh AS ({_SHINGLES})
+SELECT a.doc_id AS doc_a, b.doc_id AS doc_b
+FROM sh a JOIN sh b ON a.doc_id < b.doc_id
+WHERE CAST(len(list_intersect(a.sh, b.sh)) AS DOUBLE)
+      / len(list_distinct(list_concat(a.sh, b.sh))) >= {MINHASH_JACCARD}
+""")
 def q_dd_minhash_pairs(sf_dir: str):
     from rex_ray.stages.dedup import minhash_dup_pairs
 
@@ -713,6 +1369,31 @@ def q_dd_minhash_pairs(sf_dir: str):
     )
 
 
+@query("dd_simhash_pairs", sql=f"""
+WITH toks AS (
+    SELECT doc_id, u.tok
+    FROM (SELECT doc_id, {_NORM_TEXT} AS nt FROM documents),
+         unnest(string_split(nt, ' ')) AS u(tok)
+),
+th AS (
+    SELECT doc_id, ('0x' || substr(md5(tok), 1, 16))::UBIGINT AS h FROM toks
+),
+votes AS (
+    SELECT doc_id, i,
+           sum(CASE WHEN (h >> i) & 1 = 1 THEN 1 ELSE -1 END) AS s
+    FROM th, unnest(range(64)) AS u(i)
+    GROUP BY doc_id, i
+),
+sh AS (
+    SELECT doc_id,
+           sum(CASE WHEN s > 0 THEN (1::UBIGINT << i)
+                    ELSE 0::UBIGINT END)::UBIGINT AS simhash
+    FROM votes GROUP BY doc_id
+)
+SELECT a.doc_id AS doc_a, b.doc_id AS doc_b
+FROM sh a JOIN sh b ON a.doc_id < b.doc_id
+WHERE bit_count(xor(a.simhash, b.simhash)) <= 3
+""")
 def q_dd_simhash_pairs(sf_dir: str):
     """Pigeonhole-bucketed simhash near-dup pairs (hamming <= 3),
     oracle-checked: DuckDB recomputes the md5 simhash and brute-forces
@@ -725,6 +1406,13 @@ def q_dd_simhash_pairs(sf_dir: str):
     )
 
 
+@query("dd_jaccard_pairs", sql=f"""
+WITH sh AS ({_SHINGLES})
+SELECT a.doc_id AS doc_a, b.doc_id AS doc_b
+FROM sh a JOIN sh b ON a.doc_id < b.doc_id
+WHERE CAST(len(list_intersect(a.sh, b.sh)) AS DOUBLE)
+      / len(list_distinct(list_concat(a.sh, b.sh))) >= {NGRAM_JACCARD}
+""")
 def q_dd_jaccard_pairs(sf_dir: str):
     """Exact prefix-filtered n-gram Jaccard — recall 1 by theorem, so
     this oracle-checks against brute-force SQL at a LOOSER threshold
@@ -737,6 +1425,29 @@ def q_dd_jaccard_pairs(sf_dir: str):
     )
 
 
+_DUP_REACH = f"""
+pairs AS (
+    SELECT a.doc_id AS a, b.doc_id AS b
+    FROM sh a JOIN sh b ON a.doc_id < b.doc_id
+    WHERE CAST(len(list_intersect(a.sh, b.sh)) AS DOUBLE)
+          / len(list_distinct(list_concat(a.sh, b.sh))) >= {NGRAM_JACCARD}
+),
+edges AS (
+    SELECT a, b FROM pairs UNION SELECT b AS a, a AS b FROM pairs
+),
+reach(node, r) AS (
+    SELECT a AS node, a AS r FROM edges
+    UNION
+    SELECT e.b AS node, reach.r FROM reach JOIN edges e ON e.a = reach.node
+)
+"""
+
+
+@query("dd_dup_clusters", sql=f"""
+WITH RECURSIVE sh AS ({_SHINGLES}),
+{_DUP_REACH}
+SELECT node AS doc_id, min(r) AS cluster_id FROM reach GROUP BY node
+""")
 def q_dd_dup_clusters(sf_dir: str):
     """Near-dup connected components: (doc_id, cluster_id) for every
     doc in >=1 exact-Jaccard dup pair.  Oracle = recursive-CTE
@@ -749,6 +1460,13 @@ def q_dd_dup_clusters(sf_dir: str):
     )
 
 
+@query("dd_survivors", sql=f"""
+WITH RECURSIVE sh AS ({_SHINGLES}),
+{_DUP_REACH},
+lbl AS (SELECT node, min(r) AS r FROM reach GROUP BY node)
+SELECT d.doc_id FROM documents d
+WHERE d.doc_id NOT IN (SELECT node FROM lbl WHERE node != r)
+""")
 def q_dd_survivors(sf_dir: str):
     """The deduplicated corpus id set (keep min-doc_id representative
     per near-dup cluster) — the materialization step a 100 TB dedup
@@ -761,6 +1479,27 @@ def q_dd_survivors(sf_dir: str):
     )
 
 
+@query("dd_simhash", sql=f"""
+WITH toks AS (
+    SELECT doc_id, u.tok
+    FROM (SELECT doc_id, {_NORM_TEXT} AS nt FROM documents),
+         unnest(string_split(nt, ' ')) AS u(tok)
+),
+th AS (
+    SELECT doc_id, ('0x' || substr(md5(tok), 1, 16))::UBIGINT AS h FROM toks
+),
+votes AS (
+    SELECT doc_id, i,
+           sum(CASE WHEN (h >> i) & 1 = 1 THEN 1 ELSE -1 END) AS s
+    FROM th, unnest(range(64)) AS u(i)
+    GROUP BY doc_id, i
+)
+SELECT doc_id,
+       lpad(lower(hex(sum(CASE WHEN s > 0 THEN (1::UBIGINT << i)
+                               ELSE 0::UBIGINT END)::UBIGINT)), 16, '0')
+           AS simhash
+FROM votes GROUP BY doc_id
+""")
 def q_dd_simhash(sf_dir: str):
     from rex_ray.stages.dedup import simhash_table
 
@@ -769,6 +1508,12 @@ def q_dd_simhash(sf_dir: str):
     )
 
 
+@query("dd_embedding_pairs", sql=f"""
+SELECT a.vec_id AS a_id, b.vec_id AS b_id
+FROM embeddings a JOIN embeddings b ON a.vec_id < b.vec_id
+WHERE list_cosine_similarity(a.embedding::DOUBLE[], b.embedding::DOUBLE[])
+      >= {EMB_DUP_THRESHOLD}
+""")
 def q_dd_embedding_pairs(sf_dir: str):
     """Exact distributed all-pairs cosine (block-partitioned self-
     join).  chunk_rows sized so sf0.1 runs the real multi-chunk
@@ -787,6 +1532,22 @@ def q_dd_embedding_pairs(sf_dir: str):
 # similarity search
 # --------------------------------------------------------------------------
 
+@query("ann_topk", sql=f"""
+WITH sims AS (
+    SELECT q.vec_id AS query_id, n.vec_id AS neighbor_id,
+           list_cosine_similarity(q.embedding::DOUBLE[],
+                                  n.embedding::DOUBLE[]) AS sim
+    FROM embeddings q
+    JOIN embeddings n ON n.vec_id != q.vec_id
+    WHERE q.vec_id < {ANN_NUM_QUERIES}
+)
+SELECT query_id, neighbor_id,
+       CAST(row_number() OVER (PARTITION BY query_id
+                               ORDER BY sim DESC, neighbor_id ASC)
+            AS BIGINT) AS rank
+FROM sims
+QUALIFY rank <= {ANN_K}
+""")
 def q_ann_topk(sf_dir: str):
     from rex_ray.stages.similarity import brute_force_topk
 
@@ -800,6 +1561,48 @@ def q_ann_topk(sf_dir: str):
 LSH_PLANES = 4
 
 
+def _lsh_sql() -> str:
+    from rex_ray.stages.similarity import lsh_planes
+
+    dim = 64  # embeddings.parquet vector width (FIXTURES.md)
+    S = lsh_planes(LSH_PLANES, dim)
+    bits = []
+    for p in range(LSH_PLANES):
+        terms = "".join(
+            (" + " if S[p, d] > 0 else " - ") + f"e[{d + 1}]"
+            for d in range(dim)
+        ).lstrip(" +")
+        if terms.startswith("- "):
+            terms = "-" + terms[2:]
+        bits.append(
+            f"CASE WHEN {terms} > 0 THEN {1 << (LSH_PLANES - 1 - p)}"
+            f" ELSE 0 END"
+        )
+    bucket = " + ".join(bits)
+    return f"""
+WITH v AS (
+    SELECT vec_id, embedding::DOUBLE[] AS e FROM embeddings
+),
+b AS (
+    SELECT vec_id, e, {bucket} AS bucket FROM v
+),
+sims AS (
+    SELECT q.vec_id AS query_id, n.vec_id AS neighbor_id,
+           list_cosine_similarity(q.e, n.e) AS sim
+    FROM b q
+    JOIN b n ON n.bucket = q.bucket AND n.vec_id != q.vec_id
+    WHERE q.vec_id < {ANN_NUM_QUERIES}
+)
+SELECT query_id, neighbor_id,
+       CAST(row_number() OVER (PARTITION BY query_id
+                               ORDER BY sim DESC, neighbor_id ASC)
+            AS BIGINT) AS rank
+FROM sims
+QUALIFY rank <= {ANN_K}
+"""
+
+
+@query("ann_lsh_topk", sql=_lsh_sql())
 def q_ann_lsh_topk(sf_dir: str):
     """LSH-bucketed ANN (sign random projections): candidates
     restricted to the query's bucket — approximate but fully
@@ -815,6 +1618,7 @@ def q_ann_lsh_topk(sf_dir: str):
     )
 
 
+@query("ann_lsh_topk_bucketed", sql=_lsh_sql())
 def q_ann_lsh_topk_bucketed(sf_dir: str):
     """ann_lsh_topk over a PERSISTED bucket-partitioned Parquet layout
     (hive ``bucket=<b>/`` dirs + manifest + slim id index): both the
@@ -846,6 +1650,7 @@ def q_ann_lsh_topk_bucketed(sf_dir: str):
         shutil.rmtree(layout_dir, ignore_errors=True)
 
 
+@query("ann_lsh_topk_appended", sql=_lsh_sql())
 def q_ann_lsh_topk_appended(sf_dir: str):
     """Incremental index maintenance: the LSH layout is written from
     the EVEN-id half of the embedding table, the odd half is APPENDED
@@ -892,1136 +1697,8 @@ def q_ann_lsh_topk_appended(sf_dir: str):
         shutil.rmtree(layout_dir, ignore_errors=True)
 
 
-def q_ann_ivf_exact_bucketed(sf_dir: str):
-    """ann_ivf_exact over a PERSISTED cluster-partitioned layout with
-    the trained codebook as a sidecar: the candidate scan opens only
-    the probed cluster partitions, and the query-vector fetch reads
-    only each query's home cluster via the slim id index.  Same oracle
-    as ann_ivf_exact; byte-identical output is the contract (same
-    integer-grid k-means, same probe rule, same int64 tie-break).
-    Per-run unique temp layout dir, removed after materialization."""
-    import shutil
-    import tempfile
+IVF_NPROBE = 3
 
-    from rex_ray.stages.similarity import (
-        ivf_topk_int_from_layout,
-        write_ivf_bucket_layout,
-    )
-
-    layout_dir = tempfile.mkdtemp(prefix="rex_ray_ivf_layout_")
-    try:
-        write_ivf_bucket_layout(
-            _read(sf_dir, "embeddings", columns=["vec_id", "embedding"]),
-            layout_dir, num_centroids=KMEANS_K, iters=KMEANS_ITERS,
-        )
-        return ivf_topk_int_from_layout(
-            layout_dir, query_ids=range(ANN_NUM_QUERIES), k=ANN_K,
-            nprobe=3,
-        ).materialize()
-    finally:
-        shutil.rmtree(layout_dir, ignore_errors=True)
-
-
-def q_ann_embedding_stats(sf_dir: str):
-    """Per-dimension embedding-table QC on the exact integer grid
-    (n / sum / sum-of-squares / min / max per dim): the health audit
-    run before ANN or semantic dedup trusts a 100 TB embedding table
-    — collapsed dims, scale bugs and zero-padding stripes all show.
-    One partial row per (dim, batch); a tiny groupby merges."""
-    from rex_ray.stages.similarity import embedding_dim_stats
-
-    return embedding_dim_stats(
-        _read(sf_dir, "embeddings", columns=["embedding"])
-    )
-
-
-def q_ann_hard_negatives(sf_dir: str):
-    """Hard-negative mining (DPR/Contriever): per query, the k most
-    cosine-similar vectors with a DIFFERENT label — broadcast query
-    matrix, per-batch matmul partials, per-query merge."""
-    from rex_ray.stages.similarity import hard_negative_topk
-
-    return hard_negative_topk(
-        _read(
-            sf_dir, "embeddings",
-            columns=["vec_id", "embedding", "label"],
-        ),
-        query_ids=range(ANN_NUM_QUERIES),
-        k=ANN_K,
-    )
-
-
-def q_ann_ivf_topk(sf_dir: str):
-    """Approximate IVF variant — recall < 1 by design (rows-only
-    check; recall vs brute force asserted in tests)."""
-    from rex_ray.stages.similarity import ivf_topk
-
-    return ivf_topk(
-        _read(sf_dir, "embeddings", columns=["vec_id", "embedding"]),
-        query_ids=range(ANN_NUM_QUERIES),
-        k=ANN_K,
-    )
-
-
-# --------------------------------------------------------------------------
-# multimodal
-# --------------------------------------------------------------------------
-
-def q_mm_decode_features(sf_dir: str):
-    from rex_ray.sources import interleaved as il
-    from rex_ray.stages.multimodal import media_features
-
-    docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    inter = il.synthesize_interleaved(docs)
-    return media_features(il.media_spans(inter).drop_columns(["offset"]))
-
-
-def q_mm_frame_samples(sf_dir: str):
-    """Stride-16 unit sampling per media span (frame/window/tile
-    fan-out) — the bounded-batch decode shape for media pipelines."""
-    from rex_ray.sources import interleaved as il
-    from rex_ray.stages.multimodal import frame_samples
-
-    docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    inter = il.synthesize_interleaved(docs)
-    return frame_samples(il.media_spans(inter).drop_columns(["offset"]))
-
-
-KMEANS_K = 8
-KMEANS_ITERS = 2
-
-
-def q_ann_kmeans(sf_dir: str):
-    """Distributed integer-grid k-means (2 Lloyd updates, seeds =
-    vec_id < 8) then final assignment — the trained IVF codebook path;
-    exact int64 arithmetic makes it oracle-checkable."""
-    from rex_ray.stages.similarity import kmeans_assign, kmeans_fit
-
-    emb = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-    C = kmeans_fit(emb, k=KMEANS_K, iters=KMEANS_ITERS)
-    return kmeans_assign(emb, C)
-
-
-def q_ann_ivf_exact(sf_dir: str):
-    """IVF ANN on the trained integer-grid codebook with exact int64
-    probe + rank arithmetic — the oracle-checkable IVF path (the only
-    approximation is which buckets are probed, and the oracle probes
-    the same ones)."""
-    from rex_ray.stages.similarity import ivf_topk_int
-
-    return ivf_topk_int(
-        _read(sf_dir, "embeddings", columns=["vec_id", "embedding"]),
-        query_ids=range(ANN_NUM_QUERIES),
-        k=ANN_K,
-        num_centroids=KMEANS_K,
-        iters=KMEANS_ITERS,
-        nprobe=3,
-    )
-
-
-def q_dd_line_dedup(sf_dir: str):
-    """Duplicated-line pass (CCNet / Dolma exact paragraph dedup):
-    per-doc counts of distinct segments shared with another document;
-    segments are 12-token chunks of the dedup-normalized stream."""
-    from rex_ray.stages.dedup import segment_dup_stats
-
-    return segment_dup_stats(
-        _read(sf_dir, "documents", columns=["doc_id", "text"])
-    )
-
-
-def q_dd_curation(sf_dir: str):
-    """Corpus-curation decision table (FineWeb/Dolma-style): per-doc
-    keep flag + ordered reason codes (benchmark holdout, exact dup,
-    contamination, language mismatch, low quality) composed from the
-    engine's own signal stages."""
-    from rex_ray.pipelines.curation import curate_corpus
-
-    return curate_corpus(
-        _read(sf_dir, "documents", columns=["doc_id", "text", "lang"])
-    )
-
-
-SEMDEDUP_RADIUS = 1_160_000  # int64 grid sqdist ~ cosine 0.45 at |v|=1
-
-
-def q_dd_semantic_dups(sf_dir: str):
-    """SemDeDup: integer-grid k-means clustering then within-cluster
-    near-dedup under an exact int64 radius; keeps the farthest-from-
-    centroid member of each epsilon-neighborhood."""
-    from rex_ray.stages.dedup import semantic_dup_drops
-
-    return semantic_dup_drops(
-        _read(sf_dir, "embeddings", columns=["vec_id", "embedding"]),
-        radius=SEMDEDUP_RADIUS,
-        k=KMEANS_K,
-        iters=KMEANS_ITERS,
-    )
-
-
-def q_dd_substring_runs(sf_dir: str):
-    """Maximal cross-doc duplicated token runs (>= 8 tokens), the
-    substring-level dedup pass (Lee et al. 2021) via n-gram anchors +
-    diagonal island merge."""
-    from rex_ray.stages.dedup import substring_dup_runs
-
-    return substring_dup_runs(
-        _read(sf_dir, "documents", columns=["doc_id", "text"])
-    )
-
-
-def q_dd_decontam(sf_dir: str):
-    """Benchmark decontamination: training docs (doc_id % 10 != 0)
-    sharing any distinct 8-gram with the benchmark partition
-    (doc_id % 10 == 0); broadcast sorted-hash probe, no shuffle."""
-    from rex_ray.stages.decontam import decontaminate
-
-    return decontaminate(_read(sf_dir, "documents", columns=["doc_id", "text"]))
-
-
-def q_dd_split_leakage(sf_dir: str):
-    """Train/val split-hygiene audit: train-split docs (md5 buckets
-    0-89) sharing any distinct 8-gram with the val split (buckets
-    90-99)."""
-    from rex_ray.stages.decontam import split_leakage
-
-    return split_leakage(
-        _read(sf_dir, "documents", columns=["doc_id", "text"])
-    )
-
-
-def q_mm_media_context(sf_dir: str):
-    """Text-neighborhood alignment for every media span (the record a
-    caption/ASR/grounding stage consumes)."""
-    from rex_ray.sources import interleaved as il
-    from rex_ray.stages.multimodal import media_context
-
-    docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    return media_context(il.synthesize_interleaved(docs))
-
-
-# --------------------------------------------------------------------------
-# oracle SQL
-# --------------------------------------------------------------------------
-
-_CENTS = "CAST(floor({expr} * 100.0 + 0.5) AS BIGINT)"
-
-EXT_SQL: Dict[str, str] = {}
-
-EXT_SQL["events_sessions"] = f"""
-WITH e AS (
-    SELECT user_id, epoch_us(ts) AS ts_us FROM events
-),
-marked AS (
-    SELECT user_id, ts_us,
-           CASE WHEN lag(ts_us) OVER w IS NULL
-                  OR ts_us - lag(ts_us) OVER w > {SESSION_GAP_US}
-                THEN 1 ELSE 0 END AS new_s
-    FROM e
-    WINDOW w AS (PARTITION BY user_id ORDER BY ts_us)
-),
-sess AS (
-    SELECT user_id, ts_us,
-           SUM(new_s) OVER (PARTITION BY user_id ORDER BY ts_us
-                            ROWS UNBOUNDED PRECEDING) - 1 AS session_id
-    FROM marked
-)
-SELECT user_id, CAST(session_id AS BIGINT) AS session_id,
-       CAST(count(*) AS BIGINT) AS n_events,
-       min(ts_us) AS start_ts_us, max(ts_us) AS end_ts_us,
-       max(ts_us) - min(ts_us) AS duration_us
-FROM sess GROUP BY 1, 2
-"""
-
-EXT_SQL["events_sliding"] = f"""
-WITH e AS (SELECT epoch_us(ts) AS ts_us FROM events),
-k AS (SELECT unnest(range({SLIDE_WIDTH_US // SLIDE_STEP_US})) AS i)
-SELECT (ts_us // {SLIDE_STEP_US}) * {SLIDE_STEP_US}
-           - i * {SLIDE_STEP_US} AS window_start_us,
-       CAST(count(*) AS BIGINT) AS n_events
-FROM e, k
-WHERE ts_us < (ts_us // {SLIDE_STEP_US}) * {SLIDE_STEP_US}
-          - i * {SLIDE_STEP_US} + {SLIDE_WIDTH_US}
-GROUP BY 1
-"""
-
-EXT_SQL["q1_pricing_summary"] = f"""
-SELECT l_returnflag, l_linestatus,
-       sum(l_quantity) AS sum_qty,
-       CAST(sum({_CENTS.format(expr='l_extendedprice')}) AS BIGINT)
-           AS sum_base_cents,
-       CAST(sum({_CENTS.format(expr='l_extendedprice * (1.0 - l_discount)')})
-           AS BIGINT) AS sum_disc_cents,
-       CAST(sum({_CENTS.format(
-           expr='l_extendedprice * (1.0 - l_discount) * (1.0 + l_tax)')})
-           AS BIGINT) AS sum_charge_cents,
-       CAST(count(*) AS BIGINT) AS n_rows
-FROM lineitem
-WHERE l_shipdate <= TIMESTAMP '{Q1_CUTOFF} 00:00:00'
-GROUP BY l_returnflag, l_linestatus
-"""
-
-EXT_SQL["revenue_by_nation"] = f"""
-SELECT n.n_name,
-       CAST(sum({_CENTS.format(expr='l.l_extendedprice * (1.0 - l.l_discount)')})
-           AS BIGINT) AS revenue_cents,
-       CAST(count(*) AS BIGINT) AS n_items
-FROM lineitem l
-JOIN orders o ON l.l_orderkey = o.o_orderkey
-JOIN customer c ON o.o_custkey = c.c_custkey
-JOIN nation n ON c.c_nationkey = n.n_nationkey
-GROUP BY n.n_name
-"""
-
-EXT_SQL["top_customers"] = f"""
-SELECT o_custkey, c_name, revenue_cents
-FROM (
-    SELECT o_custkey,
-           CAST(sum({_CENTS.format(expr='o_totalprice')}) AS BIGINT)
-               AS revenue_cents
-    FROM orders GROUP BY o_custkey
-) r JOIN customer ON c_custkey = o_custkey
-ORDER BY revenue_cents DESC, o_custkey ASC
-LIMIT 10
-"""
-
-EXT_SQL["events_hourly"] = f"""
-SELECT user_id,
-       epoch_us(ts) // {EVENTS_WINDOW_US} AS hour_bucket,
-       CAST(sum({_CENTS.format(expr='value')}) AS BIGINT) AS sum_value_cents,
-       CAST(count(*) AS BIGINT) AS n_events
-FROM events
-GROUP BY 1, 2
-"""
-
-EXT_SQL["events_type_stats"] = """
-SELECT event_type, min(value) AS min_value, max(value) AS max_value,
-       CAST(count(*) AS BIGINT) AS n_events
-FROM events GROUP BY event_type
-"""
-
-EXT_SQL["ta_doc_stats"] = """
-SELECT doc_id,
-       CAST(len(string_split(text, ' ')) AS BIGINT) AS n_tokens,
-       CAST(length(text) AS BIGINT) AS n_chars,
-       md5(text) AS fingerprint
-FROM documents
-"""
-
-from rex_ray.functions.text import LANG_STOPWORDS, QUALITY_STOPWORDS  # noqa: E402
-
-_HITS = {
-    code: "len(list_filter(string_split(text, ' '), x -> x IN ({})))".format(
-        ", ".join(f"'{w}'" for w in words)
-    )
-    for code, words in sorted(LANG_STOPWORDS.items())
-}
-
-EXT_SQL["ta_langid_confusion"] = f"""
-WITH hits AS (
-    SELECT doc_id, lang,
-           {_HITS['de']} AS h_de, {_HITS['en']} AS h_en,
-           {_HITS['es']} AS h_es, {_HITS['fr']} AS h_fr
-    FROM documents
-),
-pred AS (
-    SELECT lang,
-           CASE
-             WHEN h_de >= h_en AND h_de >= h_es AND h_de >= h_fr THEN 'de'
-             WHEN h_en >= h_es AND h_en >= h_fr THEN 'en'
-             WHEN h_es >= h_fr THEN 'es'
-             ELSE 'fr'
-           END AS pred_lang
-    FROM hits
-)
-SELECT lang, pred_lang, CAST(count(*) AS BIGINT) AS n_docs
-FROM pred GROUP BY lang, pred_lang
-"""
-
-_Q_STOP = ", ".join(f"'{w}'" for w in QUALITY_STOPWORDS)
-
-EXT_SQL["ta_quality"] = f"""
-WITH base AS (
-    SELECT doc_id,
-           string_split(text, ' ') AS ts,
-           CAST(len(string_split(text, ' ')) AS BIGINT) AS n_tokens,
-           CAST(len(list_filter(string_split(text, ' '),
-                                x -> x IN ({_Q_STOP}))) AS BIGINT) AS stop_hits
-    FROM documents
-),
-ratios AS (
-    SELECT doc_id, n_tokens,
-           CAST(len(list_distinct(ts)) AS DOUBLE) / n_tokens
-               AS distinct_ratio,
-           CAST(stop_hits AS DOUBLE) / n_tokens AS stopword_ratio
-    FROM base
-)
-SELECT doc_id, n_tokens, distinct_ratio, stopword_ratio,
-       0.5 * least(1.0, n_tokens / 64.0)
-       + 0.3 * distinct_ratio
-       + 0.2 * least(1.0, 5.0 * stopword_ratio) AS quality_score
-FROM ratios
-"""
-
-EXT_SQL["ta_tfidf"] = """
-WITH tf AS (
-    SELECT doc_id, u.token, CAST(count(*) AS BIGINT) AS tf
-    FROM documents, unnest(string_split(text, ' ')) AS u(token)
-    GROUP BY 1, 2
-),
-df AS (SELECT token, CAST(count(*) AS BIGINT) AS df FROM tf GROUP BY 1),
-n AS (SELECT CAST(count(*) AS DOUBLE) AS n FROM documents)
-SELECT tf.doc_id, tf.token, tf.tf, df.df,
-       round(tf.tf * ln((SELECT n FROM n) / CAST(df.df AS DOUBLE)), 8)
-           AS tfidf
-FROM tf JOIN df USING (token)
-"""
-
-EXT_SQL["ta_word_freq"] = """
-SELECT u.token, CAST(count(*) AS BIGINT) AS n
-FROM documents, unnest(string_split(text, ' ')) AS u(token)
-GROUP BY u.token
-"""
-
-_NORM_TEXT = (
-    "array_to_string(list_filter(string_split(text, ' '), "
-    "x -> x != 'dup'), ' ')"
-)
-
-EXT_SQL["dd_exact_groups"] = f"""
-SELECT min(doc_id) AS survivor_doc_id, CAST(count(*) AS BIGINT) AS group_size
-FROM (SELECT doc_id, {_NORM_TEXT} AS k FROM documents)
-GROUP BY k
-"""
-
-_SHINGLES = f"""
-    SELECT doc_id,
-           CASE WHEN len(ts) < 3 THEN [array_to_string(ts, ' ')]
-                ELSE list_distinct(list_transform(
-                    range(1, len(ts) - 1),
-                    i -> ts[i] || ' ' || ts[i + 1] || ' ' || ts[i + 2]))
-           END AS sh
-    FROM (SELECT doc_id,
-                 list_filter(string_split(text, ' '), x -> x != 'dup') AS ts
-          FROM documents)
-"""
-
-EXT_SQL["dd_minhash_pairs"] = f"""
-WITH sh AS ({_SHINGLES})
-SELECT a.doc_id AS doc_a, b.doc_id AS doc_b
-FROM sh a JOIN sh b ON a.doc_id < b.doc_id
-WHERE CAST(len(list_intersect(a.sh, b.sh)) AS DOUBLE)
-      / len(list_distinct(list_concat(a.sh, b.sh))) >= {MINHASH_JACCARD}
-"""
-
-EXT_SQL["ta_fingerprints"] = """
-WITH grams AS (
-    SELECT doc_id, i + 1 AS pos,
-           ('0x' || substr(md5(ts[i+1] || ' ' || ts[i+2] || ' ' || ts[i+3]),
-                           1, 8))::BIGINT AS h
-    FROM (SELECT doc_id, string_split(text, ' ') AS ts FROM documents),
-         unnest(range(len(ts) - 2)) AS u(i)
-    WHERE len(ts) >= 3
-),
-wins AS (
-    SELECT doc_id, pos AS wstart, mn FROM (
-        SELECT doc_id, pos,
-               min(h) OVER (PARTITION BY doc_id ORDER BY pos
-                            ROWS BETWEEN CURRENT ROW AND 3 FOLLOWING) AS mn,
-               count(*) OVER (PARTITION BY doc_id) AS m
-        FROM grams)
-    WHERE pos <= m - 3
-),
-picks AS (
-    SELECT w.doc_id, w.wstart, max(g.pos) AS pos
-    FROM wins w JOIN grams g
-      ON g.doc_id = w.doc_id
-     AND g.pos BETWEEN w.wstart AND w.wstart + 3
-     AND g.h = w.mn
-    GROUP BY w.doc_id, w.wstart
-)
-SELECT DISTINCT p.doc_id, p.pos, g.h
-FROM picks p JOIN grams g ON g.doc_id = p.doc_id AND g.pos = p.pos
-"""
-
-EXT_SQL["ta_inverted_index"] = """
-WITH pairs AS (
-    SELECT DISTINCT u.token, doc_id
-    FROM documents, unnest(string_split(text, ' ')) AS u(token)
-)
-SELECT token, CAST(count(*) AS BIGINT) AS df,
-       string_agg(CAST(doc_id AS VARCHAR), ',' ORDER BY doc_id) AS postings
-FROM pairs GROUP BY token
-"""
-
-EXT_SQL["ta_source_cap"] = f"""
-SELECT source, doc_id FROM documents
-QUALIFY row_number() OVER (
-    PARTITION BY source
-    ORDER BY md5(CAST(doc_id AS VARCHAR)), doc_id) <= {SOURCE_CAP_N}
-"""
-
-EXT_SQL["events_quantiles"] = """
-WITH n AS (SELECT event_type, count(*) AS n FROM events GROUP BY 1),
-r AS (SELECT event_type, value,
-             row_number() OVER (PARTITION BY event_type
-                                ORDER BY value) AS rn
-      FROM events)
-SELECT r.event_type, p.p, r.value AS q
-FROM r
-JOIN n USING (event_type)
-JOIN (VALUES (0.5), (0.9), (0.99)) AS p(p)
-  ON r.rn = CAST(ceil(p.p * n.n) AS BIGINT)
-"""
-
-EXT_SQL["events_bursts"] = f"""
-WITH c AS (
-    SELECT event_type, epoch_us(ts) // 3600000000 AS bucket,
-           CAST(count(*) AS BIGINT) AS n
-    FROM events GROUP BY 1, 2
-),
-w AS (
-    SELECT event_type, bucket, n,
-           max(n) OVER (PARTITION BY event_type ORDER BY bucket
-                        ROWS BETWEEN {BURST_LOOKBACK} PRECEDING
-                        AND 1 PRECEDING) AS prev_max
-    FROM c
-)
-SELECT event_type, bucket * 3600000000 AS bucket_start_us, n AS n_events,
-       prev_max,
-       (prev_max IS NOT NULL AND n > {BURST_MULT} * prev_max) AS is_burst
-FROM w
-"""
-
-EXT_SQL["events_interval"] = f"""
-WITH e AS (SELECT user_id, epoch_us(ts) AS ts_us FROM events),
-ce AS (SELECT * FROM e WHERE user_id % {INTERVAL_COHORT_MOD} = 0),
-marked AS (
-    SELECT user_id, ts_us,
-           CASE WHEN lag(ts_us) OVER w IS NULL
-                  OR ts_us - lag(ts_us) OVER w > {SESSION_GAP_US}
-                THEN 1 ELSE 0 END AS new_s
-    FROM ce
-    WINDOW w AS (PARTITION BY user_id ORDER BY ts_us)
-),
-sess AS (
-    SELECT user_id, ts_us,
-           SUM(new_s) OVER (PARTITION BY user_id ORDER BY ts_us
-                            ROWS UNBOUNDED PRECEDING) - 1 AS session_id
-    FROM marked
-),
-ivals AS (
-    SELECT user_id, CAST(session_id AS BIGINT) AS session_id,
-           min(ts_us) AS start_ts_us, max(ts_us) AS end_ts_us
-    FROM sess GROUP BY 1, 2
-)
-SELECT i.user_id, i.session_id, i.start_ts_us, i.end_ts_us,
-       CAST(count(*) AS BIGINT) AS n_events,
-       CAST(count(DISTINCT e.user_id) AS BIGINT) AS n_users
-FROM ivals i JOIN e ON e.ts_us BETWEEN i.start_ts_us AND i.end_ts_us
-GROUP BY 1, 2, 3, 4
-"""
-
-EXT_SQL["events_asof"] = """
-WITH c AS (
-    SELECT event_id, user_id, epoch_us(ts) AS ts_us
-    FROM events WHERE event_type = 'click'
-),
-v AS (
-    SELECT user_id, epoch_us(ts) AS ts_us, value
-    FROM events WHERE event_type = 'view'
-    QUALIFY row_number() OVER (PARTITION BY user_id, epoch_us(ts)
-                               ORDER BY event_id DESC) = 1
-)
-SELECT c.event_id, c.user_id, c.ts_us,
-       v.ts_us AS asof_ts_us, v.value AS asof_value
-FROM c ASOF JOIN v
-  ON c.user_id = v.user_id AND c.ts_us >= v.ts_us
-"""
-
-EXT_SQL["ta_dataset_splits"] = """
-SELECT doc_id,
-       CASE WHEN b < 80 THEN 'train'
-            WHEN b < 90 THEN 'val'
-            ELSE 'test' END AS split
-FROM (
-    SELECT doc_id,
-           ('0x' || substr(md5(CAST(doc_id AS VARCHAR)), 1, 8))::UBIGINT
-               % 100 AS b
-    FROM documents
-)
-"""
-
-EXT_SQL["ta_packed_bins"] = """
-WITH counted AS (
-    SELECT doc_id,
-           len(list_filter(string_split(text, ' '), x -> x != ''))
-               AS n_tokens
-    FROM documents
-),
-scanned AS (
-    SELECT doc_id, n_tokens,
-           COALESCE(SUM(n_tokens) OVER (
-               ORDER BY doc_id
-               ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING
-           ), 0) AS prefix
-    FROM counted
-)
-SELECT doc_id, CAST(n_tokens AS BIGINT) AS n_tokens,
-       CAST(prefix AS BIGINT) AS prefix,
-       CAST(prefix // 2048 AS BIGINT) AS bin_id,
-       CAST(prefix % 2048 AS BIGINT) AS bin_offset
-FROM scanned
-"""
-
-EXT_SQL["ta_hll_registers"] = """
-WITH toks AS (
-    SELECT u.tok
-    FROM documents, unnest(string_split(text, ' ')) AS u(tok)
-    WHERE u.tok != ''
-),
-hs AS (
-    SELECT ('0x' || substr(md5(tok), 1, 16))::UBIGINT AS h FROM toks
-),
-reg AS (
-    SELECT CAST(h % 1024 AS BIGINT) AS bucket,
-           CAST(h >> 10 AS BIGINT) AS r
-    FROM hs
-)
-SELECT bucket,
-       max(CASE WHEN r = 0 THEN 55
-                ELSE bit_count((~r) & (r - 1)) + 1 END) AS max_rho
-FROM reg GROUP BY bucket
-"""
-
-EXT_SQL["dd_simhash"] = f"""
-WITH toks AS (
-    SELECT doc_id, u.tok
-    FROM (SELECT doc_id, {_NORM_TEXT} AS nt FROM documents),
-         unnest(string_split(nt, ' ')) AS u(tok)
-),
-th AS (
-    SELECT doc_id, ('0x' || substr(md5(tok), 1, 16))::UBIGINT AS h FROM toks
-),
-votes AS (
-    SELECT doc_id, i,
-           sum(CASE WHEN (h >> i) & 1 = 1 THEN 1 ELSE -1 END) AS s
-    FROM th, unnest(range(64)) AS u(i)
-    GROUP BY doc_id, i
-)
-SELECT doc_id,
-       lpad(lower(hex(sum(CASE WHEN s > 0 THEN (1::UBIGINT << i)
-                               ELSE 0::UBIGINT END)::UBIGINT)), 16, '0')
-           AS simhash
-FROM votes GROUP BY doc_id
-"""
-
-EXT_SQL["dd_simhash_pairs"] = f"""
-WITH toks AS (
-    SELECT doc_id, u.tok
-    FROM (SELECT doc_id, {_NORM_TEXT} AS nt FROM documents),
-         unnest(string_split(nt, ' ')) AS u(tok)
-),
-th AS (
-    SELECT doc_id, ('0x' || substr(md5(tok), 1, 16))::UBIGINT AS h FROM toks
-),
-votes AS (
-    SELECT doc_id, i,
-           sum(CASE WHEN (h >> i) & 1 = 1 THEN 1 ELSE -1 END) AS s
-    FROM th, unnest(range(64)) AS u(i)
-    GROUP BY doc_id, i
-),
-sh AS (
-    SELECT doc_id,
-           sum(CASE WHEN s > 0 THEN (1::UBIGINT << i)
-                    ELSE 0::UBIGINT END)::UBIGINT AS simhash
-    FROM votes GROUP BY doc_id
-)
-SELECT a.doc_id AS doc_a, b.doc_id AS doc_b
-FROM sh a JOIN sh b ON a.doc_id < b.doc_id
-WHERE bit_count(xor(a.simhash, b.simhash)) <= 3
-"""
-
-EXT_SQL["dd_jaccard_pairs"] = f"""
-WITH sh AS ({_SHINGLES})
-SELECT a.doc_id AS doc_a, b.doc_id AS doc_b
-FROM sh a JOIN sh b ON a.doc_id < b.doc_id
-WHERE CAST(len(list_intersect(a.sh, b.sh)) AS DOUBLE)
-      / len(list_distinct(list_concat(a.sh, b.sh))) >= {NGRAM_JACCARD}
-"""
-
-EXT_SQL["orders_with_returns"] = """
-SELECT o_orderkey FROM orders
-WHERE o_orderkey IN
-      (SELECT l_orderkey FROM lineitem WHERE l_returnflag = 'R')
-"""
-
-_DUP_REACH = f"""
-pairs AS (
-    SELECT a.doc_id AS a, b.doc_id AS b
-    FROM sh a JOIN sh b ON a.doc_id < b.doc_id
-    WHERE CAST(len(list_intersect(a.sh, b.sh)) AS DOUBLE)
-          / len(list_distinct(list_concat(a.sh, b.sh))) >= {NGRAM_JACCARD}
-),
-edges AS (
-    SELECT a, b FROM pairs UNION SELECT b AS a, a AS b FROM pairs
-),
-reach(node, r) AS (
-    SELECT a AS node, a AS r FROM edges
-    UNION
-    SELECT e.b AS node, reach.r FROM reach JOIN edges e ON e.a = reach.node
-)
-"""
-
-EXT_SQL["dd_dup_clusters"] = f"""
-WITH RECURSIVE sh AS ({_SHINGLES}),
-{_DUP_REACH}
-SELECT node AS doc_id, min(r) AS cluster_id FROM reach GROUP BY node
-"""
-
-EXT_SQL["dd_survivors"] = f"""
-WITH RECURSIVE sh AS ({_SHINGLES}),
-{_DUP_REACH},
-lbl AS (SELECT node, min(r) AS r FROM reach GROUP BY node)
-SELECT d.doc_id FROM documents d
-WHERE d.doc_id NOT IN (SELECT node FROM lbl WHERE node != r)
-"""
-
-EXT_SQL["dd_embedding_pairs"] = f"""
-SELECT a.vec_id AS a_id, b.vec_id AS b_id
-FROM embeddings a JOIN embeddings b ON a.vec_id < b.vec_id
-WHERE list_cosine_similarity(a.embedding::DOUBLE[], b.embedding::DOUBLE[])
-      >= {EMB_DUP_THRESHOLD}
-"""
-
-EXT_SQL["ann_topk"] = f"""
-WITH sims AS (
-    SELECT q.vec_id AS query_id, n.vec_id AS neighbor_id,
-           list_cosine_similarity(q.embedding::DOUBLE[],
-                                  n.embedding::DOUBLE[]) AS sim
-    FROM embeddings q
-    JOIN embeddings n ON n.vec_id != q.vec_id
-    WHERE q.vec_id < {ANN_NUM_QUERIES}
-)
-SELECT query_id, neighbor_id,
-       CAST(row_number() OVER (PARTITION BY query_id
-                               ORDER BY sim DESC, neighbor_id ASC)
-            AS BIGINT) AS rank
-FROM sims
-QUALIFY rank <= {ANN_K}
-"""
-
-def _lsh_sql() -> str:
-    from rex_ray.stages.similarity import lsh_planes
-
-    dim = 64  # embeddings.parquet vector width (FIXTURES.md)
-    S = lsh_planes(LSH_PLANES, dim)
-    bits = []
-    for p in range(LSH_PLANES):
-        terms = "".join(
-            (" + " if S[p, d] > 0 else " - ") + f"e[{d + 1}]"
-            for d in range(dim)
-        ).lstrip(" +")
-        if terms.startswith("- "):
-            terms = "-" + terms[2:]
-        bits.append(
-            f"CASE WHEN {terms} > 0 THEN {1 << (LSH_PLANES - 1 - p)}"
-            f" ELSE 0 END"
-        )
-    bucket = " + ".join(bits)
-    return f"""
-WITH v AS (
-    SELECT vec_id, embedding::DOUBLE[] AS e FROM embeddings
-),
-b AS (
-    SELECT vec_id, e, {bucket} AS bucket FROM v
-),
-sims AS (
-    SELECT q.vec_id AS query_id, n.vec_id AS neighbor_id,
-           list_cosine_similarity(q.e, n.e) AS sim
-    FROM b q
-    JOIN b n ON n.bucket = q.bucket AND n.vec_id != q.vec_id
-    WHERE q.vec_id < {ANN_NUM_QUERIES}
-)
-SELECT query_id, neighbor_id,
-       CAST(row_number() OVER (PARTITION BY query_id
-                               ORDER BY sim DESC, neighbor_id ASC)
-            AS BIGINT) AS rank
-FROM sims
-QUALIFY rank <= {ANN_K}
-"""
-
-
-EXT_SQL["ann_lsh_topk"] = _lsh_sql()
-EXT_SQL["ann_lsh_topk_bucketed"] = EXT_SQL["ann_lsh_topk"]
-EXT_SQL["ann_lsh_topk_appended"] = EXT_SQL["ann_lsh_topk"]
-
-EXT_SQL["ann_hard_negatives"] = f"""
-WITH sims AS (
-    SELECT q.vec_id AS query_id, n.vec_id AS neighbor_id,
-           list_cosine_similarity(q.embedding::DOUBLE[],
-                                  n.embedding::DOUBLE[]) AS sim
-    FROM embeddings q
-    JOIN embeddings n
-      ON n.vec_id != q.vec_id AND n.label != q.label
-    WHERE q.vec_id < {ANN_NUM_QUERIES}
-)
-SELECT query_id, neighbor_id,
-       CAST(row_number() OVER (PARTITION BY query_id
-                               ORDER BY sim DESC, neighbor_id ASC)
-            AS BIGINT) AS rank
-FROM sims
-QUALIFY rank <= {ANN_K}
-"""
-
-EXT_SQL["mm_frame_samples"] = """
-WITH stats AS (
-    SELECT doc_id, len(string_split(text, ' ')) AS n, 4 + doc_id % 4 AS c
-    FROM documents
-),
-m AS (SELECT doc_id, ((n + c - 1) // c) // 2 AS mcount FROM stats),
-media AS (
-    SELECT doc_id, i + 1 AS mi
-    FROM m, LATERAL (SELECT unnest(range(mcount)) AS i)
-),
-probed AS (
-    SELECT doc_id, mi,
-           'media://' || doc_id || '/' || mi AS media_ref,
-           CASE WHEN (doc_id + mi) % 2 = 0 THEN 'image' ELSE 'audio' END
-               AS kind,
-           1 + ('0x' || substr(md5('media://' || doc_id || '/' || mi),
-                               1, 8))::UBIGINT % 240 AS n_units
-    FROM media
-)
-SELECT printf('doc-%08d', doc_id) AS doc_id, media_ref, kind,
-       CAST(u.unit_idx AS BIGINT) AS unit_idx
-FROM probed, LATERAL (
-    SELECT unnest(range(0, CAST(n_units AS BIGINT), 16)) AS unit_idx
-) u
-"""
-
-EXT_SQL["mm_decode_features"] = """
-WITH stats AS (
-    SELECT doc_id, len(string_split(text, ' ')) AS n, 4 + doc_id % 4 AS c
-    FROM documents
-),
-m AS (SELECT doc_id, ((n + c - 1) // c) // 2 AS mcount FROM stats),
-media AS (
-    SELECT doc_id, i + 1 AS mi
-    FROM m, LATERAL (SELECT unnest(range(mcount)) AS i)
-)
-SELECT printf('doc-%08d', doc_id) AS doc_id,
-       'media://' || doc_id || '/' || mi AS media_ref,
-       CASE WHEN (doc_id + mi) % 2 = 0 THEN 'image' ELSE 'audio' END AS kind,
-       md5('media://' || doc_id || '/' || mi) AS feat_hash
-FROM media
-"""
-
-# stages/textstats.bpe_pair_counts: pairs within words only (the Ray
-# side masks the token separator), codes decoded back to chars.
-_LM_SQL_CORE = """
-WITH d AS (SELECT doc_id, string_split(text, ' ') AS l FROM documents),
-pos AS (SELECT doc_id, l, unnest(range(1, len(l))) AS x FROM d),
-big AS (SELECT doc_id, l[x] AS a, l[x + 1] AS b FROM pos),
-uni AS (SELECT u.token AS tok, CAST(count(*) AS BIGINT) AS c
-        FROM documents, unnest(string_split(text, ' ')) AS u(token)
-        GROUP BY 1),
-v AS (SELECT CAST(count(*) AS BIGINT) AS v FROM uni),
-bc AS (SELECT a, b, CAST(count(*) AS BIGINT) AS c_ab
-       FROM big GROUP BY 1, 2),
-terms AS (
-    SELECT big.doc_id,
-           CAST(floor(1e6 * ln(CAST(bc.c_ab + 1 AS DOUBLE)
-                               / CAST(uni.c + v.v AS DOUBLE)) + 0.5)
-                AS BIGINT) AS term
-    FROM big JOIN bc USING (a, b)
-             JOIN uni ON uni.tok = big.a
-             CROSS JOIN v
-),
-scored AS (
-    SELECT doc_id, CAST(count(*) AS BIGINT) AS n_bigrams,
-           CAST(-sum(term) AS BIGINT) AS nll_micronats
-    FROM terms GROUP BY doc_id
-)"""
-
-EXT_SQL["ta_lm_perplexity"] = _LM_SQL_CORE + """
-SELECT doc_id, n_bigrams, nll_micronats FROM scored
-"""
-
-EXT_SQL["ta_ppl_tiers"] = _LM_SQL_CORE + """,
-m AS (SELECT doc_id, nll_micronats // n_bigrams AS metric FROM scored),
-cnt AS (SELECT CAST(count(*) AS BIGINT) AS c FROM m),
-ranked AS (
-    SELECT metric, row_number() OVER (ORDER BY metric) AS rn FROM m
-),
-th AS (
-    SELECT
-        max(CASE WHEN rn = greatest(
-            1, CAST(ceil((1.0/3) * c) AS BIGINT)) THEN metric END) AS c1,
-        max(CASE WHEN rn = greatest(
-            1, CAST(ceil((2.0/3) * c) AS BIGINT)) THEN metric END) AS c2
-    FROM ranked, cnt
-)
-SELECT m.doc_id, m.metric,
-       CASE WHEN m.metric <= th.c1 THEN 'head'
-            WHEN m.metric <= th.c2 THEN 'middle'
-            ELSE 'tail' END AS tier
-FROM m, th
-"""
-
-_DSIR_CTES = f"""
-WITH d AS (SELECT doc_id, string_split(text, ' ') AS l FROM documents),
-pos AS (SELECT doc_id, l, unnest(range(1, len(l))) AS x FROM d),
-big AS (SELECT doc_id, l[x] AS a, l[x + 1] AS b FROM pos),
-tuni AS (SELECT u.token AS tok, CAST(count(*) AS BIGINT) AS c
-         FROM documents, unnest(string_split(text, ' ')) AS u(token)
-         WHERE doc_id % {DSIR_TARGET_MOD} = 0 GROUP BY 1),
-tv AS (SELECT CAST(count(*) AS BIGINT) AS v FROM tuni),
-tbc AS (SELECT a, b, CAST(count(*) AS BIGINT) AS c_ab
-        FROM big WHERE doc_id % {DSIR_TARGET_MOD} = 0 GROUP BY 1, 2),
-runi AS (SELECT u.token AS tok, CAST(count(*) AS BIGINT) AS c
-         FROM documents, unnest(string_split(text, ' ')) AS u(token)
-         GROUP BY 1),
-rv AS (SELECT CAST(count(*) AS BIGINT) AS v FROM runi),
-rbc AS (SELECT a, b, CAST(count(*) AS BIGINT) AS c_ab
-        FROM big GROUP BY 1, 2),
-terms AS (
-    SELECT big.doc_id,
-           CAST(floor(1e6 * ln(CAST(COALESCE(tbc.c_ab, 0) + 1 AS DOUBLE)
-                               / CAST(COALESCE(tuni.c, 0) + tv.v AS DOUBLE))
-                      + 0.5) AS BIGINT)
-           - CAST(floor(1e6 * ln(CAST(rbc.c_ab + 1 AS DOUBLE)
-                                 / CAST(runi.c + rv.v AS DOUBLE))
-                        + 0.5) AS BIGINT) AS term
-    FROM big
-    LEFT JOIN tbc USING (a, b)
-    LEFT JOIN tuni ON tuni.tok = big.a
-    JOIN rbc USING (a, b)
-    JOIN runi ON runi.tok = big.a
-    CROSS JOIN tv CROSS JOIN rv
-)"""
-
-EXT_SQL["ta_dsir_weights"] = _DSIR_CTES + """
-SELECT doc_id, CAST(count(*) AS BIGINT) AS n_bigrams,
-       CAST(sum(term) AS BIGINT) AS weight_micronats
-FROM terms GROUP BY doc_id
-"""
-
-EXT_SQL["ta_dsir_resample"] = _DSIR_CTES + """,
-w AS (SELECT doc_id, CAST(sum(term) AS BIGINT) AS weight_micronats
-      FROM terms GROUP BY doc_id),
-cnt AS (SELECT CAST(count(*) AS BIGINT) AS c FROM w),
-ranked AS (
-    SELECT weight_micronats AS wm,
-           row_number() OVER (ORDER BY wm) AS rn
-    FROM w
-),
-th AS (
-    SELECT max(CASE WHEN rn = greatest(
-        1, CAST(ceil((2.0/3) * c) AS BIGINT)) THEN wm END) AS cut
-    FROM ranked, cnt
-)
-SELECT w.doc_id, w.weight_micronats, w.weight_micronats > th.cut AS keep
-FROM w, th
-"""
-
-_CHUNK_STRIDE = CHUNK_TOKENS - CHUNK_OVERLAP
-EXT_SQL["ta_chunks"] = f"""
-WITH d AS (SELECT doc_id, string_split(text, ' ') AS l FROM documents),
-k AS (
-    SELECT doc_id, l,
-           unnest(range(0, (len(l) + {_CHUNK_STRIDE} - 1)
-                           // {_CHUNK_STRIDE})) AS c
-    FROM d
-)
-SELECT doc_id, CAST(c AS BIGINT) AS chunk_id,
-       CAST(c * {_CHUNK_STRIDE} + 1 AS BIGINT) AS start_tok,
-       CAST(len(list_slice(l, c * {_CHUNK_STRIDE} + 1,
-                           c * {_CHUNK_STRIDE} + {CHUNK_TOKENS}))
-            AS BIGINT) AS n_tokens,
-       array_to_string(list_slice(l, c * {_CHUNK_STRIDE} + 1,
-                                  c * {_CHUNK_STRIDE} + {CHUNK_TOKENS}),
-                       ' ') AS chunk_text
-FROM k
-"""
-
-EXT_SQL["ta_skipgram_pairs"] = f"""
-WITH d AS (SELECT doc_id, string_split(text, ' ') AS l FROM documents),
-pos AS (SELECT doc_id, l, unnest(range(1, len(l) + 1)) AS x FROM d),
-tok AS (SELECT doc_id, x, l[x] AS t FROM pos)
-SELECT t1.t AS center, t2.t AS context, CAST(count(*) AS BIGINT) AS n
-FROM tok t1
-JOIN tok t2 ON t1.doc_id = t2.doc_id
-    AND t2.x BETWEEN t1.x - {SKIPGRAM_WINDOW} AND t1.x + {SKIPGRAM_WINDOW}
-    AND t2.x <> t1.x
-GROUP BY 1, 2
-"""
-
-EXT_SQL["ta_bpe_pairs"] = """
-WITH words AS (
-    SELECT unnest(string_split(text, ' ')) AS w FROM documents
-),
-pairs AS (
-    SELECT substring(w, i, 1) AS a, substring(w, i + 1, 1) AS b
-    FROM words, LATERAL (SELECT unnest(range(1, len(w))) AS i) u
-)
-SELECT a, b, CAST(count(*) AS BIGINT) AS freq
-FROM pairs GROUP BY a, b
-"""
-
-
-def _bpe_encode_sql() -> str:
-    from rex_ray.pipelines import spec
-
-    return spec.sql_bpe_encode()
-
-
-EXT_SQL["ta_bpe_encode"] = _bpe_encode_sql()
-
-
-def _bpe_merges_sql() -> str:
-    from rex_ray.pipelines import spec
-
-    return spec.sql_bpe_merges(num_merges=10, top_k=20000)
-
-
-EXT_SQL["ta_bpe_merges"] = _bpe_merges_sql()
-
-EXT_SQL["ta_dup_ngrams"] = """
-WITH g AS (
-    SELECT doc_id, ts[i + 1] || ' ' || ts[i + 2] || ' ' || ts[i + 3] AS gram
-    FROM (SELECT doc_id, string_split(text, ' ') AS ts FROM documents),
-         LATERAL (SELECT unnest(range(len(ts) - 2)) AS i)
-    WHERE len(ts) >= 3
-),
-dg AS (SELECT doc_id, gram, count(*) AS c FROM g GROUP BY 1, 2),
-cg AS (SELECT gram, sum(c) AS tot FROM dg GROUP BY 1)
-SELECT dg.doc_id,
-       CAST(count(*) AS BIGINT) AS n_distinct,
-       CAST(sum(CASE WHEN cg.tot > dg.c THEN 1 ELSE 0 END) AS BIGINT)
-           AS n_dup
-FROM dg JOIN cg USING (gram)
-GROUP BY dg.doc_id
-"""
-
-EXT_SQL["ta_dup_ngrams_joined"] = EXT_SQL["ta_dup_ngrams"]
-
-EXT_SQL["ta_heavy_hitters"] = """
-WITH g AS (
-    SELECT ts[i + 1] || ' ' || ts[i + 2] || ' ' || ts[i + 3] AS gram
-    FROM (SELECT string_split(text, ' ') AS ts FROM documents),
-         LATERAL (SELECT unnest(range(len(ts) - 2)) AS i)
-    WHERE len(ts) >= 3
-),
-tot AS (SELECT count(*) AS t FROM g)
-SELECT gram, CAST(count(*) AS BIGINT) AS n
-FROM g, tot
-GROUP BY gram, tot.t
-HAVING count(*) * 4000 > tot.t
-"""
-
-EXT_SQL["ta_regex_tokens"] = r"""
-WITH m AS (
-    SELECT doc_id,
-           regexp_extract_all(text, '[a-zA-Z]+|[0-9]+|[^a-zA-Z0-9\s]')
-               AS toks
-    FROM documents
-),
-f AS (
-    SELECT doc_id, unnest(toks) AS tok FROM m
-),
-c AS (
-    SELECT doc_id,
-           CAST(count(*) AS BIGINT) AS n_regex_tokens,
-           CAST(sum(CASE WHEN substr(tok, 1, 1) BETWEEN 'a' AND 'z'
-                           OR substr(tok, 1, 1) BETWEEN 'A' AND 'Z'
-                         THEN 1 ELSE 0 END) AS BIGINT) AS n_alpha,
-           CAST(sum(CASE WHEN substr(tok, 1, 1) BETWEEN '0' AND '9'
-                         THEN 1 ELSE 0 END) AS BIGINT) AS n_num
-    FROM f GROUP BY doc_id
-)
-SELECT m.doc_id,
-       COALESCE(c.n_regex_tokens, 0) AS n_regex_tokens,
-       COALESCE(c.n_alpha, 0) AS n_alpha,
-       COALESCE(c.n_num, 0) AS n_num,
-       COALESCE(c.n_regex_tokens - c.n_alpha - c.n_num, 0) AS n_other
-FROM m LEFT JOIN c USING (doc_id)
-"""
-
-EXT_SQL["ta_stratified_sample"] = """
-SELECT lang, doc_id, h FROM (
-    SELECT lang, doc_id, md5(CAST(doc_id AS VARCHAR)) AS h,
-           row_number() OVER (
-               PARTITION BY lang
-               ORDER BY md5(CAST(doc_id AS VARCHAR)), doc_id
-           ) AS rn
-    FROM documents
-) WHERE rn <= 20
-"""
-
-EXT_SQL["ta_corpus_sample"] = """
-SELECT doc_id, md5(CAST(doc_id AS VARCHAR)) AS h
-FROM documents
-ORDER BY h, doc_id
-LIMIT 100
-"""
-
-# stages/textstats.PatternScrubber with the query's corpus-firing
-# patterns; counts on original text, sequential replace (replacements
-# never re-create a pattern).
-EXT_SQL["ta_redact"] = r"""
-SELECT doc_id,
-       regexp_replace(
-           regexp_replace(text, '\bcustomer\b', '[PII1]', 'g'),
-           '\bline\b', '[PII2]', 'g') AS clean_text,
-       CAST(len(regexp_extract_all(text, '\bcustomer\b'))
-            + len(regexp_extract_all(text, '\bline\b'))
-            AS BIGINT) AS n_pii
-FROM documents
-"""
-
-# stages/textstats.repetition_stats: per-doc duplicate/top n-gram
-# occurrence counts, n in {2, 3}; docs too short for any n-gram get
-# zeros on the Ray side, mirrored here with LEFT JOIN + COALESCE.
-EXT_SQL["ta_repetition"] = """
-WITH toks AS (
-    SELECT doc_id, string_split(text, ' ') AS t FROM documents
-),
-g2 AS (
-    SELECT doc_id, array_to_string(t[i+1:i+2], ' ') AS g
-    FROM toks,
-         LATERAL (SELECT unnest(range(greatest(len(t) - 1, 0))) AS i) u
-),
-c2 AS (SELECT doc_id, g, count(*) AS cnt FROM g2 GROUP BY 1, 2),
-s2 AS (
-    SELECT doc_id, CAST(sum(cnt) AS BIGINT) AS n2_total,
-           CAST(sum(cnt) - count(*) AS BIGINT) AS n2_dup,
-           CAST(max(cnt) AS BIGINT) AS n2_top
-    FROM c2 GROUP BY doc_id
-),
-g3 AS (
-    SELECT doc_id, array_to_string(t[i+1:i+3], ' ') AS g
-    FROM toks,
-         LATERAL (SELECT unnest(range(greatest(len(t) - 2, 0))) AS i) u
-),
-c3 AS (SELECT doc_id, g, count(*) AS cnt FROM g3 GROUP BY 1, 2),
-s3 AS (
-    SELECT doc_id, CAST(sum(cnt) AS BIGINT) AS n3_total,
-           CAST(sum(cnt) - count(*) AS BIGINT) AS n3_dup,
-           CAST(max(cnt) AS BIGINT) AS n3_top
-    FROM c3 GROUP BY doc_id
-)
-SELECT d.doc_id,
-       COALESCE(n2_total, 0) AS n2_total,
-       COALESCE(n2_dup, 0) AS n2_dup,
-       COALESCE(n2_top, 0) AS n2_top,
-       COALESCE(n3_total, 0) AS n3_total,
-       COALESCE(n3_dup, 0) AS n3_dup,
-       COALESCE(n3_top, 0) AS n3_top
-FROM documents d
-LEFT JOIN s2 USING (doc_id)
-LEFT JOIN s3 USING (doc_id)
-"""
 
 # stages/similarity.py k-means: exact integer grid v = floor(x*1024 +
 # 0.5); centroid update m = floordiv(2*sum + n, 2*n) (floor-div
@@ -2092,18 +1769,8 @@ d3 AS (
     FROM qe q JOIN c2 c USING (i) GROUP BY 1, 2
 )"""
 
-EXT_SQL["ann_kmeans"] = _KM_SQL_PREFIX + """
-SELECT vec_id, cid AS cluster_id, CAST(d AS BIGINT) AS dist FROM (
-    SELECT vec_id, cid, d,
-           row_number() OVER (PARTITION BY vec_id
-                              ORDER BY d, cid) AS rn
-    FROM d3
-) WHERE rn = 1
-"""
 
-IVF_NPROBE = 3
-
-EXT_SQL["ann_ivf_exact"] = _KM_SQL_PREFIX + f""",
+_IVF_EXACT_SQL = _KM_SQL_PREFIX + f""",
 assign AS (
     SELECT vec_id, cid FROM (
         SELECT vec_id, cid,
@@ -2147,9 +1814,39 @@ FROM nd
 QUALIFY rank <= {ANN_K}
 """
 
-EXT_SQL["ann_ivf_exact_bucketed"] = EXT_SQL["ann_ivf_exact"]
 
-EXT_SQL["ann_embedding_stats"] = """
+@query("ann_ivf_exact_bucketed", sql=_IVF_EXACT_SQL)
+def q_ann_ivf_exact_bucketed(sf_dir: str):
+    """ann_ivf_exact over a PERSISTED cluster-partitioned layout with
+    the trained codebook as a sidecar: the candidate scan opens only
+    the probed cluster partitions, and the query-vector fetch reads
+    only each query's home cluster via the slim id index.  Same oracle
+    as ann_ivf_exact; byte-identical output is the contract (same
+    integer-grid k-means, same probe rule, same int64 tie-break).
+    Per-run unique temp layout dir, removed after materialization."""
+    import shutil
+    import tempfile
+
+    from rex_ray.stages.similarity import (
+        ivf_topk_int_from_layout,
+        write_ivf_bucket_layout,
+    )
+
+    layout_dir = tempfile.mkdtemp(prefix="rex_ray_ivf_layout_")
+    try:
+        write_ivf_bucket_layout(
+            _read(sf_dir, "embeddings", columns=["vec_id", "embedding"]),
+            layout_dir, num_centroids=KMEANS_K, iters=KMEANS_ITERS,
+        )
+        return ivf_topk_int_from_layout(
+            layout_dir, query_ids=range(ANN_NUM_QUERIES), k=ANN_K,
+            nprobe=3,
+        ).materialize()
+    finally:
+        shutil.rmtree(layout_dir, ignore_errors=True)
+
+
+@query("ann_embedding_stats", sql="""
 WITH qe AS (
     SELECT i - 1 AS dim,
            CAST(floor(CAST(list_extract(embedding, i) AS DOUBLE)
@@ -2164,44 +1861,173 @@ SELECT dim,
        CAST(min(v) AS BIGINT) AS min_q,
        CAST(max(v) AS BIGINT) AS max_q
 FROM qe GROUP BY 1
-"""
+""")
+def q_ann_embedding_stats(sf_dir: str):
+    """Per-dimension embedding-table QC on the exact integer grid
+    (n / sum / sum-of-squares / min / max per dim): the health audit
+    run before ANN or semantic dedup trusts a 100 TB embedding table
+    — collapsed dims, scale bugs and zero-padding stripes all show.
+    One partial row per (dim, batch); a tiny groupby merges."""
+    from rex_ray.stages.similarity import embedding_dim_stats
 
-EXT_SQL["dd_semantic_dups"] = _KM_SQL_PREFIX + f""",
-asg AS (
-    SELECT vec_id, cid AS cluster_id, CAST(d AS BIGINT) AS dist FROM (
-        SELECT vec_id, cid, d,
-               row_number() OVER (PARTITION BY vec_id
-                                  ORDER BY d, cid) AS rn
-        FROM d3
-    ) WHERE rn = 1
-),
-pd AS (
-    SELECT a.vec_id AS v, b.vec_id AS u,
-           sum((qa.v - qb.v) * (qa.v - qb.v)) AS sq
-    FROM asg a
-    JOIN asg b ON a.cluster_id = b.cluster_id AND a.vec_id <> b.vec_id
-    JOIN qe qa ON qa.vec_id = a.vec_id
-    JOIN qe qb ON qb.vec_id = b.vec_id AND qb.i = qa.i
-    GROUP BY 1, 2
-),
-drops AS (
-    SELECT DISTINCT pd.v AS vec_id
-    FROM pd
-    JOIN asg da ON da.vec_id = pd.v
-    JOIN asg db ON db.vec_id = pd.u
-    WHERE pd.sq <= {SEMDEDUP_RADIUS}
-      AND (db.dist > da.dist
-           OR (db.dist = da.dist AND db.vec_id < da.vec_id))
+    return embedding_dim_stats(
+        _read(sf_dir, "embeddings", columns=["embedding"])
+    )
+
+
+@query("ann_hard_negatives", sql=f"""
+WITH sims AS (
+    SELECT q.vec_id AS query_id, n.vec_id AS neighbor_id,
+           list_cosine_similarity(q.embedding::DOUBLE[],
+                                  n.embedding::DOUBLE[]) AS sim
+    FROM embeddings q
+    JOIN embeddings n
+      ON n.vec_id != q.vec_id AND n.label != q.label
+    WHERE q.vec_id < {ANN_NUM_QUERIES}
 )
-SELECT a.vec_id, a.cluster_id, a.dist,
-       (dr.vec_id IS NULL) AS keep
-FROM asg a LEFT JOIN drops dr USING (vec_id)
-"""
+SELECT query_id, neighbor_id,
+       CAST(row_number() OVER (PARTITION BY query_id
+                               ORDER BY sim DESC, neighbor_id ASC)
+            AS BIGINT) AS rank
+FROM sims
+QUALIFY rank <= {ANN_K}
+""")
+def q_ann_hard_negatives(sf_dir: str):
+    """Hard-negative mining (DPR/Contriever): per query, the k most
+    cosine-similar vectors with a DIFFERENT label — broadcast query
+    matrix, per-batch matmul partials, per-query merge."""
+    from rex_ray.stages.similarity import hard_negative_topk
 
-# stages/dedup.substring_dup_runs: n=8 anchors, grams occurring more
-# than 50 times corpus-wide skipped (same cap on both sides), islands
-# = consecutive pos_a on one (doc_a, doc_b, diag) diagonal.
-EXT_SQL["dd_line_dedup"] = """
+    return hard_negative_topk(
+        _read(
+            sf_dir, "embeddings",
+            columns=["vec_id", "embedding", "label"],
+        ),
+        query_ids=range(ANN_NUM_QUERIES),
+        k=ANN_K,
+    )
+
+
+@query("ann_ivf_topk")
+def q_ann_ivf_topk(sf_dir: str):
+    """Approximate IVF variant — recall < 1 by design (rows-only
+    check; recall vs brute force asserted in tests)."""
+    from rex_ray.stages.similarity import ivf_topk
+
+    return ivf_topk(
+        _read(sf_dir, "embeddings", columns=["vec_id", "embedding"]),
+        query_ids=range(ANN_NUM_QUERIES),
+        k=ANN_K,
+    )
+
+
+# --------------------------------------------------------------------------
+# multimodal
+# --------------------------------------------------------------------------
+
+@query("mm_decode_features", sql="""
+WITH stats AS (
+    SELECT doc_id, len(string_split(text, ' ')) AS n, 4 + doc_id % 4 AS c
+    FROM documents
+),
+m AS (SELECT doc_id, ((n + c - 1) // c) // 2 AS mcount FROM stats),
+media AS (
+    SELECT doc_id, i + 1 AS mi
+    FROM m, LATERAL (SELECT unnest(range(mcount)) AS i)
+)
+SELECT printf('doc-%08d', doc_id) AS doc_id,
+       'media://' || doc_id || '/' || mi AS media_ref,
+       CASE WHEN (doc_id + mi) % 2 = 0 THEN 'image' ELSE 'audio' END AS kind,
+       md5('media://' || doc_id || '/' || mi) AS feat_hash
+FROM media
+""")
+def q_mm_decode_features(sf_dir: str):
+    from rex_ray.sources import interleaved as il
+    from rex_ray.stages.multimodal import media_features
+
+    docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
+    inter = il.synthesize_interleaved(docs)
+    return media_features(il.media_spans(inter).drop_columns(["offset"]))
+
+
+@query("mm_frame_samples", sql="""
+WITH stats AS (
+    SELECT doc_id, len(string_split(text, ' ')) AS n, 4 + doc_id % 4 AS c
+    FROM documents
+),
+m AS (SELECT doc_id, ((n + c - 1) // c) // 2 AS mcount FROM stats),
+media AS (
+    SELECT doc_id, i + 1 AS mi
+    FROM m, LATERAL (SELECT unnest(range(mcount)) AS i)
+),
+probed AS (
+    SELECT doc_id, mi,
+           'media://' || doc_id || '/' || mi AS media_ref,
+           CASE WHEN (doc_id + mi) % 2 = 0 THEN 'image' ELSE 'audio' END
+               AS kind,
+           1 + ('0x' || substr(md5('media://' || doc_id || '/' || mi),
+                               1, 8))::UBIGINT % 240 AS n_units
+    FROM media
+)
+SELECT printf('doc-%08d', doc_id) AS doc_id, media_ref, kind,
+       CAST(u.unit_idx AS BIGINT) AS unit_idx
+FROM probed, LATERAL (
+    SELECT unnest(range(0, CAST(n_units AS BIGINT), 16)) AS unit_idx
+) u
+""")
+def q_mm_frame_samples(sf_dir: str):
+    """Stride-16 unit sampling per media span (frame/window/tile
+    fan-out) — the bounded-batch decode shape for media pipelines."""
+    from rex_ray.sources import interleaved as il
+    from rex_ray.stages.multimodal import frame_samples
+
+    docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
+    inter = il.synthesize_interleaved(docs)
+    return frame_samples(il.media_spans(inter).drop_columns(["offset"]))
+
+
+KMEANS_K = 8
+KMEANS_ITERS = 2
+
+
+@query("ann_kmeans", sql=_KM_SQL_PREFIX + """
+SELECT vec_id, cid AS cluster_id, CAST(d AS BIGINT) AS dist FROM (
+    SELECT vec_id, cid, d,
+           row_number() OVER (PARTITION BY vec_id
+                              ORDER BY d, cid) AS rn
+    FROM d3
+) WHERE rn = 1
+""")
+def q_ann_kmeans(sf_dir: str):
+    """Distributed integer-grid k-means (2 Lloyd updates, seeds =
+    vec_id < 8) then final assignment — the trained IVF codebook path;
+    exact int64 arithmetic makes it oracle-checkable."""
+    from rex_ray.stages.similarity import kmeans_assign, kmeans_fit
+
+    emb = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
+    C = kmeans_fit(emb, k=KMEANS_K, iters=KMEANS_ITERS)
+    return kmeans_assign(emb, C)
+
+
+@query("ann_ivf_exact", sql=_IVF_EXACT_SQL)
+def q_ann_ivf_exact(sf_dir: str):
+    """IVF ANN on the trained integer-grid codebook with exact int64
+    probe + rank arithmetic — the oracle-checkable IVF path (the only
+    approximation is which buckets are probed, and the oracle probes
+    the same ones)."""
+    from rex_ray.stages.similarity import ivf_topk_int
+
+    return ivf_topk_int(
+        _read(sf_dir, "embeddings", columns=["vec_id", "embedding"]),
+        query_ids=range(ANN_NUM_QUERIES),
+        k=ANN_K,
+        num_centroids=KMEANS_K,
+        iters=KMEANS_ITERS,
+        nprobe=3,
+    )
+
+
+@query("dd_line_dedup", sql="""
 WITH base AS (
     SELECT doc_id,
            list_filter(string_split(text, ' '), x -> x != 'dup') AS ts
@@ -2225,9 +2051,19 @@ dups AS (
 SELECT t.doc_id, t.n_segments,
        COALESCE(d.n_dup_segments, CAST(0 AS BIGINT)) AS n_dup_segments
 FROM tot t LEFT JOIN dups d USING (doc_id)
-"""
+""")
+def q_dd_line_dedup(sf_dir: str):
+    """Duplicated-line pass (CCNet / Dolma exact paragraph dedup):
+    per-doc counts of distinct segments shared with another document;
+    segments are 12-token chunks of the dedup-normalized stream."""
+    from rex_ray.stages.dedup import segment_dup_stats
 
-EXT_SQL["dd_curation"] = f"""
+    return segment_dup_stats(
+        _read(sf_dir, "documents", columns=["doc_id", "text"])
+    )
+
+
+@query("dd_curation", sql=f"""
 WITH surv AS (
     SELECT doc_id, min(doc_id) OVER (PARTITION BY k) AS survivor_doc_id
     FROM (SELECT doc_id, {{NORM}} AS k FROM documents)
@@ -2307,9 +2143,71 @@ FROM flags
     "{H_DE}", _HITS["de"]
 ).replace("{H_EN}", _HITS["en"]).replace(
     "{H_ES}", _HITS["es"]
-).replace("{H_FR}", _HITS["fr"])
+).replace("{H_FR}", _HITS["fr"]))
+def q_dd_curation(sf_dir: str):
+    """Corpus-curation decision table (FineWeb/Dolma-style): per-doc
+    keep flag + ordered reason codes (benchmark holdout, exact dup,
+    contamination, language mismatch, low quality) composed from the
+    engine's own signal stages."""
+    from rex_ray.pipelines.curation import curate_corpus
 
-EXT_SQL["dd_substring_runs"] = """
+    return curate_corpus(
+        _read(sf_dir, "documents", columns=["doc_id", "text", "lang"])
+    )
+
+
+SEMDEDUP_RADIUS = 1_160_000  # int64 grid sqdist ~ cosine 0.45 at |v|=1
+
+
+@query("dd_semantic_dups", sql=_KM_SQL_PREFIX + f""",
+asg AS (
+    SELECT vec_id, cid AS cluster_id, CAST(d AS BIGINT) AS dist FROM (
+        SELECT vec_id, cid, d,
+               row_number() OVER (PARTITION BY vec_id
+                                  ORDER BY d, cid) AS rn
+        FROM d3
+    ) WHERE rn = 1
+),
+pd AS (
+    SELECT a.vec_id AS v, b.vec_id AS u,
+           sum((qa.v - qb.v) * (qa.v - qb.v)) AS sq
+    FROM asg a
+    JOIN asg b ON a.cluster_id = b.cluster_id AND a.vec_id <> b.vec_id
+    JOIN qe qa ON qa.vec_id = a.vec_id
+    JOIN qe qb ON qb.vec_id = b.vec_id AND qb.i = qa.i
+    GROUP BY 1, 2
+),
+drops AS (
+    SELECT DISTINCT pd.v AS vec_id
+    FROM pd
+    JOIN asg da ON da.vec_id = pd.v
+    JOIN asg db ON db.vec_id = pd.u
+    WHERE pd.sq <= {SEMDEDUP_RADIUS}
+      AND (db.dist > da.dist
+           OR (db.dist = da.dist AND db.vec_id < da.vec_id))
+)
+SELECT a.vec_id, a.cluster_id, a.dist,
+       (dr.vec_id IS NULL) AS keep
+FROM asg a LEFT JOIN drops dr USING (vec_id)
+""")
+def q_dd_semantic_dups(sf_dir: str):
+    """SemDeDup: integer-grid k-means clustering then within-cluster
+    near-dedup under an exact int64 radius; keeps the farthest-from-
+    centroid member of each epsilon-neighborhood."""
+    from rex_ray.stages.dedup import semantic_dup_drops
+
+    return semantic_dup_drops(
+        _read(sf_dir, "embeddings", columns=["vec_id", "embedding"]),
+        radius=SEMDEDUP_RADIUS,
+        k=KMEANS_K,
+        iters=KMEANS_ITERS,
+    )
+
+
+# stages/dedup.substring_dup_runs: n=8 anchors, grams occurring more
+# than 50 times corpus-wide skipped (same cap on both sides), islands
+# = consecutive pos_a on one (doc_a, doc_b, diag) diagonal.
+@query("dd_substring_runs", sql="""
 WITH toks AS (
     SELECT doc_id, string_split(text, ' ') AS t FROM documents
 ),
@@ -2338,12 +2236,46 @@ SELECT da AS doc_a, db AS doc_b,
        CAST(min(pa) - diag AS BIGINT) AS start_b,
        CAST(count(*) + 7 AS BIGINT) AS len_tokens
 FROM isl GROUP BY da, db, diag, grp
-"""
+""")
+def q_dd_substring_runs(sf_dir: str):
+    """Maximal cross-doc duplicated token runs (>= 8 tokens), the
+    substring-level dedup pass (Lee et al. 2021) via n-gram anchors +
+    diagonal island merge."""
+    from rex_ray.stages.dedup import substring_dup_runs
+
+    return substring_dup_runs(
+        _read(sf_dir, "documents", columns=["doc_id", "text"])
+    )
+
 
 # stages/decontam.py: n=8 token grams, benchmark = doc_id % 10 == 0.
 # The Ray side joins on md5-64 gram hashes; the oracle joins on the
 # gram strings themselves (equivalent up to md5-64 collisions).
-EXT_SQL["dd_split_leakage"] = """
+@query("dd_decontam", sql="""
+WITH toks AS (
+    SELECT doc_id, string_split(text, ' ') AS t FROM documents
+),
+grams AS (
+    SELECT doc_id, array_to_string(t[i+1:i+8], ' ') AS g
+    FROM toks,
+         LATERAL (SELECT unnest(range(greatest(len(t) - 7, 0))) AS i) u
+),
+bg AS (SELECT DISTINCT g FROM grams WHERE doc_id % 10 = 0),
+tg AS (SELECT DISTINCT doc_id, g FROM grams WHERE doc_id % 10 <> 0)
+SELECT tg.doc_id, CAST(count(*) AS BIGINT) AS n_hits
+FROM tg JOIN bg USING (g)
+GROUP BY tg.doc_id
+""")
+def q_dd_decontam(sf_dir: str):
+    """Benchmark decontamination: training docs (doc_id % 10 != 0)
+    sharing any distinct 8-gram with the benchmark partition
+    (doc_id % 10 == 0); broadcast sorted-hash probe, no shuffle."""
+    from rex_ray.stages.decontam import decontaminate
+
+    return decontaminate(_read(sf_dir, "documents", columns=["doc_id", "text"]))
+
+
+@query("dd_split_leakage", sql="""
 WITH b AS (
     SELECT doc_id, text,
            ('0x' || substr(md5(CAST(doc_id AS VARCHAR)), 1, 8))::UBIGINT
@@ -2361,30 +2293,24 @@ tg AS (SELECT DISTINCT doc_id, g FROM grams WHERE bucket < 90)
 SELECT tg.doc_id, CAST(count(*) AS BIGINT) AS n_hits
 FROM tg JOIN vg USING (g)
 GROUP BY tg.doc_id
-"""
+""")
+def q_dd_split_leakage(sf_dir: str):
+    """Train/val split-hygiene audit: train-split docs (md5 buckets
+    0-89) sharing any distinct 8-gram with the val split (buckets
+    90-99)."""
+    from rex_ray.stages.decontam import split_leakage
 
-EXT_SQL["dd_decontam"] = """
-WITH toks AS (
-    SELECT doc_id, string_split(text, ' ') AS t FROM documents
-),
-grams AS (
-    SELECT doc_id, array_to_string(t[i+1:i+8], ' ') AS g
-    FROM toks,
-         LATERAL (SELECT unnest(range(greatest(len(t) - 7, 0))) AS i) u
-),
-bg AS (SELECT DISTINCT g FROM grams WHERE doc_id % 10 = 0),
-tg AS (SELECT DISTINCT doc_id, g FROM grams WHERE doc_id % 10 <> 0)
-SELECT tg.doc_id, CAST(count(*) AS BIGINT) AS n_hits
-FROM tg JOIN bg USING (g)
-GROUP BY tg.doc_id
-"""
+    return split_leakage(
+        _read(sf_dir, "documents", columns=["doc_id", "text"])
+    )
+
 
 # Slot layout (sources/interleaved.py synthesis spec): text chunks of
 # c = 4 + doc_id % 4 tokens, one media span after every 2nd text chunk
 # -> media m (1-indexed) sits at offset 3m-1, preceded by text chunk 2m
 # (tokens (2m-1)*c+1 .. 2m*c, 1-indexed) and followed by text chunk
 # 2m+1 when it exists.  The span before a media span is always text.
-EXT_SQL["mm_media_context"] = """
+@query("mm_media_context", sql="""
 WITH stats AS (
     SELECT doc_id, string_split(text, ' ') AS toks,
            4 + doc_id % 4 AS c
@@ -2410,75 +2336,12 @@ SELECT printf('doc-%08d', doc_id) AS doc_id,
                 list_slice(toks, 2*mi*c + 1, (2*mi+1)*c), ' ')
             ELSE '' END AS next_text
 FROM media
-"""
+""")
+def q_mm_media_context(sf_dir: str):
+    """Text-neighborhood alignment for every media span (the record a
+    caption/ASR/grounding stage consumes)."""
+    from rex_ray.sources import interleaved as il
+    from rex_ray.stages.multimodal import media_context
 
-
-EXT_QUERIES: Dict[str, Callable] = {
-    "q1_pricing_summary": q_q1_pricing_summary,
-    "revenue_by_nation": q_revenue_by_nation,
-    "orders_with_returns": q_orders_with_returns,
-    "top_customers": q_top_customers,
-    "events_hourly": q_events_hourly,
-    "events_type_stats": q_events_type_stats,
-    "events_sessions": q_events_sessions,
-    "events_sliding": q_events_sliding,
-    "events_asof": q_events_asof,
-    "events_interval": q_events_interval,
-    "events_bursts": q_events_bursts,
-    "events_quantiles": q_events_quantiles,
-    "ta_fingerprints": q_ta_fingerprints,
-    "ta_source_cap": q_ta_source_cap,
-    "ta_inverted_index": q_ta_inverted_index,
-    "ta_hll_registers": q_ta_hll_registers,
-    "ta_packed_bins": q_ta_packed_bins,
-    "ta_dataset_splits": q_ta_dataset_splits,
-    "ta_doc_stats": q_ta_doc_stats,
-    "ta_langid_confusion": q_ta_langid_confusion,
-    "ta_quality": q_ta_quality,
-    "ta_word_freq": q_ta_word_freq,
-    "ta_tfidf": q_ta_tfidf,
-    "ta_repetition": q_ta_repetition,
-    "ta_redact": q_ta_redact,
-    "ta_lm_perplexity": q_ta_lm_perplexity,
-    "ta_dsir_weights": q_ta_dsir_weights,
-    "ta_ppl_tiers": q_ta_ppl_tiers,
-    "ta_skipgram_pairs": q_ta_skipgram_pairs,
-    "ta_chunks": q_ta_chunks,
-    "ta_bpe_pairs": q_ta_bpe_pairs,
-    "ta_bpe_encode": q_ta_bpe_encode,
-    "ta_corpus_sample": q_ta_corpus_sample,
-    "ta_stratified_sample": q_ta_stratified_sample,
-    "ta_dup_ngrams": q_ta_dup_ngrams,
-    "ta_dup_ngrams_joined": q_ta_dup_ngrams_joined,
-    "ta_heavy_hitters": q_ta_heavy_hitters,
-    "ta_dsir_resample": q_ta_dsir_resample,
-    "ta_regex_tokens": q_ta_regex_tokens,
-    "ta_bpe_merges": q_ta_bpe_merges,
-    "dd_exact_groups": q_dd_exact_groups,
-    "dd_minhash_pairs": q_dd_minhash_pairs,
-    "dd_jaccard_pairs": q_dd_jaccard_pairs,
-    "dd_dup_clusters": q_dd_dup_clusters,
-    "dd_survivors": q_dd_survivors,
-    "dd_simhash": q_dd_simhash,
-    "dd_simhash_pairs": q_dd_simhash_pairs,
-    "dd_embedding_pairs": q_dd_embedding_pairs,
-    "dd_decontam": q_dd_decontam,
-    "dd_substring_runs": q_dd_substring_runs,
-    "dd_line_dedup": q_dd_line_dedup,
-    "dd_curation": q_dd_curation,
-    "dd_semantic_dups": q_dd_semantic_dups,
-    "dd_split_leakage": q_dd_split_leakage,
-    "ann_topk": q_ann_topk,
-    "ann_lsh_topk": q_ann_lsh_topk,
-    "ann_lsh_topk_bucketed": q_ann_lsh_topk_bucketed,
-    "ann_lsh_topk_appended": q_ann_lsh_topk_appended,
-    "ann_hard_negatives": q_ann_hard_negatives,
-    "ann_ivf_topk": q_ann_ivf_topk,        # rows-only (approximate)
-    "ann_ivf_exact": q_ann_ivf_exact,
-    "ann_ivf_exact_bucketed": q_ann_ivf_exact_bucketed,
-    "ann_embedding_stats": q_ann_embedding_stats,
-    "ann_kmeans": q_ann_kmeans,
-    "mm_decode_features": q_mm_decode_features,
-    "mm_frame_samples": q_mm_frame_samples,
-    "mm_media_context": q_mm_media_context,
-}
+    docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
+    return media_context(il.synthesize_interleaved(docs))

@@ -320,17 +320,6 @@ SQL_TOKENS = """
          LATERAL (SELECT unnest(range(len(ts))) AS i)
 """
 
-SQL_MENTIONS = f"""
-    SELECT t.doc_id, t.pos, t.tok AS surface, g.ent_type
-    FROM ({SQL_TOKENS}) t
-    JOIN {{gaz}} ON t.tok = gaz.surface
-"""
-
-
-def sql_mentions() -> str:
-    return SQL_MENTIONS.format(gaz=sql_gazetteer_values())
-
-
 def md5_int(s: str, k: int, mod: int = 9) -> int:
     """Hex byte ``k`` of md5(s), mapped to [-mod//2, mod//2] — the
     shared integer-rule derivation for token embeddings (GP_RULE,

@@ -34,6 +34,11 @@ def get_registered(namespace: str, name: str) -> Any:
         ) from None
 
 
+def registered(namespace: str) -> Dict[str, Any]:
+    """A copy of the namespace's ``{name: object}`` table."""
+    return dict(_REGISTRY.get(namespace, {}))
+
+
 def list_registered(namespace: str) -> List[str]:
     return sorted(_REGISTRY.get(namespace, {}))
 

@@ -11,11 +11,14 @@ Two execution paths behind one API:
   propagation expressed as Ray Data joins + groupby-min until fixpoint,
   for signature graphs too large to hold on one node (e.g. components
   over LSH-candidate edges at 10^12-doc scale).  Each round is two
-  shuffles; rounds are bounded by the graph diameter (and ``max_iter``
-  guards the giant-component pathology, SURVEY.md §7.3).
+  shuffles; it runs to the fixpoint, which min-label propagation
+  reaches within diameter + 1 rounds, and raises past node count + 1
+  rounds (the diameter is below the node count, so that never
+  happens on a correct run).
 
 Both produce the same mapping: node -> lexicographically-smallest node
-of its component (asserted equal on random graphs in tests).
+of its component (asserted equal on a random graph and a 22-node path
+in tests).
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ def cc_local(
     return {n: find(n) for n in parent}
 
 
-def cc_label_propagation(nodes_ds, edges_ds, max_iter: int = 20):
+def cc_label_propagation(nodes_ds, edges_ds):
     """Distributed min-label propagation.
 
     nodes_ds: Dataset with column ``node``;
@@ -99,7 +102,8 @@ def cc_label_propagation(nodes_ds, edges_ds, max_iter: int = 20):
         return labels
 
     prev_sum = _labels_checksum(labels)
-    for _ in range(max_iter):
+    max_rounds = labels.count() + 1
+    for _ in range(max_rounds):
         # label of src flows to dst
         msgs = hash_join(
             both,
@@ -133,9 +137,11 @@ def cc_label_propagation(nodes_ds, edges_ds, max_iter: int = 20):
         cur_sum = _labels_checksum(new_labels)
         labels = new_labels
         if cur_sum == prev_sum:
-            break
+            return labels
         prev_sum = cur_sum
-    return labels
+    raise RuntimeError(
+        f"label propagation did not settle in {max_rounds} rounds"
+    )
 
 
 def _labels_checksum(labels_ds) -> tuple:

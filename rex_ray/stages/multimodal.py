@@ -52,27 +52,6 @@ class MediaFeatureStub:
         )
 
 
-class MediaEmbeddingStub:
-    """Fake per-media embedding: first ``dim`` md5 bytes, unit-scaled.
-    Demonstrates the large-binary-stage sizing: small ``batch_size``,
-    one actor per core, fixed-width ``list<float>`` output."""
-
-    def __init__(self, dim: int = 16):
-        self.dim = dim
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        embs = []
-        for ref in batch["media_ref"]:
-            h = hashlib.md5(ref.encode("utf-8")).digest()
-            v = np.frombuffer((h * ((self.dim // 16) + 1))[: self.dim], dtype=np.uint8)
-            v = v.astype(np.float64)
-            n = np.linalg.norm(v)
-            embs.append((v / n if n else v).tolist())
-        return pd.DataFrame(
-            {"media_ref": batch["media_ref"], "media_embedding": embs}
-        )
-
-
 def media_features(media_spans_ds, batch_size: int = 1024, concurrency=None):
     """Actor-pool feature extraction over media spans.  batch_size is
     deliberately small: with real payloads each row carries MBs."""

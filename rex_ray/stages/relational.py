@@ -102,8 +102,13 @@ def hash_join(left, right, on, join_type: str = "inner", right_on=None,
     materialized input); without one it is the cluster width.  An input
     with zero rows still loses its schema — guard that case before the
     call.  Each partition is an aggregator actor: a fixed 32 deadlocks
-    a 4-cpu cluster, and fan-out beyond the data is pure spin-up."""
-    width = max(2, min(32, cluster_cpus()))
+    a 4-cpu cluster, and fan-out beyond the data is pure spin-up.
+
+    Below 2 CPUs the aggregators reserve no CPU: Ray gives them half
+    the cluster and every shuffle task asks for a whole CPU, so on 1
+    CPU no shuffle task could ever be scheduled (the join hangs)."""
+    cpus = cluster_cpus()
+    width = max(2, min(32, cpus))
     if rows is not None:
         width = max(2, min(width, 1 + rows // 50_000))
 
@@ -113,6 +118,7 @@ def hash_join(left, right, on, join_type: str = "inner", right_on=None,
     return compact_blocks(left).join(
         compact_blocks(right), join_type=join_type, num_partitions=width,
         on=cols(on), right_on=cols(right_on) if right_on else None,
+        aggregator_ray_remote_args={"num_cpus": 0} if cpus < 2 else None,
     )
 
 

@@ -3,6 +3,10 @@ under ``rex_ray/`` that calls ``Dataset.join`` (it owns block
 compaction and partition sizing for every shuffle join)."""
 
 import ast
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 PKG = Path(__file__).resolve().parent.parent / "rex_ray"
@@ -43,3 +47,32 @@ def test_hash_join_is_the_only_dataset_join():
         rel = path.relative_to(PKG).as_posix()
         sites += [(rel, fn) for fn in v.found]
     assert sites == [("stages/relational.py", "hash_join")]
+
+
+def test_hash_join_finishes_on_one_cpu():
+    """On a 1-CPU cluster the join's aggregator actors must leave a
+    CPU for the shuffle tasks; otherwise no shuffle task schedules and
+    the join hangs.  Runs in its own 1-CPU Ray session; a hang is a
+    timeout failure."""
+    script = textwrap.dedent(
+        """
+        import ray
+        import ray.data as rd
+
+        ray.init(address="local", num_cpus=1, include_dashboard=False,
+                 logging_level="ERROR")
+        rd.DataContext.get_current().enable_progress_bars = False
+        from rex_ray.stages.relational import hash_join
+
+        left = rd.from_items([{"k": i % 50, "x": i} for i in range(2000)])
+        right = rd.from_items([{"k": i, "y": -i} for i in range(50)])
+        print(hash_join(left, right, on="k").count())
+        """
+    )
+    env = {**os.environ, "PYTHONPATH": str(PKG.parent)}
+    r = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True,
+        text=True, timeout=180,
+    )
+    assert r.returncode == 0, r.stderr[-2000:]
+    assert r.stdout.split()[-1] == "2000"

@@ -3,6 +3,7 @@ canonicalization equivalence check."""
 
 import numpy as np
 import pandas as pd
+import pytest
 
 from rex_ray.pipelines import spec
 from rex_ray.stages import canonical
@@ -70,14 +71,28 @@ def test_cc_local():
     assert cc == {"a": "a", "b": "a", "c": "a", "d": "d", "e": "d"}
 
 
-def test_cc_label_propagation_matches_local(ray_session):
-    import ray.data as rd
-
+def _random_graph():
     rng = np.random.RandomState(3)
     nodes = [f"n{i:02d}" for i in range(40)]
     edges = [
         (nodes[rng.randint(40)], nodes[rng.randint(40)]) for _ in range(30)
     ]
+    return nodes, edges
+
+
+def _path_graph():
+    """n00 - n01 - ... - n21: diameter 21, one component."""
+    nodes = [f"n{i:02d}" for i in range(22)]
+    return nodes, list(zip(nodes, nodes[1:]))
+
+
+@pytest.mark.parametrize(
+    "graph", [_random_graph, _path_graph], ids=["random", "path22"]
+)
+def test_cc_label_propagation_matches_local(ray_session, graph):
+    import ray.data as rd
+
+    nodes, edges = graph()
     local = canonical.cc_local(nodes, edges)
     nodes_ds = rd.from_pandas(pd.DataFrame({"node": nodes}))
     edges_ds = rd.from_pandas(pd.DataFrame(edges, columns=["a", "b"]))

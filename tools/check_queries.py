@@ -4,7 +4,8 @@ value frames.
 
 Usage:  python tools/check_queries.py [--json OUT.json] [sf_dir] [name ...]
 
-With no names, sweeps EVERY registered query; ``--json`` additionally
+With no names, sweeps EVERY registered query; an unknown name exits 1
+before anything runs.  ``--json`` additionally
 writes a per-query machine-readable record (status, rows, seconds) so
 the full-sweep evidence can be committed as an artifact each round
 (round-4 verdict item #4) instead of being re-run by the judge.
@@ -83,6 +84,14 @@ def main():
     sf_dir = argv[0] if argv else "/root/testdata/sf0.01"
     only = set(argv[1:])
 
+    from rex_ray.pipelines.queries import oracle_sql, queries
+
+    qs, sqls = queries(), oracle_sql()
+    unknown = sorted(only - set(qs))
+    if unknown:
+        print(f"unknown queries: {', '.join(unknown)}")
+        sys.exit(1)
+
     import ray
 
     if not ray.is_initialized():
@@ -96,15 +105,12 @@ def main():
 
     DataContext.get_current().enable_progress_bars = False
 
-    from rex_ray.pipelines.queries import oracle_sql, queries
-
     con = duckdb.connect()
     for t in TABLES:
         con.execute(
             f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{sf_dir}/{t}.parquet')"
         )
 
-    qs, sqls = queries(), oracle_sql()
     failures = 0
     records = {}
     for name, fn in qs.items():
