@@ -1,10 +1,15 @@
 """Similarity search over an embedding column (list<float>).
 
-Baseline: brute-force cosine top-k — the query matrix is broadcast
-once; every batch does ONE float64 matmul against it and emits its
-local top-k per query (partial), then a single tiny groupby merges
-partials into the global top-k.  No full-dataset materialization, no
-O(n) rows through the shuffle — only k rows per (query, batch).
+Every exact top-k search here is ONE engine (:func:`_exact_topk`) plus
+a scoring function per variant.  The engine broadcasts the query
+matrix once; every batch keeps its <= k lowest (score, neighbor_id)
+candidates per query, self excluded, and a single tiny groupby merges
+the partials into (query_id, neighbor_id, rank).  No full-dataset
+materialization, no O(n) rows through the shuffle — only k rows per
+(query, batch).  A variant only says, for one batch, which rows are
+candidates for each query and how to score them (lower is closer):
+-cosine on normalized float64 (``Q @ B.T``) for brute force, LSH and
+hard negatives; int64 squared L2 on the integer grid for exact IVF.
 
 Scale path: IVF-style bucketing — k-means-ish centroid assignment
 (deterministic hashed centroids here; plug a trained codebook in
@@ -21,23 +26,33 @@ import pyarrow as pa
 
 import ray
 
-from rex_ray.functions.blocks import (
-    arrow_block,
-    default_concurrency,
-    pre_shuffle,
-)
+from rex_ray.functions.blocks import default_concurrency, pre_shuffle
 
-_TOPK_PARTIAL_SCHEMA = pa.schema(
+_TOPK_SCHEMA = pa.schema(
     [
         ("query_id", pa.int64()),
         ("neighbor_id", pa.int64()),
-        ("sim", pa.float64()),
+        ("rank", pa.int64()),
     ]
 )
 
 
+def _empty_topk():
+    import ray.data as rd
+
+    return rd.from_arrow(_TOPK_SCHEMA.empty_table())
+
+
 def _normalize(mat: np.ndarray) -> np.ndarray:
     return mat / np.linalg.norm(mat, axis=1, keepdims=True)
+
+
+def _stack(col) -> np.ndarray:
+    return np.stack(col.to_numpy())
+
+
+def _unit_rows(col) -> np.ndarray:
+    return _normalize(_stack(col).astype(np.float64))
 
 
 def _filter_ids(ds, id_col: str, ids: Sequence[int]):
@@ -51,6 +66,82 @@ def _filter_ids(ds, id_col: str, ids: Sequence[int]):
         lambda t: t.filter(pc.is_in(t[id_col], value_set=value_set)),
         batch_format="pyarrow",
     )
+
+
+def _exact_topk(qdf: pd.DataFrame, k: int, id_col: str, plan, batch_scores):
+    """The one top-k engine: (query_id, neighbor_id, rank) with rank
+    1..k per query, self excluded, ranked by (score, neighbor_id)
+    ascending.
+
+    ``qdf``: the query rows (any order; empty -> the empty result).
+    ``plan(qdf sorted by id) -> (ds, side)``: the dataset to scan and
+    the per-query side data broadcast with the query ids (``ds`` None
+    when pruning left nothing to scan).  ``batch_scores(batch, side)
+    -> (mask, score)``: ``mask`` is the (queries x rows) candidate
+    test (``True`` = every row), ``score(qi, m)`` the scores of query
+    ``qi`` against the rows selected by ``m``.  A query with no
+    candidate anywhere is absent from the output."""
+    if len(qdf) == 0:
+        return _empty_topk()
+    qdf = qdf.sort_values(id_col)
+    ds, side = plan(qdf)
+    if ds is None:
+        return _empty_topk()
+    ref = ray.put((qdf[id_col].to_numpy().astype(np.int64), side))
+
+    class LocalTopK:
+        def __init__(self):
+            self.qids, self.side = ray.get(ref)
+
+        def __call__(self, batch: pd.DataFrame) -> pa.Table:
+            bids = batch[id_col].to_numpy().astype(np.int64)
+            mask, score = batch_scores(batch, self.side)
+            mask = mask & (bids[None, :] != self.qids[:, None])
+            qs, ns, ss = [], [], []
+            for qi, m in enumerate(mask):
+                cand, s = bids[m], score(qi, m)
+                top = np.lexsort((cand, s))[:k]
+                qs.append(np.full(len(top), self.qids[qi], dtype=np.int64))
+                ns.append(cand[top])
+                ss.append(s[top])
+            return pa.table(
+                {
+                    "query_id": np.concatenate(qs),
+                    "neighbor_id": np.concatenate(ns),
+                    "score": np.concatenate(ss),
+                }
+            )
+
+    partial = ds.map_batches(
+        LocalTopK, batch_format="pandas", concurrency=default_concurrency()
+    )
+
+    def merge(g: pd.DataFrame) -> pa.Table:
+        g = g.sort_values(["score", "neighbor_id"]).head(k)
+        return pa.table(
+            {
+                "query_id": g["query_id"].to_numpy(),
+                "neighbor_id": g["neighbor_id"].to_numpy(),
+                "rank": np.arange(1, len(g) + 1, dtype=np.int64),
+            },
+            schema=_TOPK_SCHEMA,
+        )
+
+    return pre_shuffle(partial).groupby("query_id").map_groups(
+        merge, batch_format="pandas"
+    )
+
+
+def _neg_cosine(Q: np.ndarray, Braw: np.ndarray):
+    """score(qi, m) = -cosine of unit query ``qi`` against the selected
+    batch rows (one float64 ``Q @ B.T`` per batch)."""
+    sims = Q @ _normalize(Braw.astype(np.float64)).T
+    return lambda qi, m: -sims[qi][m]
+
+
+def _cosine_scores(batch: pd.DataFrame, Q: np.ndarray):
+    """Candidates: every row; score: -cosine."""
+    return True, _neg_cosine(Q, _stack(batch["embedding"]))
 
 
 def brute_force_topk(
@@ -67,67 +158,12 @@ def brute_force_topk(
     matches the SQL oracle's ORDER BY sim DESC, neighbor_id ASC).
     ``query_ds`` defaults to ``emb_ds`` (query vectors looked up there).
     """
-    qset = sorted(query_ids)
-    qdf = (
-        _filter_ids(query_ds if query_ds is not None else emb_ds, id_col, qset)
-        .to_pandas()
-        .sort_values(id_col)
-    )
-    Q = _normalize(np.stack(qdf["embedding"].to_numpy()).astype(np.float64))
-    qids = qdf[id_col].to_numpy()
-    ref = ray.put((qids, Q))
-
-    class LocalTopK:
-        def __init__(self):
-            self.qids, self.Q = ray.get(ref)
-
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            B = _normalize(
-                np.stack(batch["embedding"].to_numpy()).astype(np.float64)
-            )
-            bids = batch[id_col].to_numpy()
-            sims = self.Q @ B.T  # (q, b)
-            rows = []
-            for qi, qid in enumerate(self.qids):
-                s = sims[qi]
-                mask = bids != qid  # exclude self
-                cand_ids = bids[mask]
-                cand_s = s[mask]
-                take = min(k, len(cand_ids))
-                if take == 0:
-                    continue
-                # local top-k (ties -> smaller id), partial result
-                order = np.lexsort((cand_ids, -cand_s))[:take]
-                for j in order:
-                    rows.append((int(qid), int(cand_ids[j]), float(cand_s[j])))
-            return arrow_block(
-                pd.DataFrame(
-                    rows, columns=["query_id", "neighbor_id", "sim"]
-                ),
-                schema=_TOPK_PARTIAL_SCHEMA,
-            )
-
-    partial = emb_ds.map_batches(
-        LocalTopK, batch_format="pandas", concurrency=default_concurrency()
-    )
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(
-            ["sim", "neighbor_id"], ascending=[False, True]
-        ).head(k)
-        g = g.reset_index(drop=True)
-        return arrow_block(
-            pd.DataFrame(
-                {
-                    "query_id": g["query_id"],
-                    "neighbor_id": g["neighbor_id"],
-                    "rank": np.arange(1, len(g) + 1, dtype=np.int64),
-                }
-            )
-        )
-
-    return pre_shuffle(partial).groupby("query_id").map_groups(
-        merge, batch_format="pandas"
+    qdf = _filter_ids(
+        query_ds if query_ds is not None else emb_ds, id_col, query_ids
+    ).to_pandas()
+    return _exact_topk(
+        qdf, k, id_col, lambda q: (emb_ds, _unit_rows(q["embedding"])),
+        _cosine_scores,
     )
 
 
@@ -152,9 +188,7 @@ class IvfCentroidAssigner:
             self.C = _normalize(rng.standard_normal((num_centroids, dim)))
 
     def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        B = _normalize(
-            np.stack(batch["embedding"].to_numpy()).astype(np.float64)
-        )
+        B = _unit_rows(batch["embedding"])
         batch = batch.copy()
         batch["bucket"] = (B @ self.C.T).argmax(axis=1).astype("int64")
         return batch
@@ -186,20 +220,16 @@ def ivf_topk(
         batch_format="pandas",
         concurrency=default_concurrency(),
     )
-    qdf = (
-        _filter_ids(emb_ds, id_col, sorted(query_ids))
-        .to_pandas()
-        .sort_values(id_col)
-    )
-    Q = _normalize(np.stack(qdf["embedding"].to_numpy()).astype(np.float64))
-    probes = np.argsort(-(Q @ assigner.C.T), axis=1)[:, :nprobe]
-    probe_buckets = sorted(set(probes.ravel().tolist()))
-    pruned = _filter_ids(bucketed, "bucket", probe_buckets).drop_columns(
-        ["bucket"]
-    )
-    return brute_force_topk(
-        pruned, query_ids, k=k, id_col=id_col, query_ds=emb_ds
-    )
+
+    def plan(qdf):
+        Q = _unit_rows(qdf["embedding"])
+        probes = np.argsort(-(Q @ assigner.C.T), axis=1)[:, :nprobe]
+        probe_buckets = sorted(set(probes.ravel().tolist()))
+        pruned = _filter_ids(bucketed, "bucket", probe_buckets)
+        return pruned.drop_columns(["bucket"]), Q
+
+    qdf = _filter_ids(emb_ds, id_col, query_ids).to_pandas()
+    return _exact_topk(qdf, k, id_col, plan, _cosine_scores)
 
 
 # ---------------------------------------------------------------------------
@@ -336,13 +366,26 @@ def kmeans_assign(emb_ds, C: np.ndarray, id_col: str = "vec_id"):
     return emb_ds.map_batches(fn, batch_format="pandas")
 
 
-_TOPK_INT_PARTIAL_SCHEMA = pa.schema(
-    [
-        ("query_id", pa.int64()),
-        ("neighbor_id", pa.int64()),
-        ("d", pa.int64()),
-    ]
-)
+def _ivf_probes(Q: np.ndarray, C: np.ndarray, nprobe: int) -> list:
+    """Per-query probe sets: the nprobe smallest (d, cid) under int64
+    squared L2 on the grid — tiny (q x k)."""
+    dq = ((Q[:, None, :] - C[None, :, :]) ** 2).sum(axis=2)
+    cid = np.arange(len(C), dtype=np.int64)
+    return [np.lexsort((cid, d))[:nprobe].astype(np.int64) for d in dq]
+
+
+def _ivf_scores(batch: pd.DataFrame, side):
+    """Candidates: rows whose cluster is probed by the query; score:
+    int64 squared L2 on the grid (per-query masked difference)."""
+    Q, C, probes = side
+    V = quantize_grid(batch["embedding"])
+    cl, _ = _assign_int(V, C)
+
+    def score(qi, m):
+        diff = V[m] - Q[qi][None, :]
+        return (diff * diff).sum(axis=1)
+
+    return np.stack([np.isin(cl, p) for p in probes]), score
 
 
 def ivf_topk_int(
@@ -383,71 +426,12 @@ def ivf_topk_int(
         else kmeans_fit(emb_ds, k=num_centroids, iters=iters, id_col=id_col)
     )
 
-    qdf = (
-        _filter_ids(emb_ds, id_col, sorted(query_ids))
-        .to_pandas()
-        .sort_values(id_col)
-    )
-    Q = quantize_grid(qdf["embedding"])
-    qids = qdf[id_col].to_numpy().astype(np.int64)
+    def plan(qdf):
+        Q = quantize_grid(qdf["embedding"])
+        return emb_ds, (Q, C, _ivf_probes(Q, C, nprobe))
 
-    # per-query probe sets: nprobe smallest (d, cid) — tiny (q x k)
-    dq = ((Q[:, None, :] - C[None, :, :]) ** 2).sum(axis=2)
-    cid = np.arange(len(C), dtype=np.int64)
-    probes = [
-        np.lexsort((cid, dq[qi]))[:nprobe].astype(np.int64)
-        for qi in range(len(qids))
-    ]
-    ref = ray.put((qids, Q, C, probes))
-
-    class LocalTopKInt:
-        def __init__(self):
-            self.qids, self.Q, self.C, self.probes = ray.get(ref)
-
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            V = quantize_grid(batch["embedding"])
-            bids = batch[id_col].to_numpy().astype(np.int64)
-            cl, _ = _assign_int(V, self.C)
-            rows = []
-            for qi, qid in enumerate(self.qids):
-                mask = np.isin(cl, self.probes[qi]) & (bids != qid)
-                if not mask.any():
-                    continue
-                cand = bids[mask]
-                diff = V[mask] - self.Q[qi][None, :]
-                dd = (diff * diff).sum(axis=1)
-                order = np.lexsort((cand, dd))[: min(k, len(cand))]
-                rows.extend(
-                    (int(qid), int(cand[j]), int(dd[j])) for j in order
-                )
-            return arrow_block(
-                pd.DataFrame(
-                    rows, columns=["query_id", "neighbor_id", "d"]
-                ),
-                schema=_TOPK_INT_PARTIAL_SCHEMA,
-            )
-
-    partial = emb_ds.map_batches(
-        LocalTopKInt, batch_format="pandas",
-        concurrency=default_concurrency(),
-    )
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["d", "neighbor_id"]).head(k)
-        g = g.reset_index(drop=True)
-        return arrow_block(
-            pd.DataFrame(
-                {
-                    "query_id": g["query_id"],
-                    "neighbor_id": g["neighbor_id"],
-                    "rank": np.arange(1, len(g) + 1, dtype=np.int64),
-                }
-            )
-        )
-
-    return pre_shuffle(partial).groupby("query_id").map_groups(
-        merge, batch_format="pandas"
-    )
+    qdf = _filter_ids(emb_ds, id_col, query_ids).to_pandas()
+    return _exact_topk(qdf, k, id_col, plan, _ivf_scores)
 
 
 def _ivf_add_cluster_fn(C: np.ndarray):
@@ -523,8 +507,6 @@ def ivf_topk_int_from_layout(
     ``query_frame``: optional (id, embedding) DataFrame when queries
     arrive as their own table.  ``stats_out`` gets
     ``{"clusters_total", "clusters_read", "query_fetch_files"}``."""
-    import ray.data as rd
-
     from rex_ray.functions import fsio
 
     C = np.asarray(
@@ -532,100 +514,28 @@ def ivf_topk_int_from_layout(
     )
     man, parts, lfs, base = _read_manifest(layout_dir, "cluster")
     all_clusters = sorted(parts)
-    qset = sorted(query_ids)
     if query_frame is None:
         query_frame = _fetch_query_frame(
-            base, lfs, man, parts, "cluster", id_col, qset, stats_out
+            base, lfs, man, parts, "cluster", id_col, sorted(query_ids),
+            stats_out,
         )
     elif stats_out is not None:
         stats_out["query_fetch_files"] = 0
-    qdf = query_frame.sort_values(id_col)
-
-    def _empty():
-        return rd.from_arrow(
-            pa.schema(
-                [("query_id", pa.int64()), ("neighbor_id", pa.int64()),
-                 ("rank", pa.int64())]
-            ).empty_table()
-        )
-
-    if len(qdf) == 0:
-        if stats_out is not None:
-            stats_out["clusters_total"] = len(all_clusters)
-            stats_out["clusters_read"] = 0
-        return _empty()
-    Q = quantize_grid(qdf["embedding"])
-    qids = qdf[id_col].to_numpy().astype(np.int64)
-
-    # per-query probe sets — the exact rule of ivf_topk_int
-    dq = ((Q[:, None, :] - C[None, :, :]) ** 2).sum(axis=2)
-    cid = np.arange(len(C), dtype=np.int64)
-    probes = [
-        np.lexsort((cid, dq[qi]))[:nprobe].astype(np.int64)
-        for qi in range(len(qids))
-    ]
-    probe_union = sorted(
-        set(int(c) for p in probes for c in p) & set(all_clusters)
-    )
     if stats_out is not None:
-        stats_out["clusters_total"] = len(all_clusters)
-        stats_out["clusters_read"] = len(probe_union)
-    paths = [p for c in probe_union for p in parts[c]]
-    if not paths:
-        return _empty()
-    pruned = rd.read_parquet(
-        paths, columns=[id_col, "embedding"], filesystem=lfs
-    )
-    ref = ray.put((qids, Q, C, probes))
+        stats_out.update(clusters_total=len(all_clusters), clusters_read=0)
 
-    class LocalTopKInt:
-        def __init__(self):
-            self.qids, self.Q, self.C, self.probes = ray.get(ref)
-
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            V = quantize_grid(batch["embedding"])
-            bids = batch[id_col].to_numpy().astype(np.int64)
-            cl, _ = _assign_int(V, self.C)
-            rows = []
-            for qi, qid in enumerate(self.qids):
-                mask = np.isin(cl, self.probes[qi]) & (bids != qid)
-                if not mask.any():
-                    continue
-                cand = bids[mask]
-                diff = V[mask] - self.Q[qi][None, :]
-                dd = (diff * diff).sum(axis=1)
-                order = np.lexsort((cand, dd))[: min(k, len(cand))]
-                rows.extend(
-                    (int(qid), int(cand[j]), int(dd[j])) for j in order
-                )
-            return arrow_block(
-                pd.DataFrame(
-                    rows, columns=["query_id", "neighbor_id", "d"]
-                ),
-                schema=_TOPK_INT_PARTIAL_SCHEMA,
-            )
-
-    partial = pruned.map_batches(
-        LocalTopKInt, batch_format="pandas",
-        concurrency=default_concurrency(),
-    )
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["d", "neighbor_id"]).head(k)
-        g = g.reset_index(drop=True)
-        return arrow_block(
-            pd.DataFrame(
-                {
-                    "query_id": g["query_id"],
-                    "neighbor_id": g["neighbor_id"],
-                    "rank": np.arange(1, len(g) + 1, dtype=np.int64),
-                }
-            )
+    def plan(qdf):
+        Q = quantize_grid(qdf["embedding"])
+        probes = _ivf_probes(Q, C, nprobe)
+        probe_union = sorted(
+            set(int(c) for p in probes for c in p) & set(all_clusters)
         )
+        if stats_out is not None:
+            stats_out["clusters_read"] = len(probe_union)
+        paths = [p for c in probe_union for p in parts[c]]
+        return _read_vectors(paths, id_col, lfs), (Q, C, probes)
 
-    return pre_shuffle(partial).groupby("query_id").map_groups(
-        merge, batch_format="pandas"
-    )
+    return _exact_topk(query_frame, k, id_col, plan, _ivf_scores)
 
 
 # ---------------------------------------------------------------------------
@@ -664,13 +574,26 @@ def lsh_buckets(X: np.ndarray, S: np.ndarray) -> np.ndarray:
     return bucket
 
 
+def _lsh_side(qdf: pd.DataFrame, n_planes: int):
+    """(unit query matrix, query buckets, planes) for the LSH scorer."""
+    Qraw = _stack(qdf["embedding"])
+    S = lsh_planes(n_planes, Qraw.shape[1])
+    return _normalize(Qraw.astype(np.float64)), lsh_buckets(Qraw, S), S
+
+
+def _lsh_scores(batch: pd.DataFrame, side):
+    """Candidates: rows in the query's LSH bucket; score: -cosine."""
+    Q, qb, S = side
+    Braw = _stack(batch["embedding"])
+    return lsh_buckets(Braw, S)[None, :] == qb[:, None], _neg_cosine(Q, Braw)
+
+
 def lsh_topk(
     emb_ds,
     query_ids: Sequence[int],
     k: int = 5,
     n_planes: int = 4,
     id_col: str = "vec_id",
-    query_ds=None,
     query_frame: pd.DataFrame = None,
 ):
     """LSH-bucketed top-k cosine neighbors: candidates restricted to
@@ -681,80 +604,14 @@ def lsh_topk(
     neighbor_id, rank; ties -> smaller id), but ranked WITHIN the
     bucket — approximate by design, yet fully deterministic, so the
     DuckDB oracle reproduces it exactly (query ann_lsh_topk).
-    ``query_ds`` defaults to ``emb_ds`` (query vectors looked up there
-    — pass the full table when ``emb_ds`` is a pruned candidate set);
-    ``query_frame`` (an (id, embedding) DataFrame) skips the lookup
-    scan entirely — the at-scale path where query vectors were already
-    fetched via the layout index (:func:`lsh_topk_from_layout`) or
-    arrive as their own table."""
-    qset = sorted(query_ids)
-    if query_frame is not None:
-        qdf = query_frame.sort_values(id_col)
-    else:
-        qdf = (
-            _filter_ids(query_ds if query_ds is not None else emb_ds,
-                        id_col, qset)
-            .to_pandas().sort_values(id_col)
-        )
-    Qraw = np.stack(qdf["embedding"].to_numpy())
-    dim = Qraw.shape[1]
-    S = lsh_planes(n_planes, dim)
-    Q = _normalize(Qraw.astype(np.float64))
-    qb = lsh_buckets(Qraw, S)
-    qids = qdf[id_col].to_numpy()
-    ref = ray.put((qids, Q, qb, S))
-
-    class BucketTopK:
-        def __init__(self):
-            self.qids, self.Q, self.qb, self.S = ray.get(ref)
-
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            Braw = np.stack(batch["embedding"].to_numpy())
-            B = _normalize(Braw.astype(np.float64))
-            bids = batch[id_col].to_numpy()
-            bb = lsh_buckets(Braw, self.S)
-            rows = []
-            sims = self.Q @ B.T
-            for qi, qid in enumerate(self.qids):
-                mask = (bb == self.qb[qi]) & (bids != qid)
-                if not mask.any():
-                    continue
-                cand_ids = bids[mask]
-                cand_s = sims[qi][mask]
-                take = min(k, len(cand_ids))
-                order = np.lexsort((cand_ids, -cand_s))[:take]
-                for j in order:
-                    rows.append(
-                        (int(qid), int(cand_ids[j]), float(cand_s[j]))
-                    )
-            return arrow_block(
-                pd.DataFrame(
-                    rows, columns=["query_id", "neighbor_id", "sim"]
-                ),
-                schema=_TOPK_PARTIAL_SCHEMA,
-            )
-
-    partial = emb_ds.map_batches(
-        BucketTopK, batch_format="pandas", concurrency=default_concurrency()
-    )
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(
-            ["sim", "neighbor_id"], ascending=[False, True]
-        ).head(k)
-        g = g.reset_index(drop=True)
-        return arrow_block(
-            pd.DataFrame(
-                {
-                    "query_id": g["query_id"],
-                    "neighbor_id": g["neighbor_id"],
-                    "rank": np.arange(1, len(g) + 1, dtype=np.int64),
-                }
-            )
-        )
-
-    return pre_shuffle(partial).groupby("query_id").map_groups(
-        merge, batch_format="pandas"
+    Query vectors are looked up in ``emb_ds``; ``query_frame`` (an
+    (id, embedding) DataFrame) skips the lookup scan entirely — for
+    query vectors that arrive as their own table."""
+    if query_frame is None:
+        query_frame = _filter_ids(emb_ds, id_col, query_ids).to_pandas()
+    return _exact_topk(
+        query_frame, k, id_col, lambda q: (emb_ds, _lsh_side(q, n_planes)),
+        _lsh_scores,
     )
 
 
@@ -859,6 +716,16 @@ def _read_manifest(layout_dir: str, key: str) -> tuple:
         for v, rels in man["partitions"].items()
     }
     return man, parts, fs, base
+
+
+def _read_vectors(paths: list, id_col: str, fs):
+    """(id, embedding) columns of the given layout files; None when
+    the probe pruned every file away."""
+    import ray.data as rd
+
+    if not paths:
+        return None
+    return rd.read_parquet(paths, columns=[id_col, "embedding"], filesystem=fs)
 
 
 def _fetch_query_frame(
@@ -1092,49 +959,27 @@ def lsh_topk_from_layout(
     ``stats_out`` (optional dict) gets ``{"buckets_total",
     "buckets_read", "query_fetch_files"}`` so callers can assert both
     prunes engaged."""
-    import ray.data as rd
-
     man, parts, lfs, base = _read_manifest(layout_dir, "bucket")
     all_buckets = sorted(parts)
-    qset = sorted(query_ids)
     if query_frame is None:
         query_frame = _fetch_query_frame(
-            base, lfs, man, parts, "bucket", id_col, qset, stats_out
+            base, lfs, man, parts, "bucket", id_col, sorted(query_ids),
+            stats_out,
         )
     elif stats_out is not None:
         stats_out["query_fetch_files"] = 0
-    qdf = query_frame.sort_values(id_col)
-
-    def _empty():
-        return rd.from_arrow(
-            pa.schema(
-                [("query_id", pa.int64()), ("neighbor_id", pa.int64()),
-                 ("rank", pa.int64())]
-            ).empty_table()
-        )
-
-    if len(qdf) == 0:
-        if stats_out is not None:
-            stats_out["buckets_total"] = len(all_buckets)
-            stats_out["buckets_read"] = 0
-        return _empty()
-    Qraw = np.stack(qdf["embedding"].to_numpy())
-    S = lsh_planes(n_planes, Qraw.shape[1])
-    qb = lsh_buckets(Qraw, S)
-    probe = sorted(set(int(b) for b in qb) & set(all_buckets))
     if stats_out is not None:
-        stats_out["buckets_total"] = len(all_buckets)
-        stats_out["buckets_read"] = len(probe)
-    paths = [p for b in probe for p in parts[b]]
-    if not paths:
-        return _empty()
-    pruned = rd.read_parquet(
-        paths, columns=[id_col, "embedding"], filesystem=lfs
-    )
-    return lsh_topk(
-        pruned, query_ids, k=k, n_planes=n_planes, id_col=id_col,
-        query_frame=qdf,
-    )
+        stats_out.update(buckets_total=len(all_buckets), buckets_read=0)
+
+    def plan(qdf):
+        side = _lsh_side(qdf, n_planes)
+        probe = sorted(set(int(b) for b in side[1]) & set(all_buckets))
+        if stats_out is not None:
+            stats_out["buckets_read"] = len(probe)
+        paths = [p for b in probe for p in parts[b]]
+        return _read_vectors(paths, id_col, lfs), side
+
+    return _exact_topk(query_frame, k, id_col, plan, _lsh_scores)
 
 
 def hard_negative_topk(
@@ -1151,68 +996,18 @@ def hard_negative_topk(
     broadcast query matrix, per-batch matmul partials, one per-query
     merge); the label test rides the same batch.  Output: (query_id,
     neighbor_id, rank), ties -> smaller id."""
-    qset = sorted(query_ids)
-    qdf = (
-        _filter_ids(emb_ds, id_col, qset).to_pandas().sort_values(id_col)
-    )
-    Q = _normalize(np.stack(qdf["embedding"].to_numpy()).astype(np.float64))
-    qids = qdf[id_col].to_numpy()
-    qlabels = qdf[label_col].to_numpy()
-    ref = ray.put((qids, Q, qlabels))
 
-    class NegTopK:
-        def __init__(self):
-            self.qids, self.Q, self.qlabels = ray.get(ref)
+    def plan(qdf):
+        Q = _unit_rows(qdf["embedding"])
+        return emb_ds, (Q, qdf[label_col].to_numpy())
 
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            B = _normalize(
-                np.stack(batch["embedding"].to_numpy()).astype(np.float64)
-            )
-            bids = batch[id_col].to_numpy()
-            blabels = batch[label_col].to_numpy()
-            sims = self.Q @ B.T
-            rows = []
-            for qi, qid in enumerate(self.qids):
-                mask = (bids != qid) & (blabels != self.qlabels[qi])
-                if not mask.any():
-                    continue
-                cand_ids = bids[mask]
-                cand_s = sims[qi][mask]
-                take = min(k, len(cand_ids))
-                order = np.lexsort((cand_ids, -cand_s))[:take]
-                for j in order:
-                    rows.append(
-                        (int(qid), int(cand_ids[j]), float(cand_s[j]))
-                    )
-            return arrow_block(
-                pd.DataFrame(
-                    rows, columns=["query_id", "neighbor_id", "sim"]
-                ),
-                schema=_TOPK_PARTIAL_SCHEMA,
-            )
+    def scores(batch, side):
+        Q, qlabels = side
+        other = batch[label_col].to_numpy()[None, :] != qlabels[:, None]
+        return other, _neg_cosine(Q, _stack(batch["embedding"]))
 
-    partial = emb_ds.map_batches(
-        NegTopK, batch_format="pandas", concurrency=default_concurrency()
-    )
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(
-            ["sim", "neighbor_id"], ascending=[False, True]
-        ).head(k)
-        g = g.reset_index(drop=True)
-        return arrow_block(
-            pd.DataFrame(
-                {
-                    "query_id": g["query_id"],
-                    "neighbor_id": g["neighbor_id"],
-                    "rank": np.arange(1, len(g) + 1, dtype=np.int64),
-                }
-            )
-        )
-
-    return pre_shuffle(partial).groupby("query_id").map_groups(
-        merge, batch_format="pandas"
-    )
+    qdf = _filter_ids(emb_ds, id_col, query_ids).to_pandas()
+    return _exact_topk(qdf, k, id_col, plan, scores)
 
 
 def embedding_dim_stats(emb_ds):

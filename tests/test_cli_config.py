@@ -4,10 +4,11 @@ rex/cmds/)."""
 
 import json
 import os
-import subprocess
 import sys
 
 import pytest
+
+import process_group
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -53,9 +54,9 @@ def test_config_layering(tmp_path):
 
 def _cli(args, cwd, extra_env=None):
     env = {**os.environ, "PYTHONPATH": REPO, **(extra_env or {})}
-    return subprocess.run(
+    return process_group.run(
         [sys.executable, "-m", "rex_ray", *args],
-        cwd=cwd, env=env, capture_output=True, text=True, timeout=400,
+        cwd=cwd, env=env, timeout=400,
     )
 
 

@@ -141,6 +141,118 @@ def test_brute_force_topk_matches_numpy(emb_ds):
         assert mine == expect
 
 
+def _hard_negatives_ref(df: pd.DataFrame, qids, k: int) -> dict:
+    """{query: neighbor ids by rank} — numpy reference of
+    hard_negative_topk (queries without candidates are absent)."""
+    df = df.sort_values("vec_id")
+    M = np.stack(df["embedding"].to_numpy()).astype(np.float64)
+    M /= np.linalg.norm(M, axis=1, keepdims=True)
+    ids, labels = df["vec_id"].to_numpy(), df["label"].to_numpy()
+    out = {}
+    for q in qids:
+        row = np.flatnonzero(ids == q)[0]
+        sims = M[row] @ M.T
+        mask = (ids != q) & (labels != labels[row])
+        order = np.lexsort((ids[mask], -sims[mask]))[:k]
+        if len(order):
+            out[q] = ids[mask][order].tolist()
+    return out
+
+
+def test_hard_negative_topk_matches_numpy(ray_session):
+    import pyarrow as pa
+    import ray.data as rd
+
+    from rex_ray.stages.similarity import hard_negative_topk
+
+    labeled = rd.read_parquet(
+        f"{SF}/embeddings.parquet", columns=["vec_id", "embedding", "label"]
+    )
+    rng = np.random.RandomState(7)
+    small = pd.DataFrame(
+        {
+            "vec_id": np.arange(7, dtype=np.int64),
+            "embedding": list(rng.standard_normal((7, 8)).astype(np.float32)),
+            "label": np.array([5, 5, 5, 5, 5, 5, 9], dtype=np.int32),
+        }
+    )
+
+    def table(df):
+        return rd.from_arrow(
+            pa.table(
+                {
+                    "vec_id": pa.array(df["vec_id"], pa.int64()),
+                    "embedding": pa.array(
+                        [e.tolist() for e in df["embedding"]],
+                        pa.list_(pa.float32()),
+                    ),
+                    "label": pa.array(df["label"], pa.int32()),
+                }
+            )
+        )
+
+    def mined(ds, qids, k):
+        got = hard_negative_topk(ds, query_ids=qids, k=k).to_pandas()
+        got = got.reindex(columns=["query_id", "neighbor_id", "rank"])
+        out = {}
+        for q, g in got.groupby("query_id"):
+            g = g.sort_values("rank")
+            assert g["rank"].tolist() == list(range(1, len(g) + 1))
+            out[int(q)] = g["neighbor_id"].tolist()
+        return out
+
+    real = mined(labeled, list(range(4)), 4)
+    assert real == _hard_negatives_ref(labeled.to_pandas(), range(4), 4)
+    assert len(real) == 4
+    # query 0's only other-label vector is id 6: k=3 above its 1 candidate
+    few = mined(table(small), [0, 6], 3)
+    assert few == _hard_negatives_ref(small, [0, 6], 3)
+    assert few[0] == [6] and len(few[6]) == 3
+    # ids 0..5 all share label 5: query 0 has no candidate and drops out
+    assert mined(table(small[:6]), [0, 1], 3) == {}
+
+
+@pytest.mark.parametrize("query_ids", [[], [999]])
+@pytest.mark.parametrize(
+    "fn", ["brute_force_topk", "lsh_topk", "hard_negative_topk",
+           "ivf_topk_int"],
+)
+def test_topk_without_matching_query_is_empty(ray_session, fn, query_ids):
+    import pyarrow as pa
+    import ray.data as rd
+
+    from rex_ray.stages import similarity
+
+    ds = rd.read_parquet(
+        f"{SF}/embeddings.parquet", columns=["vec_id", "embedding", "label"]
+    )
+    out = getattr(similarity, fn)(ds, query_ids=query_ids, k=5)
+    assert out.count() == 0
+    assert out.schema().base_schema == pa.schema(
+        [("query_id", pa.int64()), ("neighbor_id", pa.int64()),
+         ("rank", pa.int64())]
+    )
+
+
+def test_similarity_has_one_topk_merge():
+    """Every top-k search in ``stages/similarity.py`` runs through one
+    engine: exactly one ``groupby("query_id")`` call in the module."""
+    import ast
+    from pathlib import Path
+
+    import rex_ray.stages.similarity as mod
+
+    tree = ast.parse(Path(mod.__file__).read_text())
+    calls = [
+        n for n in ast.walk(tree)
+        if isinstance(n, ast.Call)
+        and isinstance(n.func, ast.Attribute)
+        and n.func.attr == "groupby"
+        and [getattr(a, "value", None) for a in n.args] == ["query_id"]
+    ]
+    assert len(calls) == 1
+
+
 def test_ivf_recall_reasonable(emb_ds):
     from rex_ray.stages.similarity import brute_force_topk, ivf_topk
 

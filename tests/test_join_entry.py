@@ -4,10 +4,11 @@ compaction and partition sizing for every shuffle join)."""
 
 import ast
 import os
-import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+import process_group
 
 PKG = Path(__file__).resolve().parent.parent / "rex_ray"
 
@@ -70,9 +71,8 @@ def test_hash_join_finishes_on_one_cpu():
         """
     )
     env = {**os.environ, "PYTHONPATH": str(PKG.parent)}
-    r = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True,
-        text=True, timeout=180,
+    r = process_group.run(
+        [sys.executable, "-c", script], env=env, timeout=180,
     )
     assert r.returncode == 0, r.stderr[-2000:]
     assert r.stdout.split()[-1] == "2000"
