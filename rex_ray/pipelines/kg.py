@@ -273,9 +273,11 @@ def run_incremental(
     rebuild the dictionary in a fresh epoch dir when alias drift
     matters), deduped per partition with lineage, merged, and
     Bloom-anti-joined against the existing store so only
-    genuinely-new (subj, pred, obj) keys are appended.  Re-ingesting
-    an increment costs ~O(new): known keys drop map-side at the Bloom
-    and finished partitions resume from their ``_SUCCESS`` markers.
+    genuinely-new (subj, pred, obj) keys are appended.  Known keys
+    drop map-side at the Bloom and finished partitions resume from
+    their ``_SUCCESS`` markers, but the anti-join's exact step still
+    shuffles every distinct key of the base store, so an increment
+    costs O(new + base keys), not O(new).
 
     Returns (new_triples Dataset, lineage list, delta_out path).
     """

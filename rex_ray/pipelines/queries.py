@@ -759,10 +759,12 @@ def q_kg_store_delta(sf_dir: str):
     delta-store triples whose (subj_id, pred, obj_id) key the base
     store does not already hold — the append set of an incremental
     run.  The anti-join is Bloom-prefiltered (stages/relational.
-    bloom_anti_join): already-known triples are dropped map-side and
-    only the genuinely-new sliver shuffles, so re-ingesting a crawl
-    increment costs ~O(delta), not O(store).  The canonical map is
-    global state built over the FULL corpus (kg.linked_triples)."""
+    bloom_anti_join): delta triples that fail the Bloom of the base
+    keys are kept map-side, and only the Bloom-passing sliver of the
+    delta shuffles; every distinct base key still shuffles once, so
+    the append costs O(delta + base keys), not O(delta).  The
+    canonical map is global state built over the FULL corpus
+    (kg.linked_triples)."""
     from rex_ray.pipelines import kg
     from rex_ray.stages import aggregate as agg
     from rex_ray.stages.relational import bloom_anti_join, bucket_filter

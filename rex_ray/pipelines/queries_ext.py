@@ -130,7 +130,7 @@ WHERE o_orderkey IN
 def q_orders_with_returns(sf_dir: str):
     """Exact semi-join via broadcast Bloom prefilter: orders with at
     least one returned lineitem.  The Bloom pass drops non-candidate
-    orders before the shuffle join."""
+    orders before the exact co-group."""
     import pyarrow as pa
     import pyarrow.compute as pc
 

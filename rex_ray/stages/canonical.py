@@ -180,7 +180,11 @@ def _labels_checksum(labels_ds) -> tuple:
     )
     if not tot:
         return (0, 0)
-    return (int(tot.get("sum(s1)") or 0), int(tot.get("sum(s2)") or 0))
+    # the sums of the per-batch partials, mod 2^40 again: without the
+    # final mod the checksum depends on the block boundaries, so one
+    # label table re-blocked reads as a change and LP runs extra rounds
+    return (int(tot.get("sum(s1)") or 0) % MOD,
+            int(tot.get("sum(s2)") or 0) % MOD)
 
 
 # Above this many distinct surfaces the driver union-find (and its

@@ -673,7 +673,7 @@ def embedding_dup_pairs(
     no second shuffle.  Compute is the inherent O(n^2) of exact
     all-pairs, spread over P*(P+1)/2 independent groups; for a
     sub-quadratic approximate path, bucket with
-    ``similarity.IvfCentroidAssigner`` (or hyperplane LSH) first and
+    ``similarity._assign_buckets`` (or hyperplane LSH) first and
     verify inside buckets — recall < 1 by design there.
     """
     import math

@@ -808,7 +808,8 @@ def kcore_peel(edges_ds, k: int = 2, rounds: int = 3,
     Per round: one slim degree aggregate + two Bloom-prefiltered exact
     semi-joins (:func:`rex_ray.stages.relational.bloom_semi_join`) to
     keep edges whose BOTH endpoints survive — dropped-majority rounds
-    ship only the survivor sliver through the shuffle.  Output:
+    ship only the survivor sliver (plus the alive node ids) through
+    the shuffle.  Output:
     (entity_id, deg) for nodes alive after ``rounds`` peels.
     """
     from ray.data.aggregate import Sum
@@ -881,12 +882,12 @@ def kcore_peel(edges_ds, k: int = 2, rounds: int = 3,
         kept = bloom_semi_join(
             edges, alive.map_batches(
                 lambda t: pa.table({"a": t["node"]}), batch_format="pyarrow"
-            ), on="a", right_is_distinct=True,
+            ), on="a",
         )
         kept = bloom_semi_join(
             kept, alive.map_batches(
                 lambda t: pa.table({"b": t["node"]}), batch_format="pyarrow"
-            ), on="b", right_is_distinct=True,
+            ), on="b",
         )
         edges = kept.select_columns(["a", "b"]).materialize()
 

@@ -4,13 +4,18 @@ joins, money-exact aggregation helpers.
 Join strategy (SURVEY.md §2.4): dimension tables (nation, customer at
 TPC-H scale factors) are SMALL-side — loaded once on the driver,
 ``ray.put`` once, probed per batch with a vectorized pandas ``map``
-(:func:`broadcast_join`).  Every other join is a hash-partitioned
-shuffle through :func:`hash_join`, the only ``Dataset.join`` call in
-the package: it compacts both inputs (the Ray 2.49 empty-first-block
+(:func:`broadcast_join`).  The two Bloom joins (:func:`bloom_semi_join`,
+:func:`bloom_anti_join`) verify their Bloom-passing rows with one
+task-only co-group (:func:`_bloom_verify`: a sort-shuffle ``groupby``
+on a hash bucket, an Arrow join per bucket), which starts no join
+aggregator actors.  Every other join is a hash-partitioned shuffle
+through :func:`hash_join`, the only ``Dataset.join`` call in the
+package: it compacts both inputs (the Ray 2.49 empty-first-block
 schema loss, ``functions.blocks.compact_blocks``) and sizes the
-partition count by one rule, so callers pass keys and, when they hold
-one, a row count — nothing else.  Callers still guard a join side with
-ZERO rows themselves: no compaction can give it a schema.
+partition count by one rule (:func:`_partitions`, shared with the
+co-group), so callers pass keys and, when they hold one, a row count —
+nothing else.  Callers still guard a join side with ZERO rows
+themselves: no compaction can give it a schema.
 
 Money sums are computed in integer CENTS — per-row double arithmetic
 is bit-identical across engines, and integer sums are
@@ -88,6 +93,20 @@ def broadcast_join(ds, mapping: Dict, key: str, out: str, inner: bool = True,
     )
 
 
+def _partitions(rows: Optional[int] = None) -> int:
+    """The shuffle partition count of :func:`hash_join` and the Bloom
+    joins' verify: ``1 + rows // 50_000`` clamped to [2, cluster CPUs
+    capped at 32], where ``rows`` is a row count the caller already
+    holds (e.g. a metadata ``count()`` of a materialized input);
+    without one it is the cluster width.  Each join partition is an
+    aggregator actor: a fixed 32 deadlocks a 4-cpu cluster, and fan-out
+    beyond the data is pure spin-up."""
+    width = max(2, min(32, cluster_cpus()))
+    if rows is not None:
+        width = max(2, min(width, 1 + rows // 50_000))
+    return width
+
+
 def hash_join(left, right, on, join_type: str = "inner", right_on=None,
               rows: Optional[int] = None):
     """Hash-partitioned shuffle join — the one ``Dataset.join`` entry
@@ -96,29 +115,24 @@ def hash_join(left, right, on, join_type: str = "inner", right_on=None,
 
     Both inputs are compacted first (``functions.blocks.
     compact_blocks``), so a join, groupby or filter output can feed
-    straight in.  The partition count is ``1 + rows // 50_000`` clamped
-    to [2, cluster CPUs capped at 32], where ``rows`` is a row count
-    the caller already holds (e.g. a metadata ``count()`` of a
-    materialized input); without one it is the cluster width.  An input
-    with zero rows still loses its schema — guard that case before the
-    call.  Each partition is an aggregator actor: a fixed 32 deadlocks
-    a 4-cpu cluster, and fan-out beyond the data is pure spin-up.
+    straight in.  ``rows`` sizes the partition count
+    (:func:`_partitions`).  An input with zero rows still loses its
+    schema — guard that case before the call.
 
     Below 2 CPUs the aggregators reserve no CPU: Ray gives them half
     the cluster and every shuffle task asks for a whole CPU, so on 1
     CPU no shuffle task could ever be scheduled (the join hangs)."""
-    cpus = cluster_cpus()
-    width = max(2, min(32, cpus))
-    if rows is not None:
-        width = max(2, min(width, 1 + rows // 50_000))
 
     def cols(c):
         return (c,) if isinstance(c, str) else tuple(c)
 
     return compact_blocks(left).join(
-        compact_blocks(right), join_type=join_type, num_partitions=width,
+        compact_blocks(right), join_type=join_type,
+        num_partitions=_partitions(rows),
         on=cols(on), right_on=cols(right_on) if right_on else None,
-        aggregator_ray_remote_args={"num_cpus": 0} if cpus < 2 else None,
+        aggregator_ray_remote_args=(
+            {"num_cpus": 0} if cluster_cpus() < 2 else None
+        ),
     )
 
 
@@ -181,82 +195,177 @@ def per_key_cap(ds, key_col: str, id_col: str, n: int):
     return part.groupby(key_col).map_groups(merge, batch_format="pandas")
 
 
-def bloom_semi_join(left, right, on: str, num_bits: int = 1 << 20,
-                    num_hashes: int = 5, right_is_distinct: bool = False):
-    """Exact semi-join ``left ⋉ right`` with a broadcast Bloom
-    prefilter: the left side is filtered against a bitmap of the right
-    keys BEFORE the exact hash join, so only candidate rows (true
-    matches + the Bloom false-positive sliver) enter the shuffle.
+def _key_hash(t: pa.Table, cols) -> np.ndarray:
+    """Composite FNV-64 of the key columns (``str`` of each part,
+    joined by ``"\\x1f"``) as int64: the Bloom key and the routing key
+    of both Bloom joins.  Distinct keys can share a hash (a part may
+    contain the separator); only the exact verify decides a match."""
+    from rex_ray.functions.hashing import _stable_hash64_batch
 
-    At 100 TB this is the difference between shuffling the whole left
-    table and shuffling ~|matches|: the bitmap (128 KB at 1M bits) is
-    built worker-side from the right key column — a tree of per-block
-    partial filters OR-merged in one task, the driver only ever holds
-    the ObjectRef — and read once per filter task.  Correctness does
-    not depend on the Bloom parameters (no false negatives; false
-    positives are removed by the exact join), so num_bits is purely a
-    perf knob.  Reference analog: the in-memory id-probe joins of
-    data/IPRE/convert.py:12-20, made scale-safe.
-    """
+    parts = [
+        np.asarray([str(x) for x in t[c].to_pylist()], dtype=object)
+        for c in cols
+    ]
+    joined = parts[0]
+    for p in parts[1:]:
+        joined = joined + "\x1f" + p
+    return _stable_hash64_batch(list(joined)).astype(np.int64)
+
+
+def _bloom_split(left, right, cols, num_bits: int, num_hashes: int):
+    """The Bloom half of both Bloom joins: ``(fails, candidates,
+    right_keys)``.  ``right_keys`` is the right side's key columns,
+    distinct per batch, plus their :func:`_key_hash` ``_h``
+    (materialized: it builds the filter and feeds the verify).
+    ``fails`` (lazy) holds the left rows whose key FAILS the filter,
+    which are provably unmatched; ``candidates`` (materialized) the rows
+    that pass (true matches + the false-positive sliver) plus ``_h``.
+    The bitmap (128 KB at 1M bits) is built worker-side, the driver
+    only ever holds the ObjectRef, and is read once per filter task.
+    No false negatives, so ``num_bits`` is purely a perf knob."""
     from rex_ray.functions.hashing import IntBloomFilter
     from rex_ray.stages.dedup import _side_object, _worker_built_ref
 
-    right_keys = right.select_columns([on])
+    def hashed_distinct(t: pa.Table) -> pa.Table:
+        d = t.group_by(cols).aggregate([])
+        return d.append_column("_h", pa.array(_key_hash(d, cols)))
+
+    right_keys = right.select_columns(cols).map_batches(
+        hashed_distinct, batch_format="pyarrow"
+    ).materialize()
 
     def build_filter(tables) -> IntBloomFilter:
         bf = IntBloomFilter(num_bits=num_bits, num_hashes=num_hashes)
         for t in tables:
             if t.num_rows:
-                bf.add_many(t[on].to_numpy(zero_copy_only=False))
+                bf.add_many(t["_h"].to_numpy())
         return bf
 
     bf_ref = _worker_built_ref(right_keys, build_filter)
 
-    def prefilter(t: "pa.Table", _ref=bf_ref) -> "pa.Table":
-        bf = _side_object(_ref)
-        keys = t[on].to_numpy(zero_copy_only=False)
-        return t.filter(pa.array(bf.contains_many(keys)))
+    def split(t: pa.Table, keep_pass: bool, _ref=bf_ref) -> pa.Table:
+        h = _key_hash(t, cols)
+        hit = _side_object(_ref).contains_many(h)
+        if not keep_pass:
+            return t.filter(pa.array(~hit))
+        return t.filter(pa.array(hit)).append_column("_h", pa.array(h[hit]))
 
-    # staging the candidates is free (the join's all-to-all would
-    # materialize them anyway) and lets us short-circuit the fully-
-    # filtered case: an all-empty left side loses its schema inside
-    # the hash-shuffle join (Ray 2.49) and aborts with ArrowInvalid —
-    # and with zero Bloom-passing rows the exact answer IS empty.
+    fails = left.map_batches(
+        lambda t: split(t, keep_pass=False), batch_format="pyarrow"
+    )
     candidates = left.map_batches(
-        prefilter, batch_format="pyarrow"
+        lambda t: split(t, keep_pass=True), batch_format="pyarrow"
     ).materialize()
-    if candidates.count() == 0:
-        import ray.data as rd
+    return fails, candidates, right_keys
 
-        s = candidates.schema() or left.schema()
+
+def _bloom_verify(candidates, right_keys, cols, keep: str):
+    """The exact half of both Bloom joins: the ``candidates`` rows whose
+    key has a match in ``right_keys`` (``keep="matched"``) or has none
+    (``"unmatched"``); a null key part never matches.  Both inputs come
+    from :func:`_bloom_split` and carry the key hash ``_h``.
+
+    One task-only co-group, not a shuffle join: the two sides are
+    tagged (``_side`` 0/1; the right rows carry the candidates' payload
+    columns as typed nulls and their keys cast to the candidates'
+    types, so the union has one schema), routed to ``_h % B`` buckets
+    (``B`` = :func:`_partitions`; grouping by the key itself pays a
+    per-group cost per distinct key) and co-grouped by one sort-shuffle
+    ``groupby``.  Each bucket runs an Arrow left semi/anti join of its
+    candidate keys plus a row index against its right keys, then
+    ``take``s the kept rows: Arrow rejects a list as a non-key join
+    field, so any payload type passes through.  Measured on 1 core at
+    ``num_cpus=2``: a 144x144-row :func:`hash_join` took 6.4-7.6 s,
+    almost all of it waiting for the join's aggregator actors; a
+    sort-shuffle groupby over the same rows took 0.16-0.19 s."""
+    from pyarrow import acero
+
+    import ray.data as rd
+
+    s = candidates.schema()
+    out = pa.schema(
+        [pa.field(n, t) for n, t in zip(s.names, s.types) if n != "_h"]
+    )
+    tagged = out.append(pa.field("_side", pa.int8())).append(
+        pa.field("_b", pa.int64())
+    )
+    buckets = _partitions()
+
+    def tag(t: pa.Table, side: int) -> pa.Table:
+        n = t.num_rows
+        if side == 0:
+            data = [t[f.name] for f in out]
+        else:
+            data = [
+                t[f.name].cast(f.type) if f.name in cols
+                else pa.nulls(n, f.type)
+                for f in out
+            ]
+        return pa.Table.from_arrays(
+            data + [
+                pa.array(np.full(n, side, dtype=np.int8)),
+                pa.array(t["_h"].to_numpy() % buckets),
+            ],
+            schema=tagged,
+        )
+
+    join_type = "left semi" if keep == "matched" else "left anti"
+
+    def verify(g: pa.Table) -> pa.Table:
+        side = g["_side"].to_numpy()
+        lt = g.filter(pa.array(side == 0)).select(out.names)
+        idx = lt.select(cols).append_column(
+            "_i", pa.array(np.arange(lt.num_rows, dtype=np.int64))
+        )
+        rt = g.filter(pa.array(side == 1)).select(cols)
+        hit = acero.Declaration(
+            "hashjoin", acero.HashJoinNodeOptions(join_type, cols, cols),
+            inputs=[
+                acero.Declaration("table_source",
+                                  acero.TableSourceNodeOptions(x))
+                for x in (idx, rt)
+            ],
+        ).to_table()
+        return lt.take(np.sort(hit["_i"].to_numpy()))
+
+    both = candidates.map_batches(
+        tag, fn_kwargs={"side": 0}, batch_format="pyarrow"
+    ).union(
+        right_keys.map_batches(
+            tag, fn_kwargs={"side": 1}, batch_format="pyarrow"
+        )
+    )
+    verified = both.groupby("_b").map_groups(verify, batch_format="pyarrow")
+    # a 0-row seed keeps the schema when every bucket comes back empty
+    return verified.union(rd.from_arrow(out.empty_table()))
+
+
+def bloom_semi_join(left, right, on: str, num_bits: int = 1 << 20,
+                    num_hashes: int = 5):
+    """Exact semi-join ``left ⋉ right`` with a broadcast Bloom
+    prefilter: the left side is filtered against a bitmap of the right
+    keys BEFORE the exact verify, so only candidate rows (true matches
+    + the Bloom false-positive sliver) enter the co-group
+    (:func:`_bloom_split`, :func:`_bloom_verify`).  Every right key is
+    still shuffled once, distinct per batch, so a call costs
+    O(candidates + right keys).  A left row with a null key never
+    matches.  Reference analog: the in-memory id-probe joins of
+    data/IPRE/convert.py:12-20, made scale-safe.
+    """
+    import ray.data as rd
+
+    cols = [on]
+    _, candidates, right_keys = _bloom_split(
+        left, right, cols, num_bits, num_hashes
+    )
+    # nothing passed the Bloom: the exact answer is empty (and an
+    # all-empty co-group input would lose its schema)
+    if candidates.count() == 0:
+        s = left.schema()
         return rd.from_arrow(
             pa.schema(list(zip(s.names, s.types))).empty_table()
         )
-
-    # exact verify: distinct right keys (partial unique per batch keeps
-    # the shuffle at O(distinct)) joined back to the candidates.
-    # right_is_distinct=True skips the dedup shuffle entirely — pass it
-    # when the right side is already key-unique (e.g. a groupby output),
-    # where re-deduplicating costs a pointless all-to-all per call.
-    def batch_unique(t: "pa.Table") -> "pa.Table":
-        import pyarrow.compute as pc
-
-        return pa.table({on: pc.unique(t[on].combine_chunks())})
-
-    from ray.data.aggregate import Count
-
-    if right_is_distinct:
-        distinct = right_keys
-    else:
-        distinct = (
-            pre_shuffle(
-                right_keys.map_batches(batch_unique, batch_format="pyarrow")
-            )
-            .groupby(on)
-            .aggregate(Count(alias_name="_n"))
-            .select_columns([on])
-        )
-    return hash_join(candidates, distinct, on=on)
+    return _bloom_verify(candidates, right_keys, cols, "matched")
 
 
 def bucket_filter(ds, id_col: str, lo: int, hi: int):
@@ -285,107 +394,36 @@ def bloom_anti_join(left, right, on, num_bits: int = 1 << 20,
     """Exact anti-join ``left ▷ right`` (rows of ``left`` with NO match
     in ``right`` on the key column(s) ``on``), with a broadcast Bloom
     shortcut: a row whose composite key FAILS the Bloom filter of the
-    right keys is provably unmatched and bypasses the shuffle entirely;
-    only the Bloom-PASSING sliver (true matches + the false-positive
-    margin) enters an exact left_outer hash join, from which the
-    residual unmatched rows are recovered.  At 100 TB the shuffle
-    carries ~|matches| rows, not |left| — the workhorse of incremental
+    right keys is provably unmatched and bypasses the exact step
+    entirely; only the Bloom-PASSING sliver (true matches + the
+    false-positive margin) is verified, by a co-group with the right
+    keys (:func:`_bloom_split`, :func:`_bloom_verify`).  The left rows
+    shuffled are ~|matches|, not |left| — the workhorse of incremental
     "append only what the store doesn't already hold" updates
     (reference analog: the dict-membership skip of
     data/EncyclopediaDS/convert.py:27-46, made distributed and exact).
+    The right side is not filtered: every right key is shuffled once,
+    distinct per batch, so an append costs O(delta + store keys), not
+    O(delta).  A left row with a null key part is always kept.
 
     ``on`` may be one column or a list (composite keys are FNV-hashed
-    to int64 for the Bloom probe only; the exact join runs on the real
-    columns, so hash collisions cannot drop rows).  NOTE: ``left``'s
-    lineage is consumed twice (fail branch + candidate branch) —
-    pass a cheap or already-aggregated dataset (e.g. a deduped store),
-    or materialize it first.
+    to int64 for the Bloom probe and the routing only; the exact verify
+    runs on the real columns, so hash collisions cannot drop rows).
+    NOTE: ``left``'s lineage is consumed twice (fail branch +
+    candidate branch) — pass a cheap or already-aggregated dataset
+    (e.g. a deduped store), or materialize it first.
     """
-    from rex_ray.functions.hashing import IntBloomFilter, _stable_hash64_batch
-    from rex_ray.stages.dedup import _side_object, _worker_built_ref
-
     cols = [on] if isinstance(on, str) else list(on)
-
-    def composite_keys(t: pa.Table) -> np.ndarray:
-        parts = [
-            np.asarray([str(x) for x in t[c].to_pylist()], dtype=object)
-            for c in cols
-        ]
-        joined = parts[0]
-        for p in parts[1:]:
-            joined = joined + "\x1f" + p
-        return _stable_hash64_batch(list(joined)).astype(np.int64)
-
-    def build_filter(tables) -> IntBloomFilter:
-        bf = IntBloomFilter(num_bits=num_bits, num_hashes=num_hashes)
-        for t in tables:
-            if t.num_rows and cols[0] in t.schema.names:
-                bf.add_many(composite_keys(t))
-        return bf
-
-    bf_ref = _worker_built_ref(right.select_columns(cols), build_filter)
-
-    def split(t: pa.Table, keep_pass: bool, _ref=bf_ref) -> pa.Table:
-        bf = _side_object(_ref)
-        hit = bf.contains_many(composite_keys(t))
-        return t.filter(pa.array(hit if keep_pass else ~hit))
-
-    fails = left.map_batches(
-        lambda t: split(t, keep_pass=False), batch_format="pyarrow"
+    fails, candidates, right_keys = _bloom_split(
+        left, right, cols, num_bits, num_hashes
     )
-    candidates = left.map_batches(
-        lambda t: split(t, keep_pass=True), batch_format="pyarrow"
-    ).materialize()
     # nothing passed the Bloom (e.g. an all-new increment or an empty
-    # right side): every left row is unmatched, and an all-empty join
-    # input would lose its schema (Ray 2.49) — skip the join
+    # right side): every left row is unmatched
     if candidates.count() == 0:
         return fails
-
-    # exact residual: candidates left_outer-joined to the distinct right
-    # keys + marker; unmatched (null marker) rows are genuinely new.
-    def batch_unique(t: pa.Table) -> pa.Table:
-        out = t.select(cols).group_by(cols).aggregate([])
-        return out.append_column(
-            "_m", pa.array(np.ones(out.num_rows, dtype=np.int64))
-        )
-
-    from ray.data.aggregate import Max
-
-    distinct = (
-        pre_shuffle(
-            right.select_columns(cols).map_batches(
-                batch_unique, batch_format="pyarrow"
-            )
-        )
-        .groupby(cols)
-        .aggregate(Max("_m", alias_name="_m"))
+    return fails.union(
+        _bloom_verify(candidates, right_keys, cols, "unmatched")
     )
-    joined = hash_join(candidates, distinct, on=cols, join_type="left_outer")
-
-    def unmatched(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return t.filter(pc.is_null(t["_m"])).drop_columns(["_m"])
-
-    residual = joined.map_batches(unmatched, batch_format="pyarrow")
-    out = fails.union(residual)
-
-    # An all-matched left (steady-state incremental run with no new
-    # rows) yields only empty blocks, whose schema Ray may drop; union
-    # a 0-row seed table carrying the left schema so the result is
-    # schema-stable even when empty.
-    try:
-        sch = left.schema()
-        arrow_sch = pa.schema(
-            [pa.field(n, t) for n, t in zip(sch.names, sch.types)]
-        )
-        import ray.data as rd
-
-        out = out.union(rd.from_arrow(arrow_sch.empty_table()))
-    except Exception:
-        pass
-    return out
 
 
 def hash_split(ds, id_col: str, ratios=(80, 10, 10),

@@ -80,7 +80,8 @@ def _exact_topk(qdf: pd.DataFrame, k: int, id_col: str, plan, batch_scores):
     -> (mask, score)``: ``mask`` is the (queries x rows) candidate
     test (``True`` = every row), ``score(qi, m)`` the scores of query
     ``qi`` against the rows selected by ``m``.  A query with no
-    candidate anywhere is absent from the output."""
+    candidate anywhere is absent from the output (no candidate for any
+    query -> the empty result)."""
     if len(qdf) == 0:
         return _empty_topk()
     qdf = qdf.sort_values(id_col)
@@ -127,9 +128,10 @@ def _exact_topk(qdf: pd.DataFrame, k: int, id_col: str, plan, batch_scores):
             schema=_TOPK_SCHEMA,
         )
 
-    return pre_shuffle(partial).groupby("query_id").map_groups(
-        merge, batch_format="pandas"
-    )
+    staged = pre_shuffle(partial)
+    if staged.count() == 0:  # no candidate for any query
+        return _empty_topk()
+    return staged.groupby("query_id").map_groups(merge, batch_format="pandas")
 
 
 def _neg_cosine(Q: np.ndarray, Braw: np.ndarray):
@@ -167,31 +169,19 @@ def brute_force_topk(
     )
 
 
-class IvfCentroidAssigner:
-    """IVF bucketing: assign each vector to its nearest of C
-    deterministic centroids (hashed unit vectors seeded by index).
-    The bucket id becomes the shuffle key; queries probe only their
-    nprobe nearest buckets.  This is the 100 TB path — search cost per
-    query drops from O(n) to O(n * nprobe / C)."""
-
-    def __init__(
-        self,
-        num_centroids: int = 64,
-        dim: int = 64,
-        seed: int = 13,
-        centroids=None,
-    ):
-        if centroids is not None:
-            self.C = _normalize(np.asarray(centroids, dtype=np.float64))
-        else:
-            rng = np.random.RandomState(seed)
-            self.C = _normalize(rng.standard_normal((num_centroids, dim)))
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        B = _unit_rows(batch["embedding"])
-        batch = batch.copy()
-        batch["bucket"] = (B @ self.C.T).argmax(axis=1).astype("int64")
-        return batch
+def _assign_buckets(batch: pd.DataFrame, C: np.ndarray) -> pd.DataFrame:
+    """IVF bucketing: each vector's ``bucket`` is its nearest centroid
+    of ``C``.  The bucket id becomes the shuffle key; queries probe
+    only their nprobe nearest buckets.  This is the 100 TB path —
+    search cost per query drops from O(n) to O(n * nprobe / C).
+    Stateless, so it runs as plain tasks: an actor pool would hold a
+    CPU beside the top-k kernel's pool and starve the read tasks of a
+    2-CPU cluster."""
+    batch = batch.copy()
+    batch["bucket"] = (
+        (_unit_rows(batch["embedding"]) @ C.T).argmax(axis=1).astype("int64")
+    )
+    return batch
 
 
 def ivf_topk(
@@ -208,22 +198,18 @@ def ivf_topk(
     tests, not against the SQL oracle.  Pass ``centroids`` (e.g. from
     :func:`kmeans_fit`) to bucket with a trained codebook instead of
     the hashed default."""
-    assigner = IvfCentroidAssigner(
-        num_centroids=num_centroids, centroids=centroids
-    )
+    if centroids is None:  # deterministic hashed unit vectors
+        centroids = np.random.RandomState(13).standard_normal(
+            (num_centroids, 64)
+        )
+    C = _normalize(np.asarray(centroids, dtype=np.float64))
     bucketed = emb_ds.map_batches(
-        IvfCentroidAssigner,
-        fn_constructor_kwargs={
-            "num_centroids": num_centroids,
-            "centroids": centroids,
-        },
-        batch_format="pandas",
-        concurrency=default_concurrency(),
+        _assign_buckets, fn_kwargs={"C": C}, batch_format="pandas"
     )
 
     def plan(qdf):
         Q = _unit_rows(qdf["embedding"])
-        probes = np.argsort(-(Q @ assigner.C.T), axis=1)[:, :nprobe]
+        probes = np.argsort(-(Q @ C.T), axis=1)[:, :nprobe]
         probe_buckets = sorted(set(probes.ravel().tolist()))
         pruned = _filter_ids(bucketed, "bucket", probe_buckets)
         return pruned.drop_columns(["bucket"]), Q

@@ -234,6 +234,87 @@ def test_topk_without_matching_query_is_empty(ray_session, fn, query_ids):
     )
 
 
+def test_topk_without_any_candidate_is_typed_empty(ray_session):
+    """Query ids that exist but find no candidate anywhere (every vector
+    shares the query's label) give the typed empty result, as an
+    unknown query id does."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from rex_ray.stages.similarity import _TOPK_SCHEMA, hard_negative_topk
+
+    one_label = rd.from_arrow(
+        pa.table(
+            {
+                "vec_id": pa.array(range(6), pa.int64()),
+                "embedding": pa.array(
+                    [[float(i), 1.0] for i in range(6)],
+                    pa.list_(pa.float32()),
+                ),
+                "label": pa.array([5] * 6, pa.int32()),
+            }
+        )
+    )
+    out = hard_negative_topk(one_label, query_ids=[0, 1], k=3)
+    assert out.count() == 0
+    assert out.schema().names == _TOPK_SCHEMA.names
+
+
+def test_ivf_topk_finishes_on_two_cpus(ray_session):
+    """``ivf_topk`` in a ``num_cpus=2`` session: the bucketing must
+    leave a CPU for the read tasks beside the top-k kernel's actor
+    pool.  Runs in its own session under a fixed timeout (a hang is a
+    timeout failure) and must equal the same call in this session."""
+    import json
+    import os
+    import sys
+    import textwrap
+
+    import process_group
+
+    from rex_ray.stages.similarity import ivf_topk
+
+    sf = os.path.join(os.path.dirname(SF), "sf0.01")
+    script = textwrap.dedent(
+        f"""
+        import json
+        import ray
+        import ray.data as rd
+
+        ray.init(address="local", num_cpus=2, include_dashboard=False,
+                 logging_level="ERROR")
+        rd.DataContext.get_current().enable_progress_bars = False
+        from rex_ray.stages.similarity import ivf_topk
+
+        emb = rd.read_parquet("{sf}/embeddings.parquet",
+                              columns=["vec_id", "embedding"])
+        out = ivf_topk(emb, range(10), k=5, num_centroids=8, nprobe=4)
+        print(json.dumps(sorted(
+            (r["query_id"], r["neighbor_id"], r["rank"])
+            for r in out.take_all()
+        )))
+        """
+    )
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {**os.environ, "PYTHONPATH": repo}
+    r = process_group.run([sys.executable, "-c", script], env=env,
+                          timeout=240)
+    assert r.returncode == 0, r.stderr[-2000:]
+    import ray.data as rd
+
+    emb = rd.read_parquet(
+        f"{sf}/embeddings.parquet", columns=["vec_id", "embedding"]
+    )
+    want = sorted(
+        (r["query_id"], r["neighbor_id"], r["rank"])
+        for r in ivf_topk(
+            emb, range(10), k=5, num_centroids=8, nprobe=4
+        ).take_all()
+    )
+    got = [tuple(x) for x in json.loads(r.stdout.strip().splitlines()[-1])]
+    assert got == want and len(want) == 50
+
+
 def test_similarity_has_one_topk_merge():
     """Every top-k search in ``stages/similarity.py`` runs through one
     engine: exactly one ``groupby("query_id")`` call in the module."""

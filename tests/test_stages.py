@@ -135,6 +135,24 @@ def test_canonical_map_cardinality_guard_routes_distributed(ray_session):
     assert dist["s001"] == "ent:s000" and dist["s002"] == "ent:s000"
 
 
+def test_labels_checksum_ignores_block_boundaries(ray_session):
+    """LP stops when the label checksum repeats, so one label table
+    must give one checksum however Ray splits it into blocks."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    t = pa.table(
+        {
+            "node": [f"n{i:03d}" for i in range(60)],
+            "canonical": [f"n{i // 3 * 3:03d}" for i in range(60)],
+        }
+    )
+    one = canonical._labels_checksum(rd.from_arrow(t))
+    for cuts in ([0, 7, 30, 60], [0, 1, 2, 59, 60]):
+        blocks = [t.slice(a, b - a) for a, b in zip(cuts, cuts[1:])]
+        assert canonical._labels_checksum(rd.from_arrow(blocks)) == one
+
+
 def test_cc_label_propagation_zero_edges(ray_session):
     """A corpus where NO variant edges survive the presence filter:
     every node is its own component (regression: the empty edge table
