@@ -363,6 +363,8 @@ def run_stress() -> dict:
     import pandas as pd
     import ray.data as rd
 
+    from rex_ray import trace
+
     branches: dict = {}
     checks: dict = {}
     timings: dict = {}
@@ -387,11 +389,9 @@ def run_stress() -> dict:
             gaz[f"s{i}_{j}"] = "SYN"
         rows.append({"doc_id": i, "text": " ".join(toks)})
     docs = rd.from_pandas(pd.DataFrame(rows)).repartition(16)
-    route: dict = {}
     t0 = time.perf_counter()
-    n_store = kg.triple_store_from_text_docs(
-        docs, gazetteer=gaz, route_out=route
-    ).count()
+    with trace.run() as route:
+        n_store = kg.triple_store_from_text_docs(docs, gazetteer=gaz).count()
     timings["lp_canonical"] = round(time.perf_counter() - t0, 3)
     branches["lp_canonical"] = dict(route)
     checks["lp_canonical_engaged"] = route.get("canonical_route") == "lp"
@@ -407,13 +407,13 @@ def run_stress() -> dict:
         dup_rows.append({"doc_id": i, "text": text})
         dup_rows.append({"doc_id": i + n_base, "text": text})  # 50% dups
     dcorpus = rd.from_pandas(pd.DataFrame(dup_rows)).repartition(8)
-    r_b: dict = {}
-    r_j: dict = {}
     t0 = time.perf_counter()
-    pb = minhash_dup_pairs(dcorpus, threshold=0.9, route_out=r_b).to_pandas()
-    pj = minhash_dup_pairs(
-        dcorpus, threshold=0.9, max_broadcast_keys=1000, route_out=r_j
-    ).to_pandas()
+    with trace.run() as r_b:
+        pb = minhash_dup_pairs(dcorpus, threshold=0.9).to_pandas()
+    with trace.run() as r_j:
+        pj = minhash_dup_pairs(
+            dcorpus, threshold=0.9, max_broadcast_keys=1000
+        ).to_pandas()
     timings["dedup_join"] = round(time.perf_counter() - t0, 3)
     branches["dedup_join"] = {
         "n_hot_keys": r_j["n_hot_keys"],
@@ -438,13 +438,13 @@ def run_stress() -> dict:
         for i in range(2000)
     ]
     ncorpus = rd.from_pandas(pd.DataFrame(ng_rows)).repartition(8)
-    g_b: dict = {}
-    g_j: dict = {}
     t0 = time.perf_counter()
-    nb = cross_doc_dup_ngrams(ncorpus, n=3, route_out=g_b).to_pandas()
-    nj = cross_doc_dup_ngrams(
-        ncorpus, n=3, max_broadcast_grams=100, route_out=g_j
-    ).to_pandas()
+    with trace.run() as g_b:
+        nb = cross_doc_dup_ngrams(ncorpus, n=3).to_pandas()
+    with trace.run() as g_j:
+        nj = cross_doc_dup_ngrams(
+            ncorpus, n=3, max_broadcast_grams=100
+        ).to_pandas()
     timings["dup_ngram_join"] = round(time.perf_counter() - t0, 3)
     branches["dup_ngram_join"] = {
         "n_dup_grams": g_j["n_dup_grams"],
@@ -511,13 +511,13 @@ def run_stress() -> dict:
         pd.DataFrame({"a": [f"n{a}" for a in draws[:, 0]],
                       "b": [f"n{b}" for b in draws[:, 1]]})
     ).repartition(16)
-    gr_dist: dict = {}
-    gr_drv: dict = {}
     t0 = time.perf_counter()
-    pr_dist = pagerank(gedges, num_iters=3, route_out=gr_dist).to_pandas()
-    pr_drv = pagerank(
-        gedges, num_iters=3, max_driver_edges=10**12, route_out=gr_drv
-    ).to_pandas()
+    with trace.run() as gr_dist:
+        pr_dist = pagerank(gedges, num_iters=3).to_pandas()
+    with trace.run() as gr_drv:
+        pr_drv = pagerank(
+            gedges, num_iters=3, max_driver_edges=10**12
+        ).to_pandas()
     tri_dist = triangle_counts(gedges).to_pandas()
     tri_drv = triangle_counts(gedges, max_driver_edges=10**12).to_pandas()
     timings["graph_route"] = round(time.perf_counter() - t0, 3)
@@ -558,13 +558,13 @@ def run_stress() -> dict:
              "obj_id": [f"n{b}" for b in draws[:, 1]]}
         ).drop_duplicates()
     ).repartition(16)
-    sr_dist: dict = {}
-    sr_drv: dict = {}
     t0 = time.perf_counter()
-    hop_dist = two_hop_pred_paths(gstore, route_out=sr_dist).to_pandas()
-    hop_drv = two_hop_pred_paths(
-        gstore, max_driver_rows=10**12, route_out=sr_drv
-    ).to_pandas()
+    with trace.run() as sr_dist:
+        hop_dist = two_hop_pred_paths(gstore).to_pandas()
+    with trace.run() as sr_drv:
+        hop_drv = two_hop_pred_paths(
+            gstore, max_driver_rows=10**12
+        ).to_pandas()
     timings["store_route"] = round(time.perf_counter() - t0, 3)
     branches["store_route"] = {
         "n_rows": sr_dist.get("n_rows"),

@@ -13,6 +13,7 @@ Layout:
     stages/     map_batches / actor-pool / groupby stage implementations
     state/      broadcastable dictionary state (Vocab, LabelEncoder, ...)
     pipelines/  end-to-end pipeline compositions + query registry
+    trace.py    the run record: which route each scale guard took
 """
 
 __version__ = "0.1.0"

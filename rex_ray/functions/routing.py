@@ -13,6 +13,9 @@ Both engines are equality-asserted in tests (tests/test_graph_routing
 .py) and the distributed dataflow keeps unit coverage via
 ``max_driver_rows=0``.
 
+Each decision is noted in the run record (``rex_ray/trace.py``): the
+route taken and the count it was made from.
+
 The guard must only ever be applied to POST-reduction inputs (a
 deduped edge set, a distinct store) — never to a pre-reduction stream
 (e.g. linked-but-undeduped triples), where the materialize+count
@@ -20,6 +23,8 @@ itself would pin a corpus-sized intermediate.
 """
 
 from __future__ import annotations
+
+from rex_ray import trace
 
 #: Default bound on the number of (already-reduced) input rows at or
 #: below which an op runs on its exact driver twin.  50k rows is far
@@ -31,18 +36,16 @@ from __future__ import annotations
 DRIVER_SLIVER_MAX_ROWS = 50_000
 
 
-def route_driver(n_rows: int, max_driver_rows, route_out,
-                 key: str = "route") -> bool:
+def route_driver(n_rows: int, max_driver_rows, key: str = "route",
+                 n_key: str = "n_rows") -> bool:
     """COUNT-only route decision: True -> run the exact driver twin.
 
-    Records the chosen route and the input cardinality in
-    ``route_out`` (if given) for observability and tests — the same
-    contract as the flagship's ``canonical_route`` knob.
+    Notes ``{key: "driver"|"distributed", n_key: n_rows}`` in the run
+    record (:func:`rex_ray.trace.note`) for observability and tests —
+    the same contract as the flagship's ``canonical_route``.
     """
     if max_driver_rows is None:
         max_driver_rows = DRIVER_SLIVER_MAX_ROWS
     driver = n_rows <= max_driver_rows
-    if route_out is not None:
-        route_out[key] = "driver" if driver else "distributed"
-        route_out["n_rows"] = n_rows
+    trace.note(**{key: "driver" if driver else "distributed", n_key: n_rows})
     return driver

@@ -1267,14 +1267,15 @@ def q_ta_dup_ngrams_joined(sf_dir: str):
     join instead of the broadcast probe.  Checked against the same
     oracle as ta_dup_ngrams, so the scale path itself is driver-gate
     verified end-to-end."""
+    from rex_ray import trace
     from rex_ray.stages.textstats import cross_doc_dup_ngrams
 
-    route: dict = {}
-    out = cross_doc_dup_ngrams(
-        _read(sf_dir, "documents", columns=["doc_id", "text"]), n=3,
-        max_broadcast_grams=0, route_out=route,
-    )
-    assert route["dup_ngram_regime"] == "join", route
+    with trace.run() as rec:
+        out = cross_doc_dup_ngrams(
+            _read(sf_dir, "documents", columns=["doc_id", "text"]), n=3,
+            max_broadcast_grams=0,
+        )
+    assert rec["dup_ngram_regime"] == "join", rec
     return out
 
 

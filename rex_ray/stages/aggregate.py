@@ -241,8 +241,7 @@ def triple_provenance(linked_triples_ds, evidence_k: int = 3):
 
 
 def predicate_overlap(store_ds, min_shared: int = 2,
-                      max_driver_rows: int = None,
-                      route_out: dict = None):
+                      max_driver_rows: int = None):
     """Predicate-synonym / domain-overlap candidates — the
     schema-induction signal behind AMIE/PATTY-style predicate
     taxonomies (Galárraga et al. WWW'13): two predicates attested for
@@ -281,7 +280,7 @@ def predicate_overlap(store_ds, min_shared: int = 2,
     n_rows = store_ds.count()
     if n_rows == 0:
         return rd.from_arrow(out_schema.empty_table())
-    if route_driver(n_rows, max_driver_rows, route_out):
+    if route_driver(n_rows, max_driver_rows):
         sp = (
             store_ds.select_columns(["subj_id", "pred"])
             .to_pandas().drop_duplicates()
@@ -405,8 +404,7 @@ def predicate_overlap(store_ds, min_shared: int = 2,
     return cand.map_batches(attach, batch_format="pyarrow")
 
 
-def predicate_functionality(store_ds, max_driver_rows: int = None,
-                            route_out: dict = None):
+def predicate_functionality(store_ds, max_driver_rows: int = None):
     """Per-predicate functionality statistics — the KG-cleaning signal
     AMIE/PARIS key their rule mining and alignment on (Galárraga et
     al. WWW'13 §4; Suchanek et al. VLDB'11 §4): for every predicate,
@@ -440,7 +438,7 @@ def predicate_functionality(store_ds, max_driver_rows: int = None,
     n_rows = store_ds.count()
     if n_rows == 0:
         return rd.from_arrow(full_schema.empty_table())
-    if route_driver(n_rows, max_driver_rows, route_out):
+    if route_driver(n_rows, max_driver_rows):
         df = store_ds.select_columns(
             ["subj_id", "pred", "obj_id"]
         ).to_pandas()

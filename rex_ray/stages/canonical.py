@@ -29,6 +29,7 @@ import pandas as pd
 
 from ray.data.aggregate import Min
 
+from rex_ray import trace
 from rex_ray.functions.blocks import arrow_block
 from rex_ray.stages.relational import hash_join
 
@@ -232,7 +233,6 @@ def canonical_labels_from_nodes_ds(
     variant_edges: Sequence[Tuple[str, str]],
     prefix: str,
     sliver_max_driver_nodes: int = DRIVER_CC_MAX_NODES,
-    info_out: dict = None,
 ):
     """Fully-distributed canonical map: (node) Dataset -> (node,
     canonical) Dataset with canonical ids already prefixed — the
@@ -261,8 +261,8 @@ def canonical_labels_from_nodes_ds(
     * the result feeds :func:`rex_ray.stages.link.link_triples_via_join`
       — no surface->id dict is ever built.
 
-    ``info_out`` (optional dict) gets ``{"sliver_engine", "n_touched"}``
-    so routes/stress can assert which engine ran.
+    Notes ``sliver_engine`` and ``n_touched`` in the run record
+    (``rex_ray/trace.py``) so routes/stress can assert which engine ran.
     """
     import pyarrow as pa
     import pyarrow.compute as pc
@@ -277,7 +277,8 @@ def canonical_labels_from_nodes_ds(
     touched = nodes_ds.map_batches(
         mark_touched, batch_format="pyarrow"
     ).to_pandas()
-    present = set(touched["node"])
+    # no touched node at all comes back as a column-less frame
+    present = set(touched.get("node", ()))
     edges = [
         (a, b) for a, b in variant_edges if a in present and b in present
     ]
@@ -293,14 +294,11 @@ def canonical_labels_from_nodes_ds(
     untouched_labels = nodes_ds.map_batches(
         identity_untouched, batch_format="pyarrow"
     )
-    if info_out is not None:
-        info_out["n_touched"] = len(present)
     if present:
         if len(present) <= sliver_max_driver_nodes:
             # the sliver already sits on the driver (alias-dict-
             # bounded): union-find is exact and instant
-            if info_out is not None:
-                info_out["sliver_engine"] = "driver_uf"
+            engine = "driver_uf"
             cc = cc_local(sorted(present), edges)
             ks = sorted(cc)
             sliver_labels = rd.from_arrow(
@@ -316,14 +314,13 @@ def canonical_labels_from_nodes_ds(
         else:
             # LP over the alias-dict-sized sliver; O(diameter) rounds
             # on tables bounded by 2*len(variant_edges) rows
-            if info_out is not None:
-                info_out["sliver_engine"] = "lp"
+            engine = "lp"
             sliver_labels = canonical_labels_ds(sorted(present), edges)
         labels = untouched_labels.union(sliver_labels)
     else:
-        if info_out is not None:
-            info_out["sliver_engine"] = "none"
+        engine = "none"
         labels = untouched_labels
+    trace.note(n_touched=len(present), sliver_engine=engine)
 
     def add_prefix(t: pa.Table) -> pa.Table:
         return t.set_column(

@@ -16,6 +16,7 @@ from typing import List
 import numpy as np
 import pandas as pd
 
+from rex_ray import trace
 from rex_ray.functions import hashing as H
 from rex_ray.functions import text as T
 from rex_ray.functions.blocks import (
@@ -231,8 +232,7 @@ def _hot_bucket_rows(bands_ds, key_col: str):
 
 
 def minhash_dup_pairs(docs_ds, threshold: float = 0.9, k: int = 3,
-                      max_broadcast_keys: int = None,
-                      route_out: dict = None):
+                      max_broadcast_keys: int = None):
     """LSH candidate generation + exact-Jaccard verification.
 
     Dataflow (every exchange carries bounded rows):
@@ -308,7 +308,6 @@ def minhash_dup_pairs(docs_ds, threshold: float = 0.9, k: int = 3,
             MAX_BROADCAST_HOT_KEYS
             if max_broadcast_keys is None else max_broadcast_keys
         ),
-        route_out=route_out,
     )
 
 
@@ -325,13 +324,13 @@ MAX_BROADCAST_HOT_KEYS = 2_000_000
 def _bucketed_jaccard_pairs(
     tagged, key_col: str, keyset_col: str, slim_kind: str, threshold: float,
     max_broadcast_keys: int = MAX_BROADCAST_HOT_KEYS,
-    route_out: dict = None,
 ):
     """Shared verify tail of the MinHash-LSH and prefix-filter paths:
 
     1. hot buckets over the slim (key_col, doc_id) rows (partial
        counts; the hot-key Dataset is materialized once and counted —
-       the count picks the regime);
+       the count picks the regime, noted in the run record as
+       ``n_hot_keys`` and ``dedup_regime``);
     2. BROADCAST regime (hot keys <= ``max_broadcast_keys``): hot rows
        via a worker-built key-set filter, hot-DOC sketch lookup built
        worker-side (O(duplicate clusters) entries), in-bucket exact
@@ -358,11 +357,10 @@ def _bucketed_jaccard_pairs(
 
     hot_keys = _hot_key_ds(slim, key_col).materialize()
     n_hot = hot_keys.count()
-    if route_out is not None:
-        route_out["n_hot_keys"] = n_hot
-        route_out["dedup_regime"] = (
-            "join" if n_hot > max_broadcast_keys else "broadcast"
-        )
+    trace.note(
+        n_hot_keys=n_hot,
+        dedup_regime="join" if n_hot > max_broadcast_keys else "broadcast",
+    )
     if n_hot > max_broadcast_keys:
         return _sketch_join_pairs(
             _join_hot_filter(slim, hot_keys, key_col),
@@ -737,7 +735,7 @@ def embedding_dup_pairs(
 # ---------------------------------------------------------------------------
 
 def near_dup_clusters(docs_ds, threshold: float = 0.8, k: int = 3,
-                      max_driver_nodes: int = None, route_out: dict = None):
+                      max_driver_nodes: int = None):
     """Connected components over the EXACT n-gram-Jaccard near-dup pair
     graph: (doc_id, cluster_id = min doc_id of the component).  Only
     docs participating in >=1 dup pair appear — singletons stay out, so
@@ -746,7 +744,8 @@ def near_dup_clusters(docs_ds, threshold: float = 0.8, k: int = 3,
     Pairs come from :func:`ngram_jaccard_dup_pairs` (prefix-filtered
     SSJoin, recall 1 by theorem).  Components route through the same
     COUNT-only cardinality guard as the flagship's canonicalization and
-    the graph ops (``functions/routing.py``): the pair table is the
+    the graph ops (``functions/routing.py``, noted in the run record
+    as ``cluster_route``): the pair table is the
     post-reduction input and is materialized anyway, so ``2 * count()``
     is a metadata-cheap upper bound on the node inventory.  At or below
     ``max_driver_nodes`` (default ``DRIVER_SLIVER_MAX_ROWS``) the dup
@@ -773,10 +772,7 @@ def near_dup_clusters(docs_ds, threshold: float = 0.8, k: int = 3,
     # COUNT-only route: node count <= 2 * pair count (each pair
     # contributes two endpoints); the bound errs toward the
     # distributed path, never toward an oversized driver pull
-    if route_driver(
-        2 * pairs.count(), max_driver_nodes, route_out,
-        key="cluster_route",
-    ):
+    if route_driver(2 * pairs.count(), max_driver_nodes, "cluster_route"):
         # an empty pair table may come back schema-less: take the id
         # type from the declared pair schema, and no pairs -> no edges
         id_type = _PAIR_SCHEMA.field("doc_a").type
@@ -818,15 +814,14 @@ def near_dup_clusters(docs_ds, threshold: float = 0.8, k: int = 3,
 
 
 def dedup_survivors(docs_ds, threshold: float = 0.8, k: int = 3,
-                    max_driver_nodes: int = None, route_out: dict = None):
+                    max_driver_nodes: int = None):
     """Materialize the deduplicated corpus id set: every doc except
     non-representative near-dup cluster members (representative = min
     doc_id).  The loser set is built worker-side from the (small)
     cluster label table and broadcast once; the corpus pass is a
     streaming filter — the full doc table never gathers anywhere."""
     clusters = near_dup_clusters(
-        docs_ds, threshold=threshold, k=k,
-        max_driver_nodes=max_driver_nodes, route_out=route_out,
+        docs_ds, threshold=threshold, k=k, max_driver_nodes=max_driver_nodes
     )
 
     def build_losers(tables) -> set:

@@ -26,7 +26,8 @@ spin-up, so the op runs on an exact driver twin; above it, the
 distributed groupby/join dataflow runs and the driver never holds
 nodes or edges.  Both engines are equality-asserted in tests
 (tests/test_graph_routing.py) and the distributed dataflow keeps its
-own unit coverage via ``max_driver_edges=0``.
+own unit coverage via ``max_driver_edges=0``.  The route is noted in
+the run record as ``graph_route`` / ``n_edges``.
 """
 
 from __future__ import annotations
@@ -50,18 +51,6 @@ _EDGE_SCHEMA = pa.schema([("a", pa.string()), ("b", pa.string())])
 # set operations.  Pass ``max_driver_edges=0`` to force the
 # distributed route, or a larger bound on a fat-driver deployment.
 DRIVER_GRAPH_MAX_EDGES = DRIVER_SLIVER_MAX_ROWS
-
-
-def _route_driver(n_edges: int, max_driver_edges, route_out) -> bool:
-    """COUNT-only route decision shared by every graph op; records the
-    route + cardinality in ``route_out`` under the graph-specific keys
-    (``graph_route``, ``n_edges``) for observability/tests."""
-    driver = route_driver(
-        n_edges, max_driver_edges, route_out, key="graph_route"
-    )
-    if route_out is not None:
-        route_out["n_edges"] = route_out.pop("n_rows")
-    return driver
 
 
 def _edge_pairs(edges_ds) -> list:
@@ -100,8 +89,7 @@ def _undirected_edges(edges_ds):
     return compact_blocks(dedup).materialize()
 
 
-def triangle_counts(edges_ds, max_driver_edges: int = None,
-                    route_out: dict = None):
+def triangle_counts(edges_ds, max_driver_edges: int = None):
     """Per-node triangle participation over an undirected edge list
     (columns ``a``, ``b``).  Returns (entity_id, n_triangles), nodes in
     >=1 triangle only.
@@ -124,7 +112,7 @@ def triangle_counts(edges_ds, max_driver_edges: int = None,
         import ray.data as rd
 
         return rd.from_arrow(_empty_out)
-    if _route_driver(n_edges, max_driver_edges, route_out):
+    if route_driver(n_edges, max_driver_edges, "graph_route", "n_edges"):
         import ray.data as rd
 
         counts = triangle_counts_local(_edge_pairs(edges))
@@ -271,7 +259,7 @@ def triangle_counts_local(edges) -> dict:
 
 
 def pagerank(edges_ds, num_iters: int = 3, damping: float = 0.85,
-             max_driver_edges: int = None, route_out: dict = None):
+             max_driver_edges: int = None):
     """Fixed-iteration PageRank over an undirected edge list (columns
     ``a``, ``b``) — returns (entity_id, pr) with ``pr`` rounded to 8
     decimals so the double sums (whose addition order differs between
@@ -296,7 +284,7 @@ def pagerank(edges_ds, num_iters: int = 3, damping: float = 0.85,
         import ray.data as rd
 
         return rd.from_arrow(out_schema.empty_table())
-    if _route_driver(n_edges, max_driver_edges, route_out):
+    if route_driver(n_edges, max_driver_edges, "graph_route", "n_edges"):
         import ray.data as rd
 
         ranks_d = pagerank_local(
@@ -420,7 +408,7 @@ def pagerank_local(edges, num_iters: int = 3, damping: float = 0.85) -> dict:
 
 
 def edge_pmi(pairs_ds, weight_col: str = None,
-             max_driver_edges: int = None, route_out: dict = None):
+             max_driver_edges: int = None):
     """Pointwise mutual information per co-occurring entity pair:
     ``pmi = ln((c_xy * n) / (c_x * c_y))`` over OCCURRENCES (input rows
     with columns ``a``, ``b``, duplicates = one co-occurrence each, or
@@ -481,7 +469,9 @@ def edge_pmi(pairs_ds, weight_col: str = None,
         return rd.from_arrow(out_schema.empty_table())
     # guard on OCCURRENCE rows (what the driver would hold), not the
     # distinct-pair count — conservative for duplicate-heavy inputs
-    if _route_driver(pairs.count(), max_driver_edges, route_out):
+    if route_driver(
+        pairs.count(), max_driver_edges, "graph_route", "n_edges"
+    ):
         import ray.data as rd
 
         df = pairs.to_pandas()
@@ -617,7 +607,6 @@ def shared_neighbor_candidates(
     min_shared: int = 2,
     hot_cap: int = 1000,
     max_driver_edges: int = None,
-    route_out: dict = None,
 ):
     """Entity-merge candidate pairs by neighborhood overlap — the
     blocking step of graph-signature entity resolution (CESI, Vashishth
@@ -654,7 +643,7 @@ def shared_neighbor_candidates(
     )
     if n_edges == 0:
         return rd.from_arrow(out_schema.empty_table())
-    if _route_driver(n_edges, max_driver_edges, route_out):
+    if route_driver(n_edges, max_driver_edges, "graph_route", "n_edges"):
         rows = shared_neighbor_candidates_local(
             _edge_pairs(edges), min_shared=min_shared, hot_cap=hot_cap
         )
@@ -793,7 +782,7 @@ def kcore_peel_local(edges, k: int = 2, rounds: int = 3) -> dict:
 
 
 def kcore_peel(edges_ds, k: int = 2, rounds: int = 3,
-               max_driver_edges: int = None, route_out: dict = None):
+               max_driver_edges: int = None):
     """Fixed-round k-core peeling over the undirected entity graph —
     the standard coreness filter for separating the KG's dense
     backbone from noise-tail entities (Seidman 1983; at web scale the
@@ -825,7 +814,7 @@ def kcore_peel(edges_ds, k: int = 2, rounds: int = 3,
 
     if n_edges == 0:
         return rd.from_arrow(out_schema.empty_table())
-    if _route_driver(n_edges, max_driver_edges, route_out):
+    if route_driver(n_edges, max_driver_edges, "graph_route", "n_edges"):
         deg = kcore_peel_local(_edge_pairs(edges), k=k, rounds=rounds)
         ids = sorted(deg)
         if not ids:
@@ -910,8 +899,7 @@ _TWO_HOP_SCHEMA = pa.schema(
 )
 
 
-def two_hop_pred_paths(store_ds, max_driver_rows: int = None,
-                       route_out: dict = None):
+def two_hop_pred_paths(store_ds, max_driver_rows: int = None):
     """Two-hop path composition counts over a triple store (columns
     ``subj_id``, ``pred``, ``obj_id``): for every predicate pair
     (p1, p2), the number of entity paths a -p1-> x -p2-> b — the
@@ -941,7 +929,7 @@ def two_hop_pred_paths(store_ds, max_driver_rows: int = None,
     n_rows = store.count()
     if n_rows == 0:
         return rd.from_arrow(_TWO_HOP_SCHEMA.empty_table())
-    if route_driver(n_rows, max_driver_rows, route_out):
+    if route_driver(n_rows, max_driver_rows):
         df = store.select_columns(
             ["subj_id", "pred", "obj_id"]
         ).to_pandas()
@@ -977,16 +965,16 @@ def two_hop_pred_paths(store_ds, max_driver_rows: int = None,
             )
         )
 
-    def side_partial(mid_col: str, pred_out: str):
+    def side_partial(mid_col: str, pred_col: str):
         def fn(t: pa.Table) -> pa.Table:
             return (
                 pa.table(
                     {"mid": t[mid_col].combine_chunks().cast(pa.string()),
-                     pred_out: t["pred"].combine_chunks()}
+                     pred_col: t["pred"].combine_chunks()}
                 )
-                .group_by(["mid", pred_out])
+                .group_by(["mid", pred_col])
                 .aggregate([([], "count_all")])
-                .rename_columns(["mid", pred_out, "c"])
+                .rename_columns(["mid", pred_col, "c"])
             )
 
         return fn

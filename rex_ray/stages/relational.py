@@ -119,9 +119,10 @@ def hash_join(left, right, on, join_type: str = "inner", right_on=None,
     (:func:`_partitions`).  An input with zero rows still loses its
     schema — guard that case before the call.
 
-    Below 2 CPUs the aggregators reserve no CPU: Ray gives them half
-    the cluster and every shuffle task asks for a whole CPU, so on 1
-    CPU no shuffle task could ever be scheduled (the join hangs)."""
+    The aggregator actors reserve nothing: Ray's default CPU and
+    ``memory`` reservations hung one join on 1 CPU (no whole CPU left
+    for a shuffle task) and two chained 8-partition joins on 8 CPUs
+    (0.875 GiB each; the second join's actors never started)."""
 
     def cols(c):
         return (c,) if isinstance(c, str) else tuple(c)
@@ -130,9 +131,7 @@ def hash_join(left, right, on, join_type: str = "inner", right_on=None,
         compact_blocks(right), join_type=join_type,
         num_partitions=_partitions(rows),
         on=cols(on), right_on=cols(right_on) if right_on else None,
-        aggregator_ray_remote_args=(
-            {"num_cpus": 0} if cluster_cpus() < 2 else None
-        ),
+        aggregator_ray_remote_args={"num_cpus": 0},
     )
 
 

@@ -26,6 +26,7 @@ import pyarrow as pa
 
 import ray
 
+from rex_ray import trace
 from rex_ray.functions.blocks import default_concurrency, pre_shuffle
 
 _TOPK_SCHEMA = pa.schema(
@@ -151,18 +152,14 @@ def brute_force_topk(
     query_ids: Sequence[int],
     k: int = 5,
     id_col: str = "vec_id",
-    query_ds=None,
 ):
     """Global top-k cosine neighbors for each query id.
 
     Output: (query_id, neighbor_id, rank) with rank 1..k, self
     excluded; ties broken by neighbor_id ascending (deterministic,
     matches the SQL oracle's ORDER BY sim DESC, neighbor_id ASC).
-    ``query_ds`` defaults to ``emb_ds`` (query vectors looked up there).
     """
-    qdf = _filter_ids(
-        query_ds if query_ds is not None else emb_ds, id_col, query_ids
-    ).to_pandas()
+    qdf = _filter_ids(emb_ds, id_col, query_ids).to_pandas()
     return _exact_topk(
         qdf, k, id_col, lambda q: (emb_ds, _unit_rows(q["embedding"])),
         _cosine_scores,
@@ -476,7 +473,6 @@ def ivf_topk_int_from_layout(
     k: int = 5,
     nprobe: int = 3,
     id_col: str = "vec_id",
-    stats_out: dict = None,
     query_frame: pd.DataFrame = None,
 ):
     """:func:`ivf_topk_int` over a persisted cluster-partitioned
@@ -491,8 +487,9 @@ def ivf_topk_int_from_layout(
     directory listing (round-4 verdict items #1/#2).
 
     ``query_frame``: optional (id, embedding) DataFrame when queries
-    arrive as their own table.  ``stats_out`` gets
-    ``{"clusters_total", "clusters_read", "query_fetch_files"}``."""
+    arrive as their own table.  Notes ``clusters_total``,
+    ``clusters_read`` and ``query_fetch_files`` in the run record
+    (``rex_ray/trace.py``)."""
     from rex_ray.functions import fsio
 
     C = np.asarray(
@@ -500,15 +497,11 @@ def ivf_topk_int_from_layout(
     )
     man, parts, lfs, base = _read_manifest(layout_dir, "cluster")
     all_clusters = sorted(parts)
-    if query_frame is None:
-        query_frame = _fetch_query_frame(
-            base, lfs, man, parts, "cluster", id_col, sorted(query_ids),
-            stats_out,
-        )
-    elif stats_out is not None:
-        stats_out["query_fetch_files"] = 0
-    if stats_out is not None:
-        stats_out.update(clusters_total=len(all_clusters), clusters_read=0)
+    query_frame = _fetch_query_frame(
+        base, lfs, man, parts, "cluster", id_col, sorted(query_ids),
+        query_frame,
+    )
+    trace.note(clusters_total=len(all_clusters), clusters_read=0)
 
     def plan(qdf):
         Q = quantize_grid(qdf["embedding"])
@@ -516,8 +509,7 @@ def ivf_topk_int_from_layout(
         probe_union = sorted(
             set(int(c) for p in probes for c in p) & set(all_clusters)
         )
-        if stats_out is not None:
-            stats_out["clusters_read"] = len(probe_union)
+        trace.note(clusters_read=len(probe_union))
         paths = [p for c in probe_union for p in parts[c]]
         return _read_vectors(paths, id_col, lfs), (Q, C, probes)
 
@@ -722,28 +714,29 @@ def _fetch_query_frame(
     key: str,
     id_col: str,
     qset,
-    stats_out: dict = None,
+    query_frame: pd.DataFrame = None,
 ):
     """Query-vector fetch PRUNED by the slim id index: read the
     (id, partition) index to locate each query id's home partition,
     then open ONLY those partitions' (id, embedding) columns — never a
     full-layout scan (round-4 verdict item #1).  ``base``/``fs`` come
     from :func:`_read_manifest`, so the fetch works on any pyarrow
-    filesystem.  Returns the sorted query DataFrame."""
+    filesystem.  A given ``query_frame`` skips the fetch.  Notes
+    ``query_fetch_files`` in the run record.  Returns the sorted query
+    DataFrame."""
     import ray.data as rd
 
+    if query_frame is not None:
+        trace.note(query_fetch_files=0)
+        return query_frame
+    qpaths: list = []
     idx_paths = [f"{base}/{r}" for r in man.get("index", [])]
-    if not idx_paths:
-        qdf = pd.DataFrame({id_col: [], "embedding": []})
-        if stats_out is not None:
-            stats_out["query_fetch_files"] = 0
-        return qdf
-    idx = rd.read_parquet(idx_paths, filesystem=fs)
-    qidx = _filter_ids(idx, id_col, qset).to_pandas()
-    home = sorted(set(int(v) for v in qidx[key])) if len(qidx) else []
-    qpaths = [p for v in home if v in parts for p in parts[v]]
-    if stats_out is not None:
-        stats_out["query_fetch_files"] = len(qpaths)
+    if idx_paths:
+        idx = rd.read_parquet(idx_paths, filesystem=fs)
+        qidx = _filter_ids(idx, id_col, qset).to_pandas()
+        home = sorted(set(int(v) for v in qidx[key])) if len(qidx) else []
+        qpaths = [p for v in home if v in parts for p in parts[v]]
+    trace.note(query_fetch_files=len(qpaths))
     if not qpaths:
         return pd.DataFrame({id_col: [], "embedding": []})
     qsrc = rd.read_parquet(
@@ -925,7 +918,6 @@ def lsh_topk_from_layout(
     k: int = 5,
     n_planes: int = 4,
     id_col: str = "vec_id",
-    stats_out: dict = None,
     query_frame: pd.DataFrame = None,
 ):
     """:func:`lsh_topk` over a persisted bucket-partitioned layout
@@ -942,26 +934,21 @@ def lsh_topk_from_layout(
 
     ``query_frame``: optional (id, embedding) DataFrame when the
     queries arrive as their own table — skips the index fetch.
-    ``stats_out`` (optional dict) gets ``{"buckets_total",
-    "buckets_read", "query_fetch_files"}`` so callers can assert both
-    prunes engaged."""
+    Notes ``buckets_total``, ``buckets_read`` and ``query_fetch_files``
+    in the run record (``rex_ray/trace.py``) so callers can assert
+    both prunes engaged."""
     man, parts, lfs, base = _read_manifest(layout_dir, "bucket")
     all_buckets = sorted(parts)
-    if query_frame is None:
-        query_frame = _fetch_query_frame(
-            base, lfs, man, parts, "bucket", id_col, sorted(query_ids),
-            stats_out,
-        )
-    elif stats_out is not None:
-        stats_out["query_fetch_files"] = 0
-    if stats_out is not None:
-        stats_out.update(buckets_total=len(all_buckets), buckets_read=0)
+    query_frame = _fetch_query_frame(
+        base, lfs, man, parts, "bucket", id_col, sorted(query_ids),
+        query_frame,
+    )
+    trace.note(buckets_total=len(all_buckets), buckets_read=0)
 
     def plan(qdf):
         side = _lsh_side(qdf, n_planes)
         probe = sorted(set(int(b) for b in side[1]) & set(all_buckets))
-        if stats_out is not None:
-            stats_out["buckets_read"] = len(probe)
+        trace.note(buckets_read=len(probe))
         paths = [p for b in probe for p in parts[b]]
         return _read_vectors(paths, id_col, lfs), side
 

@@ -11,6 +11,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from rex_ray import trace
 from rex_ray.functions import text as T
 from rex_ray.functions.blocks import (
     arrow_block,
@@ -415,7 +416,6 @@ MAX_BROADCAST_GRAMS = 2_000_000
 def cross_doc_dup_ngrams(
     docs_ds, n: int = 3,
     max_broadcast_grams: int = None,
-    route_out: dict = None,
 ):
     """Cross-document duplicated-n-gram signal (the Gopher/Dolma rule
     family's CROSS-doc sibling of :func:`repetition_stats`; CCNet §4.1
@@ -444,8 +444,9 @@ def cross_doc_dup_ngrams(
       partition, never a corpus-sized broadcast object.
 
     Both regimes are equality-asserted in tests on a planted
-    boilerplate-heavy corpus.  ``route_out`` (optional dict) gets
-    ``{"dup_ngram_regime": "broadcast"|"join", "n_dup_grams": int}``.
+    boilerplate-heavy corpus.  Notes ``dup_ngram_regime``
+    ("broadcast"|"join") and ``n_dup_grams`` in the run record
+    (``rex_ray/trace.py``).
     Output: (doc_id, n_distinct, n_dup) for docs with >= 1 n-gram.
     """
     from ray.data.aggregate import Sum
@@ -515,11 +516,12 @@ def cross_doc_dup_ngrams(
         run_len = np.diff(np.append(starts, len(p)))  # within-doc count
         return ids, counts, p[starts], h[starts], run_len
 
-    if n_dup_grams <= max_broadcast_grams:
-        if route_out is not None:
-            route_out["dup_ngram_regime"] = "broadcast"
-            route_out["n_dup_grams"] = n_dup_grams
-
+    broadcast = n_dup_grams <= max_broadcast_grams
+    trace.note(
+        dup_ngram_regime="broadcast" if broadcast else "join",
+        n_dup_grams=n_dup_grams,
+    )
+    if broadcast:
         def build(tables):
             hs: list = []
             cs: list = []
@@ -571,10 +573,6 @@ def cross_doc_dup_ngrams(
         return docs_ds.map_batches(score, batch_format="pandas")
 
     # --- JOIN regime: duplicated-gram table too large to broadcast ---
-    if route_out is not None:
-        route_out["dup_ngram_regime"] = "join"
-        route_out["n_dup_grams"] = n_dup_grams
-
     from rex_ray.stages.relational import hash_join
 
     _T = pa.schema(
@@ -681,8 +679,7 @@ def _mg_compress(vc: pd.Series, k: int) -> pd.Series:
     return out[out > 0]
 
 
-def heavy_hitter_ngrams(docs_ds, n: int = 3, k: int = 4000,
-                        candidates_out: dict = None):
+def heavy_hitter_ngrams(docs_ds, n: int = 3, k: int = 4000):
     """EXACT corpus-wide heavy-hitter n-grams: every word n-gram whose
     count exceeds total_grams/k, with its exact count — the frequent-
     phrase / boilerplate-mining primitive (the SpaceSaving/Misra-Gries
@@ -708,8 +705,8 @@ def heavy_hitter_ngrams(docs_ds, n: int = 3, k: int = 4000,
 
     At 100 TB both shuffles move O(batches x k) integer/string rows;
     the corpus is read twice and never materialized.  Output:
-    (gram, n) int64-exact.  ``candidates_out`` (optional dict) gets
-    ``{"n_candidates": int, "total_grams": int}`` for observability.
+    (gram, n) int64-exact.  Notes ``n_candidates`` and ``total_grams``
+    in the run record (``rex_ray/trace.py``) for observability.
     """
     import ray
     from ray.data.aggregate import Sum
@@ -761,9 +758,7 @@ def heavy_hitter_ngrams(docs_ds, n: int = 3, k: int = 4000,
     v = int(top[-1]["c"]) if len(top) > k else 0
     cand_rows = est.filter(expr=f"c > {v}").take(k)  # <= k by construction
     candidates = [r["gram"] for r in cand_rows]
-    if candidates_out is not None:
-        candidates_out["n_candidates"] = len(candidates)
-        candidates_out["total_grams"] = total
+    trace.note(n_candidates=len(candidates), total_grams=total)
     if not candidates or total == 0:
         return ray.data.from_arrow(_OUT.empty_table())
     cand_ref = ray.put(frozenset(candidates))

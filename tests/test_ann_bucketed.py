@@ -21,6 +21,8 @@ import pandas as pd
 
 import ray.data as rd
 
+from rex_ray import trace
+
 SF = "/root/testdata/sf0.001"
 N_PLANES = 4
 
@@ -75,11 +77,10 @@ def test_layout_write_and_pruned_topk_equals_full_scan(
 
     # pruned-read top-k == full-scan top-k, and the read WAS pruned
     qids = range(6)
-    stats = {}
-    pruned = lsh_topk_from_layout(
-        layout_dir, query_ids=qids, k=5, n_planes=N_PLANES,
-        stats_out=stats,
-    ).to_pandas()
+    with trace.run() as stats:
+        pruned = lsh_topk_from_layout(
+            layout_dir, query_ids=qids, k=5, n_planes=N_PLANES,
+        ).to_pandas()
     fullscan = lsh_topk(
         _emb(), query_ids=qids, k=5, n_planes=N_PLANES
     ).to_pandas()
@@ -120,11 +121,11 @@ def test_layout_write_and_pruned_topk_equals_full_scan(
     qframe = full.loc[
         full.vec_id.isin(list(qids)), ["vec_id", "embedding"]
     ].reset_index(drop=True)
-    stats2 = {}
-    via_frame = lsh_topk_from_layout(
-        layout_dir, query_ids=qids, k=5, n_planes=N_PLANES,
-        stats_out=stats2, query_frame=qframe,
-    ).to_pandas()
+    with trace.run() as stats2:
+        via_frame = lsh_topk_from_layout(
+            layout_dir, query_ids=qids, k=5, n_planes=N_PLANES,
+            query_frame=qframe,
+        ).to_pandas()
     pd.testing.assert_frame_equal(_norm(via_frame), _norm(fullscan))
     assert stats2["query_fetch_files"] == 0
 
@@ -147,10 +148,10 @@ def test_layout_roundtrip_through_fs_uri(ray_session, tmp_path):
     n = write_lsh_bucket_layout(_emb(), uri, n_planes=N_PLANES)
     assert n > 1
     # plain-path and URI addressing read the SAME layout
-    stats = {}
-    via_uri = lsh_topk_from_layout(
-        uri, query_ids=range(4), k=5, n_planes=N_PLANES, stats_out=stats
-    ).to_pandas()
+    with trace.run() as stats:
+        via_uri = lsh_topk_from_layout(
+            uri, query_ids=range(4), k=5, n_planes=N_PLANES
+        ).to_pandas()
     via_path = lsh_topk_from_layout(
         f"{tmp_path}/lsh_uri", query_ids=range(4), k=5, n_planes=N_PLANES
     ).to_pandas()
@@ -335,11 +336,10 @@ def test_sidecar_fallback_rebuilds_index_from_layout(ray_session, tmp_path):
     pd.testing.assert_frame_equal(
         _norm(idx_default), _norm(idx_rebuilt)
     )
-    stats = {}
-    got = lsh_topk_from_layout(
-        layout_dir, query_ids=range(4), k=5, n_planes=N_PLANES,
-        stats_out=stats,
-    ).to_pandas()
+    with trace.run() as stats:
+        got = lsh_topk_from_layout(
+            layout_dir, query_ids=range(4), k=5, n_planes=N_PLANES,
+        ).to_pandas()
     want = lsh_topk(
         _emb(), query_ids=range(4), k=5, n_planes=N_PLANES
     ).to_pandas()
@@ -366,10 +366,10 @@ def test_ivf_layout_pruned_topk_equals_full_scan(ray_session, tmp_path):
     assert os.path.exists(f"{layout_dir}/centroids.json")
 
     qids = range(2)
-    stats = {}
-    pruned = ivf_topk_int_from_layout(
-        layout_dir, query_ids=qids, k=5, nprobe=2, stats_out=stats
-    ).to_pandas()
+    with trace.run() as stats:
+        pruned = ivf_topk_int_from_layout(
+            layout_dir, query_ids=qids, k=5, nprobe=2
+        ).to_pandas()
     fullscan = ivf_topk_int(
         _emb(), query_ids=qids, k=5, num_centroids=8, iters=2, nprobe=2
     ).to_pandas()
@@ -397,10 +397,9 @@ def test_ivf_layout_pruned_topk_equals_full_scan(ray_session, tmp_path):
     qframe = full.loc[
         full.vec_id.isin(list(qids)), ["vec_id", "embedding"]
     ].reset_index(drop=True)
-    stats2 = {}
-    via_frame = ivf_topk_int_from_layout(
-        layout_dir, query_ids=qids, k=5, nprobe=2, stats_out=stats2,
-        query_frame=qframe,
-    ).to_pandas()
+    with trace.run() as stats2:
+        via_frame = ivf_topk_int_from_layout(
+            layout_dir, query_ids=qids, k=5, nprobe=2, query_frame=qframe,
+        ).to_pandas()
     pd.testing.assert_frame_equal(_norm(via_frame), _norm(fullscan))
     assert stats2["query_fetch_files"] == 0

@@ -4,6 +4,8 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from rex_ray import trace
+
 SF = "/root/testdata/sf0.001"
 
 
@@ -537,19 +539,17 @@ def test_dup_clusters_match_local_union_find(docs_ds):
 
     # default route: the dup graph is a sliver -> exact driver
     # union-find (COUNT-only guard, functions/routing.py)
-    ro = {}
-    got = near_dup_clusters(
-        docs_ds, threshold=threshold, route_out=ro
-    ).to_pandas()
+    with trace.run() as ro:
+        got = near_dup_clusters(docs_ds, threshold=threshold).to_pandas()
     assert ro["cluster_route"] == "driver"
     assert dict(zip(got["doc_id"], got["cluster_id"])) == expected
 
     # forced distributed route (max_driver_nodes=0): the min-label-
     # propagation engine must produce the identical cluster map
-    ro_lp = {}
-    got_lp = near_dup_clusters(
-        docs_ds, threshold=threshold, max_driver_nodes=0, route_out=ro_lp
-    ).to_pandas()
+    with trace.run() as ro_lp:
+        got_lp = near_dup_clusters(
+            docs_ds, threshold=threshold, max_driver_nodes=0
+        ).to_pandas()
     assert ro_lp["cluster_route"] == "distributed"
     assert dict(zip(got_lp["doc_id"], got_lp["cluster_id"])) == expected
 
@@ -1271,17 +1271,16 @@ def test_cross_doc_dup_ngrams_join_regime_equals_broadcast(ray_session):
     rows.append({"doc_id": 99, "text": "x y"})  # no trigram -> omitted
     docs = rd.from_items(rows).repartition(4)
 
-    r_b, r_j = {}, {}
-    broadcast = (
-        cross_doc_dup_ngrams(docs, n=3, route_out=r_b)
-        .to_pandas().sort_values("doc_id", ignore_index=True)
-    )
-    joined = (
-        cross_doc_dup_ngrams(
-            docs, n=3, max_broadcast_grams=0, route_out=r_j
+    with trace.run() as r_b:
+        broadcast = (
+            cross_doc_dup_ngrams(docs, n=3)
+            .to_pandas().sort_values("doc_id", ignore_index=True)
         )
-        .to_pandas().sort_values("doc_id", ignore_index=True)
-    )
+    with trace.run() as r_j:
+        joined = (
+            cross_doc_dup_ngrams(docs, n=3, max_broadcast_grams=0)
+            .to_pandas().sort_values("doc_id", ignore_index=True)
+        )
     assert r_b["dup_ngram_regime"] == "broadcast"
     assert r_j["dup_ngram_regime"] == "join"
     assert r_j["n_dup_grams"] == r_b["n_dup_grams"] > 0

@@ -11,6 +11,7 @@ import pytest
 
 import ray.data as rd
 
+from rex_ray import trace
 from rex_ray.stages.graph import (
     DRIVER_GRAPH_MAX_EDGES,
     edge_pmi,
@@ -40,15 +41,15 @@ def _sorted_rows(ds):
 
 
 def test_route_observability(random_edges):
-    out = {}
-    triangle_counts(_edges_ds(random_edges), route_out=out)
+    with trace.run() as out:
+        triangle_counts(_edges_ds(random_edges))
     assert out["graph_route"] == "driver"
     assert 0 < out["n_edges"] <= DRIVER_GRAPH_MAX_EDGES
 
-    out = {}
-    triangle_counts(
-        _edges_ds(random_edges), max_driver_edges=0, route_out=out
-    ).materialize()
+    with trace.run() as out:
+        triangle_counts(
+            _edges_ds(random_edges), max_driver_edges=0
+        ).materialize()
     assert out["graph_route"] == "distributed"
 
 
@@ -152,8 +153,8 @@ def test_two_hop_route_equal_and_bruteforce(random_store):
                 k = (e1["pred"], e2["pred"])
                 want[k] = want.get(k, 0) + 1
 
-    out = {}
-    a = _sorted_rows(two_hop_pred_paths(random_store, route_out=out))
+    with trace.run() as out:
+        a = _sorted_rows(two_hop_pred_paths(random_store))
     assert out["route"] == "driver"
     b = _sorted_rows(
         two_hop_pred_paths(random_store, max_driver_rows=0)
@@ -169,8 +170,8 @@ def test_two_hop_route_equal_and_bruteforce(random_store):
 def test_predicate_functionality_route_equal(random_store):
     from rex_ray.stages.aggregate import predicate_functionality
 
-    out = {}
-    a = _sorted_rows(predicate_functionality(random_store, route_out=out))
+    with trace.run() as out:
+        a = _sorted_rows(predicate_functionality(random_store))
     assert out["route"] == "driver" and out["n_rows"] > 0
     b = _sorted_rows(
         predicate_functionality(random_store, max_driver_rows=0)

@@ -9,6 +9,7 @@ import textwrap
 from pathlib import Path
 
 import process_group
+from test_checkpoint import SF  # the sf0.001 test tables
 
 PKG = Path(__file__).resolve().parent.parent / "rex_ray"
 
@@ -76,3 +77,31 @@ def test_hash_join_finishes_on_one_cpu():
     )
     assert r.returncode == 0, r.stderr[-2000:]
     assert r.stdout.split()[-1] == "2000"
+
+
+def test_two_join_pipeline_finishes_on_eight_cpus():
+    """``q_dd_line_dedup`` chains two ``hash_join`` calls in one
+    streaming pipeline; in an 8-CPU session their aggregator actors
+    must still leave CPUs for the shuffle tasks.  Runs in its own
+    8-CPU Ray session at sf0.001; a hang is a timeout failure."""
+    script = textwrap.dedent(
+        """
+        import sys
+
+        import ray
+        import ray.data as rd
+
+        ray.init(address="local", num_cpus=8, include_dashboard=False,
+                 logging_level="ERROR")
+        rd.DataContext.get_current().enable_progress_bars = False
+        from rex_ray.pipelines.queries_ext import q_dd_line_dedup
+
+        print(q_dd_line_dedup(sys.argv[1]).count())
+        """
+    )
+    env = {**os.environ, "PYTHONPATH": str(PKG.parent)}
+    r = process_group.run(
+        [sys.executable, "-c", script, SF], env=env, timeout=240,
+    )
+    assert r.returncode == 0, r.stderr[-2000:]
+    assert int(r.stdout.split()[-1]) > 0

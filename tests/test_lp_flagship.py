@@ -13,6 +13,8 @@ import pytest
 
 import ray.data as rd
 
+from rex_ray import trace
+
 SF = "/root/testdata/sf0.001"
 
 
@@ -30,10 +32,8 @@ def _docs():
 def test_lp_route_equals_broadcast_route(ray_session):
     from rex_ray.pipelines import kg
 
-    route = {}
-    lp = kg.triple_store_from_text_docs(
-        _docs(), max_driver_nodes=0, route_out=route
-    )
+    with trace.run() as route:
+        lp = kg.triple_store_from_text_docs(_docs(), max_driver_nodes=0)
     assert route["canonical_route"] == "lp"
     broadcast = kg.triple_store_from_text_docs(_docs())
     pd.testing.assert_frame_equal(
@@ -62,10 +62,8 @@ def test_stored_canonical_map_equals_forced_lp_map(ray_session):
 def test_guard_default_route_is_driver_at_gazetteer_scale(ray_session):
     from rex_ray.pipelines import kg
 
-    route = {}
-    kg.triple_store_from_text_docs(
-        _docs().limit(50), route_out=route
-    ).count()
+    with trace.run() as route:
+        kg.triple_store_from_text_docs(_docs().limit(50)).count()
     assert route["canonical_route"] == "driver"
     assert route["n_surfaces"] <= 50
 
@@ -145,15 +143,15 @@ def test_sliver_engines_equal_and_default_is_driver_uf(ray_session):
         pa.table({"node": pa.array(nodes, pa.string())})
     ).repartition(4)
 
-    info_uf, info_lp = {}, {}
-    uf = canon.canonical_labels_from_nodes_ds(
-        nodes_ds, spec.VARIANT_EDGES, prefix=spec.ENTITY_ID_PREFIX,
-        info_out=info_uf,
-    ).to_pandas()
-    lp = canon.canonical_labels_from_nodes_ds(
-        nodes_ds, spec.VARIANT_EDGES, prefix=spec.ENTITY_ID_PREFIX,
-        sliver_max_driver_nodes=0, info_out=info_lp,
-    ).to_pandas()
+    with trace.run() as info_uf:
+        uf = canon.canonical_labels_from_nodes_ds(
+            nodes_ds, spec.VARIANT_EDGES, prefix=spec.ENTITY_ID_PREFIX,
+        ).to_pandas()
+    with trace.run() as info_lp:
+        lp = canon.canonical_labels_from_nodes_ds(
+            nodes_ds, spec.VARIANT_EDGES, prefix=spec.ENTITY_ID_PREFIX,
+            sliver_max_driver_nodes=0,
+        ).to_pandas()
     assert info_uf["sliver_engine"] == "driver_uf"
     assert info_lp["sliver_engine"] == "lp"
     assert info_uf["n_touched"] == info_lp["n_touched"] > 0
@@ -189,10 +187,8 @@ def test_guard_routes_lp_above_50k_surfaces(ray_session):
     assert n_surfaces > canon.DRIVER_CC_MAX_NODES
 
     docs = rd.from_pandas(pd.DataFrame(rows)).repartition(8)
-    route = {}
-    store = kg.triple_store_from_text_docs(
-        docs, gazetteer=gaz, route_out=route
-    )
+    with trace.run() as route:
+        store = kg.triple_store_from_text_docs(docs, gazetteer=gaz)
     df = store.to_pandas()
 
     assert route["canonical_route"] == "lp"

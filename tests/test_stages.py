@@ -5,6 +5,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from rex_ray import trace
 from rex_ray.pipelines import spec
 from rex_ray.stages import canonical
 from rex_ray.stages.extract import MentionExtractor, TripleExtractor
@@ -523,15 +524,14 @@ def test_heavy_hitters_exact_and_superset(ray_session):
     assert 0 < len(want) < 12  # the threshold actually bites
 
     def run(parts):
-        info = {}
-        got = (
-            heavy_hitter_ngrams(
-                rd.from_pandas(docs).repartition(parts), n=1, k=k,
-                candidates_out=info,
+        with trace.run() as info:
+            got = (
+                heavy_hitter_ngrams(
+                    rd.from_pandas(docs).repartition(parts), n=1, k=k,
+                )
+                .to_pandas()
+                .sort_values("gram", ignore_index=True)
             )
-            .to_pandas()
-            .sort_values("gram", ignore_index=True)
-        )
         return got, info
 
     got1, info1 = run(1)

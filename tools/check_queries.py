@@ -95,8 +95,7 @@ def main():
     import ray
 
     if not ray.is_initialized():
-        # the width tests/conftest.py uses; at num_cpus=8 a 1-core host
-        # stalls in dd_line_dedup
+        # the width tests/conftest.py uses
         ray.init(
             address="local", num_cpus=4, include_dashboard=False,
             logging_level="ERROR",

@@ -1,9 +1,10 @@
 """Per-stage throughput report for any registered query: runs the
-pipeline, parses ``Dataset.stats()`` and prints one JSON line per
-operator (name, wall_s, rows_out, rows_per_s, peak_heap_mib) plus a
-dataset-level summary — the ds.stats()-driven feedback loop used to
-size batch/concurrency per stage (SURVEY.md §4 throughput-metrics
-row).
+pipeline, reads Ray Data's structured stats summary
+(``Dataset._get_stats_summary()``) and prints one JSON line per
+operator (name, wall_s, rows_out, bytes_out, rows_per_s,
+peak_heap_mib) plus a dataset-level summary — the stats-driven
+feedback loop used to size batch/concurrency per stage (SURVEY.md §4
+throughput-metrics row).
 
 Usage:  python tools/stage_stats.py [query] [sf_dir] [num_cpus]
         (defaults: kg_triple_store_interleaved /root/testdata/sf0.1 32)
@@ -13,45 +14,38 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import sys
 
 
-def parse_stats(stats: str):
-    """Extract (operator, wall_s, rows_out, peak_heap_mib) rows from a
-    Dataset.stats() dump."""
-    ops = []
-    cur = None
-    for line in stats.splitlines():
-        m = re.match(
-            r"Operator (\d+) (\S+):.* in ([0-9.]+)s", line.strip()
-        )
-        if m:
-            cur = {
-                "operator": m.group(2),
-                "wall_s": float(m.group(3)),
-                "rows_out": None,
-                "peak_heap_mib": None,
+def operator_stats(ds) -> list:
+    """One dict per executed operator of the materialized ``ds``, in
+    execution order (parents first): ``operator``, ``wall_s`` (remote
+    wall time summed over the operator's tasks), ``rows_out``,
+    ``bytes_out``, ``peak_heap_mib`` and, when rows and wall time are
+    both non-zero, ``rows_per_s``.  An operator reached through two
+    parents is listed once."""
+    ops: list = []
+    seen: set = set()
+
+    def walk(summary) -> None:
+        for parent in summary.parents:
+            walk(parent)
+        for op in summary.operators_stats:
+            if (summary.dataset_uuid, op.operator_name) in seen:
+                continue
+            seen.add((summary.dataset_uuid, op.operator_name))
+            row = {
+                "operator": op.operator_name,
+                "wall_s": (op.wall_time or {}).get("sum"),
+                "rows_out": (op.output_num_rows or {}).get("sum"),
+                "bytes_out": (op.output_size_bytes or {}).get("sum"),
+                "peak_heap_mib": (op.memory or {}).get("max"),
             }
-            ops.append(cur)
-            continue
-        if cur is None:
-            continue
-        m = re.match(
-            r"\* Output num rows per block:.* ([0-9]+) total",
-            line.strip(),
-        )
-        if m:
-            cur["rows_out"] = int(m.group(1))
-        m = re.match(
-            r"\* Peak heap memory usage \(MiB\): .* ([0-9.]+) max",
-            line.strip(),
-        )
-        if m:
-            cur["peak_heap_mib"] = float(m.group(1))
-    for o in ops:
-        if o["rows_out"] and o["wall_s"]:
-            o["rows_per_s"] = round(o["rows_out"] / o["wall_s"], 1)
+            if row["rows_out"] and row["wall_s"]:
+                row["rows_per_s"] = round(row["rows_out"] / row["wall_s"], 1)
+            ops.append(row)
+
+    walk(ds._get_stats_summary())
     return ops
 
 
@@ -80,13 +74,13 @@ def main() -> None:
     res = queries()[query](sf_dir)
     if hasattr(res, "materialize"):
         res = res.materialize()
-        stats = res.stats()
+        ops = operator_stats(res)
         rows = res.count()
     else:  # driver-side result (pandas/arrow)
-        stats, rows = "", len(res)
+        ops, rows = [], len(res)
     wall = time.perf_counter() - t0
 
-    for op in parse_stats(stats):
+    for op in ops:
         print(json.dumps({"query": query, **op}))
     print(
         json.dumps(
