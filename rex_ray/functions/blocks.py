@@ -85,26 +85,12 @@ def default_concurrency():
 
 def compact_blocks(ds, batch_size: int = 65536):
     """Bundle consecutive blocks so empty blocks merge into their
-    neighbors.  Applied by :func:`rex_ray.stages.relational.hash_join`
-    to both join inputs.
-
-    Why joins need it: Ray 2.49's hash-shuffle join broadcasts each
-    input's schema to all partition aggregators using the FIRST block
-    it sees — but ``_shuffle_block`` (ray/data/_internal/execution/
-    operators/hash_shuffle.py:224) early-returns on a 0-row block
-    BEFORE that broadcast, and the caller still marks the schema as
-    sent.  A join, groupby or selective filter upstream routinely emits
-    empty partition blocks first, so join partitions that receive no
-    rows build a schema-less table and pyarrow raises ``No match or
-    multiple matches for key field reference ... on left side of the
-    join``.
-
-    A pass-through ``map_batches`` with an explicit ``batch_size``
-    coalesces consecutive blocks per task (Arrow concat, no Python
-    rows), so empties vanish unless the whole dataset is empty —
-    restoring the schema broadcast.  An input with zero rows stays
-    schema-less: callers guard that case with a count.  Cost: one
-    streaming copy of each block, no shuffle."""
+    neighbors: a pass-through ``map_batches`` with an explicit
+    ``batch_size`` coalesces consecutive blocks per task (Arrow concat,
+    no Python rows), so a groupby's one-block-per-partition output
+    stops costing one downstream task per block, and a selective
+    filter's schema-less empty blocks vanish unless the whole dataset
+    is empty.  Cost: one streaming copy of each block, no shuffle."""
     return ds.map_batches(
         lambda t: t, batch_format="pyarrow", batch_size=batch_size
     )

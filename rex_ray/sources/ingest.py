@@ -72,8 +72,8 @@ def ingest_ipre(sent_ds, label_ds, id2rel: Dict[int, str]):
 
     rel_ref = ray.put(dict(id2rel))
 
-    # a fully-empty raw side would lose its schema inside the join
-    # (Ray 2.49) — the exact answer is the empty canonical table
+    # a fully-empty raw side brings no schema into the join — the
+    # exact answer is the empty canonical table
     if label_ds.count() == 0 or sent_ds.count() == 0:
         import ray.data as rd
 

@@ -95,9 +95,9 @@ def cc_label_propagation(nodes_ds, edges_ds):
         batch_format="pandas",
     ).materialize()
 
-    # no edges -> every node is its own component; the join below
-    # would also lose the empty edge table's schema (Ray 2.49) and
-    # abort, so short-circuit the exact answer
+    # no edges -> every node is its own component: short-circuit the
+    # exact answer (the join below would run a round on a schema-less
+    # empty side only to reach the same labels)
     n_both = both.count()
     if n_both == 0:
         return labels

@@ -208,9 +208,9 @@ def link_triples_via_join(triples_ds, map_ds, nil_prefix: str = "nil:",
     # a just-above-threshold map
     n_size = max(n_map, est_left_rows or 0)
 
-    # degenerate empty map: every surface is NIL; the left_outer join
-    # below would lose the empty right side's schema (Ray 2.49) and
-    # abort, so compute the exact answer map-side
+    # degenerate empty map: every surface is NIL; a zero-row right side
+    # brings no columns into the left_outer join below, so compute the
+    # exact answer map-side
     if n_map == 0:
         def all_nil(b: pd.DataFrame) -> pd.DataFrame:
             return b.assign(

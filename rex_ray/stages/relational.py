@@ -4,18 +4,17 @@ joins, money-exact aggregation helpers.
 Join strategy (SURVEY.md §2.4): dimension tables (nation, customer at
 TPC-H scale factors) are SMALL-side — loaded once on the driver,
 ``ray.put`` once, probed per batch with a vectorized pandas ``map``
-(:func:`broadcast_join`).  The two Bloom joins (:func:`bloom_semi_join`,
-:func:`bloom_anti_join`) verify their Bloom-passing rows with one
-task-only co-group (:func:`_bloom_verify`: a sort-shuffle ``groupby``
-on a hash bucket, an Arrow join per bucket), which starts no join
-aggregator actors.  Every other join is a hash-partitioned shuffle
-through :func:`hash_join`, the only ``Dataset.join`` call in the
-package: it compacts both inputs (the Ray 2.49 empty-first-block
-schema loss, ``functions.blocks.compact_blocks``) and sizes the
-partition count by one rule (:func:`_partitions`, shared with the
-co-group), so callers pass keys and, when they hold one, a row count —
-nothing else.  Callers still guard a join side with ZERO rows
-themselves: no compaction can give it a schema.
+(:func:`broadcast_join`).  Every other join — the inner and left-outer
+joins of the pipelines and the exact verify of both Bloom joins
+(:func:`bloom_semi_join`, :func:`bloom_anti_join`) — is one task-only
+co-group, :func:`hash_join`: each side is cut into per-bucket Arrow
+pieces, one sort shuffle brings a bucket's pieces together, and an
+Arrow hash join runs per bucket.  No join starts actors, and the
+package makes no ``Dataset.join`` call.  The bucket count comes from
+one rule (:func:`_partitions`), so callers pass keys and, when they
+hold one, a row count — nothing else.  A join side with ZERO rows
+brings no schema into the co-group; callers that need a typed answer
+then guard that case themselves.
 
 Money sums are computed in integer CENTS — per-row double arithmetic
 is bit-identical across engines, and integer sums are
@@ -36,7 +35,6 @@ import ray
 from rex_ray.functions.blocks import (
     arrow_block,
     cluster_cpus,
-    compact_blocks,
     default_concurrency,
     pre_shuffle,
 )
@@ -94,44 +92,138 @@ def broadcast_join(ds, mapping: Dict, key: str, out: str, inner: bool = True,
 
 
 def _partitions(rows: Optional[int] = None) -> int:
-    """The shuffle partition count of :func:`hash_join` and the Bloom
-    joins' verify: ``1 + rows // 50_000`` clamped to [2, cluster CPUs
-    capped at 32], where ``rows`` is a row count the caller already
-    holds (e.g. a metadata ``count()`` of a materialized input);
-    without one it is the cluster width.  Each join partition is an
-    aggregator actor: a fixed 32 deadlocks a 4-cpu cluster, and fan-out
-    beyond the data is pure spin-up."""
+    """The bucket count of :func:`hash_join`: ``1 + rows // 50_000``
+    clamped to [2, cluster CPUs capped at 32], where ``rows`` is a row
+    count the caller already holds (e.g. a metadata ``count()`` of a
+    materialized input); without one it is the cluster width.  Each
+    bucket is one sort partition, one Arrow join and one output block,
+    so the rule bounds a bucket's rows without cutting small joins
+    into pieces that only add per-bucket overhead."""
     width = max(2, min(32, cluster_cpus()))
     if rows is not None:
         width = max(2, min(width, 1 + rows // 50_000))
     return width
 
 
+def _ipc(t: pa.Table) -> bytes:
+    sink = pa.BufferOutputStream()
+    with pa.ipc.new_stream(sink, t.schema) as w:
+        w.write_table(t)
+    return sink.getvalue().to_pybytes()
+
+
 def hash_join(left, right, on, join_type: str = "inner", right_on=None,
               rows: Optional[int] = None):
-    """Hash-partitioned shuffle join — the one ``Dataset.join`` entry
-    point.  ``on`` / ``right_on`` are a column name or a sequence of
-    them (``right_on`` only when the right key names differ).
+    """Hash join as one task-only co-group — the package's one
+    shuffle-join engine.  ``on`` / ``right_on`` are a column name or a
+    sequence of them (``right_on`` only when the right key names
+    differ); ``join_type`` is ``inner``, ``left_outer``, ``left_semi``
+    or ``left_anti``.  Output: the left columns, then (inner /
+    left_outer) the right non-key columns; a null key part never
+    matches.
 
-    Both inputs are compacted first (``functions.blocks.
-    compact_blocks``), so a join, groupby or filter output can feed
-    straight in.  ``rows`` sizes the partition count
-    (:func:`_partitions`).  An input with zero rows still loses its
-    schema — guard that case before the call.
+    Both sides stay lazy.  A tag step bundles blocks (so a join,
+    groupby or filter output feeds straight in) and cuts each batch
+    into one Arrow IPC piece per bucket — :func:`_key_hash` of the keys
+    mod :func:`_partitions` of ``rows`` — one ``(_b, _side, _t)`` row
+    each, so both sides share one schema without knowing each other's
+    columns.  Every batch sends a piece, maybe empty, to EVERY bucket,
+    so each bucket sees both sides' schemas.  One sort shuffle on
+    ``_b`` with fixed boundaries co-groups the pieces, one partition
+    (and one output block) per bucket; per bucket only the keys plus
+    a row index enter the Arrow join, and the payload is ``take``n
+    after it, so any payload type (lists too) passes.
 
-    The aggregator actors reserve nothing: Ray's default CPU and
-    ``memory`` reservations hung one join on 1 CPU (no whole CPU left
-    for a shuffle task) and two chained 8-partition joins on 8 CPUs
-    (0.875 GiB each; the second join's actors never started)."""
+    A side with zero rows sends no piece (Ray skips a UDF on an empty
+    block), so its columns are unknown: an empty left side gives an
+    empty, schema-less result, an empty right side an inner or semi
+    result with only the left columns, and left_outer raises.  Callers
+    that need a typed answer guard the zero-row case."""
+    from pyarrow import acero
 
     def cols(c):
-        return (c,) if isinstance(c, str) else tuple(c)
+        return [c] if isinstance(c, str) else list(c)
 
-    return compact_blocks(left).join(
-        compact_blocks(right), join_type=join_type,
-        num_partitions=_partitions(rows),
-        on=cols(on), right_on=cols(right_on) if right_on else None,
-        aggregator_ray_remote_args={"num_cpus": 0},
+    lcols = cols(on)
+    rcols = cols(right_on) if right_on else lcols
+    how = join_type.replace("_", " ")
+    filtering = how in ("left semi", "left anti")
+    buckets = _partitions(rows)
+
+    def tag(t: pa.Table, side: int, keys) -> pa.Table:
+        if side == 1 and filtering:
+            t = t.select(keys)
+        b = _key_hash(t, keys) % buckets
+        t = t.take(np.argsort(b, kind="stable"))
+        n = np.bincount(b, minlength=buckets)
+        pieces = [_ipc(t.slice(s, k)) for s, k in zip(np.cumsum(n) - n, n)]
+        return pa.table({
+            "_b": np.arange(buckets, dtype=np.int64),
+            "_side": np.full(buckets, side, dtype=np.int8),
+            "_t": pa.array(pieces, pa.large_binary()),
+        })
+
+    def side_table(g: pa.Table, side: int) -> Optional[pa.Table]:
+        blobs = g["_t"].combine_chunks()
+        parts = [
+            pa.ipc.open_stream(blobs[i].as_buffer()).read_all()
+            for i in np.flatnonzero(g["_side"].to_numpy() == side)
+        ]
+        if not parts:
+            return None
+        return pa.concat_tables(parts, promote_options="permissive")
+
+    def join(g: pa.Table) -> pa.Table:
+        lt, rt = side_table(g, 0), side_table(g, 1)
+        if lt is None:
+            return pa.table({})
+        if rt is None:
+            if how == "left outer":
+                raise ValueError(
+                    "hash_join: left_outer against a zero-row right side,"
+                    " whose columns are unknown; guard the empty case"
+                )
+            rt = pa.table({r: lt[c][:0] for c, r in zip(lcols, rcols)})
+        idx = pa.table(
+            {**{c: lt[c] for c in lcols}, "_i": np.arange(lt.num_rows)}
+        )
+        rkeys = pa.table({
+            **{r: rt[r].cast(lt[c].type) for c, r in zip(lcols, rcols)},
+            "_j": np.arange(rt.num_rows),
+        })
+        pairs = acero.Declaration(
+            "hashjoin",
+            acero.HashJoinNodeOptions(
+                how, lcols, rcols, left_output=["_i"],
+                right_output=[] if filtering else ["_j"],
+            ),
+            inputs=[
+                acero.Declaration("table_source",
+                                  acero.TableSourceNodeOptions(x))
+                for x in (idx, rkeys)
+            ],
+        ).to_table()
+        pairs = pairs.sort_by([(c, "ascending") for c in pairs.column_names])
+        out = lt.take(pairs["_i"])
+        for name in [] if filtering else rt.column_names:
+            if name not in rcols:
+                out = out.append_column(name, rt[name].take(pairs["_j"]))
+        return out
+
+    def tagged(ds, side: int, keys):
+        return ds.map_batches(
+            tag, fn_kwargs={"side": side, "keys": keys},
+            batch_format="pyarrow", batch_size=65536,
+        )
+
+    # fixed boundaries, not a sampled groupby: the output keeps one
+    # block per bucket, and a downstream sort-based aggregate over
+    # fewer, larger blocks is slower (200k groups: 34.6 s from 1
+    # block, 12.6 s from 4)
+    return (
+        tagged(left, 0, lcols).union(tagged(right, 1, rcols))
+        .sort("_b", boundaries=list(range(1, buckets)))
+        .map_batches(join, batch_size=None, batch_format="pyarrow")
     )
 
 
@@ -196,9 +288,11 @@ def per_key_cap(ds, key_col: str, id_col: str, n: int):
 
 def _key_hash(t: pa.Table, cols) -> np.ndarray:
     """Composite FNV-64 of the key columns (``str`` of each part,
-    joined by ``"\\x1f"``) as int64: the Bloom key and the routing key
-    of both Bloom joins.  Distinct keys can share a hash (a part may
-    contain the separator); only the exact verify decides a match."""
+    joined by ``"\\x1f"``) as int64: the bucket key of
+    :func:`hash_join` and the Bloom key of both Bloom joins.  ``str``
+    makes equal keys of different int widths hash alike.  Distinct
+    keys can share a hash (a part may contain the separator); only the
+    exact join decides a match."""
     from rex_ray.functions.hashing import _stable_hash64_batch
 
     parts = [
@@ -215,13 +309,13 @@ def _bloom_split(left, right, cols, num_bits: int, num_hashes: int):
     """The Bloom half of both Bloom joins: ``(fails, candidates,
     right_keys)``.  ``right_keys`` is the right side's key columns,
     distinct per batch, plus their :func:`_key_hash` ``_h``
-    (materialized: it builds the filter and feeds the verify).
+    (materialized: it builds the filter and feeds the exact join).
     ``fails`` (lazy) holds the left rows whose key FAILS the filter,
     which are provably unmatched; ``candidates`` (materialized) the rows
-    that pass (true matches + the false-positive sliver) plus ``_h``.
-    The bitmap (128 KB at 1M bits) is built worker-side, the driver
-    only ever holds the ObjectRef, and is read once per filter task.
-    No false negatives, so ``num_bits`` is purely a perf knob."""
+    that pass (true matches + the false-positive sliver).  The bitmap
+    (128 KB at 1M bits) is built worker-side, the driver only ever
+    holds the ObjectRef, and is read once per filter task.  No false
+    negatives, so ``num_bits`` is purely a perf knob."""
     from rex_ray.functions.hashing import IntBloomFilter
     from rex_ray.stages.dedup import _side_object, _worker_built_ref
 
@@ -243,11 +337,8 @@ def _bloom_split(left, right, cols, num_bits: int, num_hashes: int):
     bf_ref = _worker_built_ref(right_keys, build_filter)
 
     def split(t: pa.Table, keep_pass: bool, _ref=bf_ref) -> pa.Table:
-        h = _key_hash(t, cols)
-        hit = _side_object(_ref).contains_many(h)
-        if not keep_pass:
-            return t.filter(pa.array(~hit))
-        return t.filter(pa.array(hit)).append_column("_h", pa.array(h[hit]))
+        hit = _side_object(_ref).contains_many(_key_hash(t, cols))
+        return t.filter(pa.array(hit if keep_pass else ~hit))
 
     fails = left.map_batches(
         lambda t: split(t, keep_pass=False), batch_format="pyarrow"
@@ -258,94 +349,13 @@ def _bloom_split(left, right, cols, num_bits: int, num_hashes: int):
     return fails, candidates, right_keys
 
 
-def _bloom_verify(candidates, right_keys, cols, keep: str):
-    """The exact half of both Bloom joins: the ``candidates`` rows whose
-    key has a match in ``right_keys`` (``keep="matched"``) or has none
-    (``"unmatched"``); a null key part never matches.  Both inputs come
-    from :func:`_bloom_split` and carry the key hash ``_h``.
-
-    One task-only co-group, not a shuffle join: the two sides are
-    tagged (``_side`` 0/1; the right rows carry the candidates' payload
-    columns as typed nulls and their keys cast to the candidates'
-    types, so the union has one schema), routed to ``_h % B`` buckets
-    (``B`` = :func:`_partitions`; grouping by the key itself pays a
-    per-group cost per distinct key) and co-grouped by one sort-shuffle
-    ``groupby``.  Each bucket runs an Arrow left semi/anti join of its
-    candidate keys plus a row index against its right keys, then
-    ``take``s the kept rows: Arrow rejects a list as a non-key join
-    field, so any payload type passes through.  Measured on 1 core at
-    ``num_cpus=2``: a 144x144-row :func:`hash_join` took 6.4-7.6 s,
-    almost all of it waiting for the join's aggregator actors; a
-    sort-shuffle groupby over the same rows took 0.16-0.19 s."""
-    from pyarrow import acero
-
-    import ray.data as rd
-
-    s = candidates.schema()
-    out = pa.schema(
-        [pa.field(n, t) for n, t in zip(s.names, s.types) if n != "_h"]
-    )
-    tagged = out.append(pa.field("_side", pa.int8())).append(
-        pa.field("_b", pa.int64())
-    )
-    buckets = _partitions()
-
-    def tag(t: pa.Table, side: int) -> pa.Table:
-        n = t.num_rows
-        if side == 0:
-            data = [t[f.name] for f in out]
-        else:
-            data = [
-                t[f.name].cast(f.type) if f.name in cols
-                else pa.nulls(n, f.type)
-                for f in out
-            ]
-        return pa.Table.from_arrays(
-            data + [
-                pa.array(np.full(n, side, dtype=np.int8)),
-                pa.array(t["_h"].to_numpy() % buckets),
-            ],
-            schema=tagged,
-        )
-
-    join_type = "left semi" if keep == "matched" else "left anti"
-
-    def verify(g: pa.Table) -> pa.Table:
-        side = g["_side"].to_numpy()
-        lt = g.filter(pa.array(side == 0)).select(out.names)
-        idx = lt.select(cols).append_column(
-            "_i", pa.array(np.arange(lt.num_rows, dtype=np.int64))
-        )
-        rt = g.filter(pa.array(side == 1)).select(cols)
-        hit = acero.Declaration(
-            "hashjoin", acero.HashJoinNodeOptions(join_type, cols, cols),
-            inputs=[
-                acero.Declaration("table_source",
-                                  acero.TableSourceNodeOptions(x))
-                for x in (idx, rt)
-            ],
-        ).to_table()
-        return lt.take(np.sort(hit["_i"].to_numpy()))
-
-    both = candidates.map_batches(
-        tag, fn_kwargs={"side": 0}, batch_format="pyarrow"
-    ).union(
-        right_keys.map_batches(
-            tag, fn_kwargs={"side": 1}, batch_format="pyarrow"
-        )
-    )
-    verified = both.groupby("_b").map_groups(verify, batch_format="pyarrow")
-    # a 0-row seed keeps the schema when every bucket comes back empty
-    return verified.union(rd.from_arrow(out.empty_table()))
-
-
 def bloom_semi_join(left, right, on: str, num_bits: int = 1 << 20,
                     num_hashes: int = 5):
     """Exact semi-join ``left ⋉ right`` with a broadcast Bloom
     prefilter: the left side is filtered against a bitmap of the right
     keys BEFORE the exact verify, so only candidate rows (true matches
-    + the Bloom false-positive sliver) enter the co-group
-    (:func:`_bloom_split`, :func:`_bloom_verify`).  Every right key is
+    + the Bloom false-positive sliver) enter the exact
+    :func:`hash_join` (:func:`_bloom_split`).  Every right key is
     still shuffled once, distinct per batch, so a call costs
     O(candidates + right keys).  A left row with a null key never
     matches.  Reference analog: the in-memory id-probe joins of
@@ -357,14 +367,14 @@ def bloom_semi_join(left, right, on: str, num_bits: int = 1 << 20,
     _, candidates, right_keys = _bloom_split(
         left, right, cols, num_bits, num_hashes
     )
-    # nothing passed the Bloom: the exact answer is empty (and an
-    # all-empty co-group input would lose its schema)
+    # nothing passed the Bloom: the exact answer is empty (and a
+    # zero-row left side brings no schema into hash_join)
     if candidates.count() == 0:
         s = left.schema()
         return rd.from_arrow(
             pa.schema(list(zip(s.names, s.types))).empty_table()
         )
-    return _bloom_verify(candidates, right_keys, cols, "matched")
+    return hash_join(candidates, right_keys, on=cols, join_type="left_semi")
 
 
 def bucket_filter(ds, id_col: str, lo: int, hi: int):
@@ -395,9 +405,9 @@ def bloom_anti_join(left, right, on, num_bits: int = 1 << 20,
     shortcut: a row whose composite key FAILS the Bloom filter of the
     right keys is provably unmatched and bypasses the exact step
     entirely; only the Bloom-PASSING sliver (true matches + the
-    false-positive margin) is verified, by a co-group with the right
-    keys (:func:`_bloom_split`, :func:`_bloom_verify`).  The left rows
-    shuffled are ~|matches|, not |left| — the workhorse of incremental
+    false-positive margin) is verified, by a :func:`hash_join` with the
+    right keys (:func:`_bloom_split`).  The left rows shuffled are
+    ~|matches|, not |left| — the workhorse of incremental
     "append only what the store doesn't already hold" updates
     (reference analog: the dict-membership skip of
     data/EncyclopediaDS/convert.py:27-46, made distributed and exact).
@@ -421,7 +431,7 @@ def bloom_anti_join(left, right, on, num_bits: int = 1 << 20,
     if candidates.count() == 0:
         return fails
     return fails.union(
-        _bloom_verify(candidates, right_keys, cols, "unmatched")
+        hash_join(candidates, right_keys, on=cols, join_type="left_anti")
     )
 
 

@@ -172,14 +172,14 @@ def _reachable(defs, fn):
 
 @pytest.mark.parametrize("fn", ["bloom_anti_join", "bloom_semi_join"])
 def test_bloom_joins_start_no_join_actors(fn):
-    """Neither Bloom join reaches ``hash_join`` or a ``Dataset.join``
-    call (a ``.join`` with a ``join_type`` or ``on`` keyword, as
-    ``tests/test_join_entry.py`` finds them): the exact step is a
-    task-only co-group, so no join aggregator actors start."""
+    """Both Bloom joins verify through ``hash_join``, the one co-group
+    kernel, and reach no ``Dataset.join`` call (a ``.join`` with a
+    ``join_type`` or ``on`` keyword, as ``tests/test_join_entry.py``
+    finds them), so no join aggregator actors start."""
     tree = ast.parse(RELATIONAL.read_text())
     defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
     reached = _reachable(defs, fn)
-    assert "_bloom_verify" in reached and "hash_join" not in reached
+    assert "hash_join" in reached
     joins = [
         (name, n.lineno) for name in reached for n in ast.walk(defs[name])
         if isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "join"

@@ -1,5 +1,5 @@
 """Graph analytics: distributed triangle counting vs the driver-side
-brute-force twin, plus the chained-join schema-broadcast regression."""
+brute-force twin, plus a chained join fed straight from a join."""
 
 import numpy as np
 import pyarrow as pa
@@ -7,7 +7,6 @@ import pytest
 
 import ray.data as rd
 
-from rex_ray.functions.blocks import compact_blocks
 from rex_ray.stages.graph import triangle_counts, triangle_counts_local
 
 
@@ -62,36 +61,9 @@ def test_triangle_counts_no_triangles():
     assert got == {}
 
 
-def test_chained_join_needs_compact_blocks():
-    """Regression for the Ray 2.49 hash-shuffle schema-broadcast loss:
-    a join whose left input is itself a join output (empty partition
-    blocks first) fails without compact_blocks and succeeds with it."""
-    edges = rd.from_items(
-        [{"a": "x", "b": "y"}, {"a": "y", "b": "z"}, {"a": "x", "b": "z"}]
-    )
-    deg = rd.from_items(
-        [{"node": k, "deg": 2} for k in ("x", "y", "z")]
-    )
-    da = deg.map_batches(
-        lambda t: pa.table({"a": t["node"], "deg_a": t["deg"]}),
-        batch_format="pyarrow",
-    )
-    db = deg.map_batches(
-        lambda t: pa.table({"b": t["node"], "deg_b": t["deg"]}),
-        batch_format="pyarrow",
-    )
-    j1 = edges.join(da, join_type="inner", on=("a",), num_partitions=4)
-    fixed = compact_blocks(j1).join(
-        db, join_type="inner", on=("b",), num_partitions=4
-    )
-    rows = fixed.take_all()
-    assert len(rows) == 3
-    assert all(r["deg_a"] == 2 and r["deg_b"] == 2 for r in rows)
-
-
 def test_chained_hash_join_needs_no_caller_compaction():
-    """The same chained join through ``relational.hash_join``, which
-    compacts both inputs itself: a join output feeds straight in."""
+    """A chained join through ``relational.hash_join``, whose tag step
+    bundles blocks itself: a join output feeds straight in."""
     from rex_ray.stages.relational import hash_join
 
     edges = rd.from_items(

@@ -1,6 +1,6 @@
-"""One join entry point: ``relational.hash_join`` is the only code
-under ``rex_ray/`` that calls ``Dataset.join`` (it owns block
-compaction and partition sizing for every shuffle join)."""
+"""One join engine: no code under ``rex_ray/`` calls ``Dataset.join``
+(Ray's actor hash-shuffle join); every shuffle join is the task-only
+co-group of ``relational.hash_join``."""
 
 import ast
 import os
@@ -41,14 +41,14 @@ class _JoinCalls(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def test_hash_join_is_the_only_dataset_join():
+def test_no_dataset_join_in_package():
     sites = []
     for path in sorted(PKG.rglob("*.py")):
         v = _JoinCalls()
         v.visit(ast.parse(path.read_text(), filename=str(path)))
         rel = path.relative_to(PKG).as_posix()
         sites += [(rel, fn) for fn in v.found]
-    assert sites == [("stages/relational.py", "hash_join")]
+    assert sites == []
 
 
 def test_hash_join_finishes_on_one_cpu():
