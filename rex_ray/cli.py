@@ -261,10 +261,10 @@ from rex_ray.registry import register
 
 @register("pipeline", "{name}")
 def {name}(cfg):
-    import ray.data as rd
+    from rex_ray.sources.io import read_parquet
 
-    ds = rd.read_parquet(f"{{cfg['sf_dir']}}/documents.parquet",
-                         columns=["doc_id", "text"])
+    ds = read_parquet(f"{{cfg['sf_dir']}}/documents.parquet",
+                      columns=["doc_id", "text"])
 
     def stage(batch: pd.DataFrame):
         out = batch[["doc_id"]].copy()

@@ -3,11 +3,13 @@
 Ray Data's native block format is Arrow; pandas blocks are legal but
 pay a heavy conversion + per-row cost inside the sort/aggregate
 all-to-all operators (measured ~5x on a 100k-row, 95k-group
-groupby-sum at sf0.1).  Every stage UDF that feeds a ``groupby`` /
-``sort`` / ``join`` therefore converts its pandas result back to an
-Arrow table on the way out with :func:`arrow_block` — the map stages
-keep pandas internally where its groupby/str kernels are the right
-tool, but the object store and the shuffles only ever see Arrow.
+groupby-sum at sf0.1).  The flagship's map stages — extraction,
+linking and the dedup combiner — are Arrow end to end
+(``batch_format="pyarrow"``, Arrow compute inside, :func:`as_arrow`
+for a direct caller's pandas frame), so their batches never make an
+Arrow/pandas round trip.  The remaining pandas stage UDFs convert
+their result back to Arrow on the way out with :func:`arrow_block`:
+the object store and the shuffles only ever see Arrow.
 
 Ray contract (pinned by tests/test_empty_batch_contract.py): a
 ``map_batches`` or ``map_groups`` UDF is never called on a batch with
@@ -34,6 +36,14 @@ def arrow_block(df: pd.DataFrame, schema: pa.Schema | None = None) -> pa.Table:
     deduplication (it warns and keeps one schema copy per block)."""
     t = pa.Table.from_pandas(df, schema=schema, preserve_index=False)
     return t.replace_schema_metadata(None)
+
+
+def as_arrow(batch) -> pa.Table:
+    """A pandas or Arrow batch as an Arrow table — the input side of
+    the Arrow stage kernels, which direct callers feed pandas frames."""
+    if isinstance(batch, pa.Table):
+        return batch
+    return arrow_block(batch)
 
 
 def fixed_list_column(mat) -> pa.Array:
@@ -96,9 +106,15 @@ def compact_blocks(ds, batch_size: int = 65536):
     )
 
 
+# Rows per shuffle partition: the bucket rule of relational.hash_join
+# and the block floor of pre_shuffle.
+ROWS_PER_PARTITION = 50_000
+
+
 def pre_shuffle(ds):
     """Stage a shuffle input: materialize the partial-aggregate output
-    right before a ``groupby``/``sort`` all-to-all.
+    right before a ``groupby``/``sort`` all-to-all, split into at least
+    ``1 + rows // ROWS_PER_PARTITION`` blocks.
 
     This is NOT a mid-pipeline full-data materialization: by
     construction the caller has already combined per batch, so what
@@ -110,5 +126,17 @@ def pre_shuffle(ds):
     of reduce CPU PER GROUP (21 s wall); with the explicit boundary the
     same aggregate finishes in ~1.5 s.  Spilling still applies, so the
     pattern holds at scale.
+
+    Ray's sort-based aggregate takes its partition count from the
+    input's block count, and its cost grows faster than linearly in a
+    partition's rows (200k groups: 34.6 s from 1 block, 11.9 s from
+    8).  So an input with fewer blocks than the floor — a one-block
+    Parquet read, a bundled map — is split up to it; a small input
+    (the 144-row store) stays one partition.  The row count is a
+    metadata read of the materialized input.
     """
-    return ds.materialize()
+    ds = ds.materialize()
+    want = 1 + ds.count() // ROWS_PER_PARTITION
+    if ds.num_blocks() < want:
+        ds = ds.repartition(want).materialize()
+    return ds

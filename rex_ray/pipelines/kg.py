@@ -1,14 +1,18 @@
 """Flagship KG-construction pipeline (SURVEY.md §7).
 
-    read (Lance/Parquet interleaved docs)
-      -> normalize (span-sequence validation + text view)     [map_batches]
-      -> mention detection + pair fan-out                     [tasks]
+    read (Parquet, blocks sized from the footers)             [read]
+      -> normalize (span-sequence validation + text view)     [Arrow tasks]
+      -> mention detection + pair fan-out                     [Arrow tasks]
       -> distinct surfaces (partial distinct + one shuffle)   [groupby]
-      -> canonical map + entity linking (COUNT-routed)        [tasks|joins]
-      -> triple-store dedup (partial agg + one small shuffle) [groupby]
+      -> canonical map + entity linking (COUNT-routed)        [Arrow tasks|joins]
+      -> triple-store dedup (Arrow partial agg + one shuffle) [groupby]
 
-Light dictionary stages run as TASKS with per-process state caches;
-actor pools are reserved for heavy model state (see stages/scorer.py).
+Every read goes through ``sources.io.read_parquet``, which sizes its
+blocks by the bytes it reads: a sub-MiB partition is one block, so
+each operator downstream runs one task for it, not one per twice the
+CPUs.  Light dictionary stages run as TASKS with per-process state
+caches over Arrow batches; actor pools are reserved for heavy model
+state (see stages/scorer.py).
 
 One canonicalization path: every canonical map starts from
 :func:`_surface_nodes` (the distinct-surface Dataset), and every
@@ -25,11 +29,10 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-import ray.data as rd
-
 from rex_ray import trace
 from rex_ray.pipelines import spec
 from rex_ray.sources import interleaved as il
+from rex_ray.sources.io import read_parquet
 from rex_ray.stages import aggregate as agg
 from rex_ray.stages import canonical as canon
 from rex_ray.stages import extract, link
@@ -221,7 +224,7 @@ def _resumable_slice(sf_dir, out_dir, parts_dir, bucket_lo, bucket_hi,
         "canonical_map",
         None,
         build=lambda: build_canonical_map(
-            text_slice(rd.read_parquet(path, columns=["doc_id", "text"]))
+            text_slice(read_parquet(path, columns=["doc_id", "text"]))
         ),
     )
 
@@ -306,7 +309,7 @@ def run_incremental(
 def run_flagship(sf_dir: str, min_score: float = 0.0):
     """documents.parquet -> interleaved synthesis -> full pipeline.
     Column-pruned read; returns the (small) triple-store Dataset."""
-    docs = rd.read_parquet(
+    docs = read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
     inter = il.synthesize_interleaved(docs)

@@ -24,6 +24,7 @@ import pandas as pd
 
 from rex_ray.pipelines import spec
 from rex_ray.registry import list_registered, register, registered
+from rex_ray.sources.io import read_parquet
 
 
 def query(name: str, sql: str | None = None) -> Callable:
@@ -115,7 +116,6 @@ def _canon_ctes() -> str:
 
 def _read(sf_dir: str, table: str, columns=None):
     import pyarrow.parquet as pq
-    import ray.data as rd
 
     # the generator's parquet carries a pandas metadata dict that makes
     # schemas unhashable, defeating Ray's schema dedup (it warns and
@@ -127,7 +127,7 @@ def _read(sf_dir: str, table: str, columns=None):
     schema = pq.read_schema(path).remove_metadata()
     if columns is not None:
         schema = pa.schema([schema.field(c) for c in columns])
-    return rd.read_parquet(path, columns=columns, schema=schema)
+    return read_parquet(path, columns=columns, schema=schema)
 
 
 def _docs(sf_dir: str):

@@ -198,7 +198,9 @@ def read_interleaved(path: str, **kwargs):
 
         return rd.read_lance(path, **kwargs)
     except ImportError:
-        return rd.read_parquet(path, **kwargs)
+        from rex_ray.sources.io import read_parquet
+
+        return read_parquet(path, **kwargs)
 
 
 def write_interleaved(ds, path: str, **kwargs) -> None:

@@ -121,6 +121,69 @@ def find_files(pattern: str, root: str) -> List[str]:
 
 # -- distributed (Dataset) paths -------------------------------------------
 
+def parquet_footer_bytes(paths, columns=None, filter=None,
+                         filesystem=None) -> int:
+    """Uncompressed bytes of the ``columns`` (all when None) over the
+    row groups that ``filter`` may select, summed from the Parquet
+    footers alone: row groups whose statistics rule the filter out
+    are not counted, and no data page is read."""
+    import pyarrow.dataset as pds
+
+    dataset = pds.dataset(paths, format="parquet", filesystem=filesystem)
+    total = 0
+    for frag in dataset.get_fragments(filter=filter):
+        meta = frag.metadata
+        for rg in frag.split_by_row_group(filter):
+            group = meta.row_group(rg.row_groups[0].id)
+            for j in range(group.num_columns):
+                col = group.column(j)
+                name = col.path_in_schema.split(".")[0]  # top-level field
+                if columns is None or name in columns:
+                    total += col.total_uncompressed_size
+    return total
+
+
+def parquet_num_blocks(nbytes: int) -> int:
+    """Read block count of ``nbytes`` of data: Ray 2.49's
+    ``_autodetect_parallelism`` rule — ``read_op_min_num_blocks``
+    capped so no block is under ``target_min_block_size``, raised so
+    none is over ``target_max_block_size`` — without its floor of
+    twice the cluster's CPUs, which cut a sub-MiB file into that many
+    blocks and gave each downstream operator one task per block."""
+    from ray.data import DataContext
+
+    ctx = DataContext.get_current()
+    n = min(ctx.read_op_min_num_blocks, nbytes // ctx.target_min_block_size)
+    if ctx.target_max_block_size:
+        n = max(n, nbytes // ctx.target_max_block_size)
+    return max(1, int(n))
+
+
+def read_parquet(paths, columns=None, filter=None, filesystem=None,
+                 **kwargs):
+    """The package's one Parquet read: ``ray.data.read_parquet`` with
+    ``override_num_blocks`` set by :func:`parquet_num_blocks` from
+    :func:`parquet_footer_bytes` of the selected columns and row
+    groups (a caller's own ``override_num_blocks`` wins).  Inputs the
+    footer scan cannot open (a schema Ray reconciles across files, an
+    unreachable store) keep Ray's own sizing."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    if "override_num_blocks" not in kwargs:
+        try:
+            kwargs["override_num_blocks"] = parquet_num_blocks(
+                parquet_footer_bytes(paths, columns, filter, filesystem)
+            )
+        except (OSError, pa.ArrowException):
+            pass
+    if filter is not None:
+        kwargs["filter"] = filter
+    return rd.read_parquet(
+        paths, columns=columns, filesystem=filesystem, **kwargs
+    )
+
+
 def read_jsonlines_ds(paths):
     """jsonl -> Dataset (streaming read; reference load_jsonlines /
     _iterator collapse into one lazy source on Ray)."""

@@ -22,22 +22,23 @@ import pyarrow as pa
 
 from ray.data.aggregate import Max, Sum
 
-from rex_ray.functions.blocks import arrow_block, pre_shuffle
+from rex_ray.functions.blocks import arrow_block, as_arrow, pre_shuffle
 
 
 def _partial_counts_max(
     keys: List[str], score_col: str = "score"
 ):
-    """Combiner factory: per-batch groupby(keys) -> (cnt, max score)."""
+    """Combiner factory: per-batch Arrow ``group_by(keys)`` -> (cnt,
+    max score), groups in first-seen order.  Arrow in (or a pandas
+    frame from a direct caller), Arrow into the shuffle."""
+    aggs = [(score_col, "count"), (score_col, "max")]
+    cols = list(keys) + [f"{score_col}_count", f"{score_col}_max"]
 
-    def combine(batch: pd.DataFrame):
-        g = batch.groupby(keys, sort=False, observed=True)[score_col].agg(
-            ["count", "max"]
+    def combine(batch) -> pa.Table:
+        g = as_arrow(batch).group_by(keys, use_threads=False).aggregate(aggs)
+        return g.select(cols).rename_columns(
+            list(keys) + ["cnt", "max_score"]
         )
-        out = g.reset_index()
-        out = out.rename(columns={"count": "cnt", "max": "max_score"})
-        out["cnt"] = out["cnt"].astype("int64")
-        return arrow_block(out)  # Arrow into the shuffle
 
     return combine
 
@@ -52,7 +53,7 @@ def aggregate_bags(triples_ds):
     """
     partial = pre_shuffle(
         triples_ds.map_batches(
-            _partial_counts_max(["pair_key", "pred"]), batch_format="pandas"
+            _partial_counts_max(["pair_key", "pred"]), batch_format="pyarrow"
         )
     )
     merged = partial.groupby(["pair_key", "pred"]).aggregate(
@@ -84,7 +85,7 @@ def dedup_triple_store(linked_triples_ds):
     partial = pre_shuffle(
         linked_triples_ds.map_batches(
             _partial_counts_max(["subj_id", "pred", "obj_id"]),
-            batch_format="pandas",
+            batch_format="pyarrow",
         )
     )
     out = partial.groupby(["subj_id", "pred", "obj_id"]).aggregate(

@@ -6,11 +6,17 @@ sent_re.py:31-63``'s entity-pair fan-out with a validity window), then a
 deterministic relation rule + distance-based confidence standing in for
 the PCNN scorer (the learned scorer lives in ``stages/scorer.py``).
 
-Both stages are callable CLASSES: the gazetteer/regex state is compiled
-once per actor in ``__init__`` (actor pool), per-batch work is
-vectorized pandas/numpy.  Mention+pair extraction is FUSED into one
-stage for the pipeline path: a document's mentions never cross a batch
-boundary, so the pair fan-out needs no shuffle and no doc reassembly.
+Both stages are callable CLASSES whose state — the gazetteer as Arrow
+arrays, the relation rule as a type-code table — is compiled once per
+process in ``__init__``.  Per batch the work is Arrow compute end to
+end: ``split_pattern`` the text, ``index_in`` the tokens against the
+gazetteer, fan pairs out by index shifts over the (doc, pos)-ordered
+mentions, and ``take`` the predicate from the code table.  A batch
+enters and leaves as Arrow (direct callers may pass a pandas frame),
+so no stage pays an Arrow/pandas round trip in front of a shuffle.
+Mention+pair extraction is FUSED into one stage for the pipeline
+path: a document's mentions never cross a batch boundary, so the pair
+fan-out needs no shuffle and no doc reassembly.
 """
 
 from __future__ import annotations
@@ -20,19 +26,21 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from rex_ray.functions.blocks import arrow_block, default_concurrency
+from rex_ray.functions.blocks import as_arrow, default_concurrency
 from rex_ray.pipelines import spec
 
 
-def _doc_id_type(series: pd.Series) -> pa.DataType:
+def _doc_id_type(col) -> pa.DataType:
     """documents.parquet carries int64 doc ids; the interleaved text
-    view carries 'doc-XXXXXXXX' strings — the stages serve both."""
-    return (
-        pa.int64()
-        if np.issubdtype(series.dtype, np.integer)
-        else pa.string()
-    )
+    view carries 'doc-XXXXXXXX' strings — the stages serve both.
+    ``col`` is a pandas Series or an Arrow (chunked) array."""
+    if isinstance(col, (pa.Array, pa.ChunkedArray)):
+        integer = pa.types.is_integer(col.type)
+    else:
+        integer = np.issubdtype(col.dtype, np.integer)
+    return pa.int64() if integer else pa.string()
 
 
 def _mentions_schema(doc_id_t: pa.DataType) -> pa.Schema:
@@ -65,7 +73,8 @@ def _triples_schema(doc_id_t: pa.DataType) -> pa.Schema:
 
 def _explode_tokens(batch: pd.DataFrame) -> pd.DataFrame:
     """(doc_id, text) -> one row per token with its 0-based position.
-    Vectorized: split + explode + cumcount."""
+    Vectorized: split + explode + cumcount (the pandas token frame of
+    the CRF, subword and disambiguation stages)."""
     toks = batch["text"].str.split(" ")
     ex = pd.DataFrame(
         {"doc_id": batch["doc_id"], "tok": toks}
@@ -80,35 +89,54 @@ class MentionExtractor:
 
     def __init__(self, gazetteer: Optional[Dict[str, str]] = None):
         gaz = gazetteer if gazetteer is not None else spec.GAZETTEER
-        self._gaz = pd.Series(gaz, name="ent_type")
+        self.surfaces = pa.array(list(gaz), pa.string())
+        self.types = pa.array(list(gaz.values()), pa.string())
 
-    def __call__(self, batch: pd.DataFrame) -> pa.Table:
-        return arrow_block(
-            self.mentions_df(batch),
-            schema=_mentions_schema(_doc_id_type(batch["doc_id"])),
+    def __call__(self, batch) -> pa.Table:
+        t = as_arrow(batch)
+        row, pos, gi = self.locate(t)
+        doc_t = _doc_id_type(t["doc_id"])
+        return pa.Table.from_arrays(
+            [
+                t["doc_id"].take(row).cast(doc_t),
+                pa.array(pos),
+                self.surfaces.take(gi),
+                self.types.take(gi),
+            ],
+            schema=_mentions_schema(doc_t),
         )
 
-    def mentions_df(self, batch: pd.DataFrame) -> pd.DataFrame:
-        ex = _explode_tokens(batch)
-        hit = ex[ex["tok"].isin(self._gaz.index)].rename(
-            columns={"tok": "surface"}
-        )
-        out = hit.assign(ent_type=hit["surface"].map(self._gaz))
-        out["pos"] = out["pos"].astype("int64")
-        return out[["doc_id", "pos", "surface", "ent_type"]].reset_index(
-            drop=True
-        )
+    def locate(self, t: pa.Table) -> Tuple[np.ndarray, ...]:
+        """Every gazetteer token of ``t["text"]`` (split on single
+        spaces) as three int64 arrays in (row, pos) order: its batch
+        row, its token position and its gazetteer index.  Null text
+        has no tokens."""
+        text = t["text"].combine_chunks()
+        if pa.types.is_null(text.type):  # an all-None pandas column
+            text = text.cast(pa.string())
+        toks = pc.split_pattern(text, " ")
+        n_tok = pc.list_value_length(toks).fill_null(0).to_numpy()
+        ends = np.cumsum(n_tok)
+        hit = pc.index_in(toks.flatten(), value_set=self.surfaces)
+        at = np.flatnonzero(hit.is_valid().to_numpy(zero_copy_only=False))
+        row = np.searchsorted(ends, at, side="right")
+        pos = at - (ends - n_tok)[row]
+        gi = hit.drop_null().to_numpy().astype(np.int64)
+        return row, pos, gi
 
 
 class TripleExtractor:
     """Fused mention + windowed pair fan-out + relation rule + score.
 
     Emits one scored triple per ordered mention pair (h, t) in the same
-    document with ``1 <= pos_t - pos_h <= window``:
+    document with ``1 <= pos_t - pos_h <= window``, in (doc row,
+    subj_pos, obj_pos) order:
         (doc_id, subj, subj_pos, subj_type, pred, obj, obj_pos,
          obj_type, pair_key, score)
-    The pair merge is a per-distance hash join on (row-local doc index,
-    pos) — vectorized, no Python loop over rows.
+    The mentions arrive in (row, pos) order and positions are distinct
+    within a row, so every such pair is k = 1..window mentions apart:
+    ``window`` index shifts, each a vectorized compare — no join, no
+    Python loop over rows.
     """
 
     def __init__(
@@ -120,57 +148,61 @@ class TripleExtractor:
     ):
         self._mentions = MentionExtractor(gazetteer)
         self.window = window
-        pm = pred_map if pred_map is not None else spec.PRED_MAP
-        self._pred = {f"{h}|{t}": p for (h, t), p in pm.items()}
         self.min_score = min_score
+        pm = pred_map if pred_map is not None else spec.PRED_MAP
+        # pred of a pair = preds[table[type code of h, type code of t]]
+        types, self._gaz_code = np.unique(
+            self._mentions.types.to_numpy(zero_copy_only=False),
+            return_inverse=True,
+        )
+        code = {ty: i for i, ty in enumerate(types)}
+        preds = [spec.PRED_FALLBACK] + sorted(set(pm.values()))
+        self._preds = pa.array(preds, pa.string())
+        self._pred_code = np.zeros((len(types), len(types)), dtype=np.int64)
+        for (h, t), p in pm.items():
+            if h in code and t in code:
+                self._pred_code[code[h], code[t]] = preds.index(p)
 
-    def __call__(self, batch: pd.DataFrame) -> pa.Table:
-        m = self._mentions.mentions_df(batch)
-        return self.triples_from_mentions(m, _doc_id_type(batch["doc_id"]))
+    def __call__(self, batch) -> pa.Table:
+        t = as_arrow(batch)
+        return self.triples(t, self._mentions.locate(t))
 
-    def triples_from_mentions(
-        self, m: pd.DataFrame, doc_id_t: Optional[pa.DataType] = None
-    ) -> pa.Table:
-        """Windowed pair fan-out over a mention frame.  Correct only
-        when every mention of a doc is present in ``m`` (guaranteed
-        when m comes from one extraction batch, or from a whole
-        materialized mention block via ``batch_size=None``)."""
-        if doc_id_t is None:
-            doc_id_t = _doc_id_type(m["doc_id"])
-        schema = _triples_schema(doc_id_t)
-        parts = []
-        for d in range(1, self.window + 1):
-            right = m.rename(
-                columns={
-                    "pos": "obj_pos",
-                    "surface": "obj",
-                    "ent_type": "obj_type",
-                }
-            )
-            right = right.assign(pos=right["obj_pos"] - d)
-            j = m.merge(right, on=["doc_id", "pos"], how="inner")
-            if len(j):
-                j = j.rename(
-                    columns={
-                        "pos": "subj_pos",
-                        "surface": "subj",
-                        "ent_type": "subj_type",
-                    }
-                )
-                j["score"] = 1.0 / d
-                parts.append(j)
-        if not parts:
-            return schema.empty_table()
-        out = pd.concat(parts, ignore_index=True)
-        type_key = out["subj_type"] + "|" + out["obj_type"]
-        out["pred"] = type_key.map(self._pred).fillna(spec.PRED_FALLBACK)
-        out["pair_key"] = out["subj"] + spec.BAG_KEY_SEP + out["obj"]
+    def triples(self, t: pa.Table, located) -> pa.Table:
+        """Windowed pair fan-out over ``located`` (the
+        :meth:`MentionExtractor.locate` of the same batch ``t``)."""
+        row, pos, gi = located
+        heads, tails = [], []
+        for k in range(1, self.window + 1):
+            h = np.arange(len(row) - k)
+            ok = (row[h] == row[h + k]) & (pos[h + k] - pos[h] <= self.window)
+            heads.append(h[ok])
+            tails.append(h[ok] + k)
+        h = np.concatenate(heads) if heads else np.zeros(0, np.int64)
+        tl = np.concatenate(tails) if tails else np.zeros(0, np.int64)
+        score = 1.0 / (pos[tl] - pos[h])
+        keep = np.lexsort((tl, h))
         if self.min_score > 0.0:
-            out = out[out["score"] >= self.min_score]
-        out["subj_pos"] = out["subj_pos"].astype("int64")
-        out["obj_pos"] = out["obj_pos"].astype("int64")
-        cols = [f.name for f in schema]
-        return arrow_block(out[cols].reset_index(drop=True), schema=schema)
+            keep = keep[score[keep] >= self.min_score]
+        h, tl, score = h[keep], tl[keep], score[keep]
+        surfaces, types = self._mentions.surfaces, self._mentions.types
+        subj, obj = surfaces.take(gi[h]), surfaces.take(gi[tl])
+        code = self._gaz_code
+        doc_t = _doc_id_type(t["doc_id"])
+        return pa.Table.from_arrays(
+            [
+                t["doc_id"].take(row[h]).cast(doc_t),
+                subj,
+                pa.array(pos[h]),
+                types.take(gi[h]),
+                self._preds.take(self._pred_code[code[gi[h]], code[gi[tl]]]),
+                obj,
+                pa.array(pos[tl]),
+                types.take(gi[tl]),
+                pc.binary_join_element_wise(subj, obj, spec.BAG_KEY_SEP),
+                pa.array(score, pa.float64()),
+            ],
+            schema=_triples_schema(doc_t),
+        )
 
 
 from functools import lru_cache
@@ -186,7 +218,7 @@ def _triple_singleton(min_score: float) -> "TripleExtractor":
     return TripleExtractor(min_score=min_score)
 
 
-def _mention_task(batch: pd.DataFrame) -> pa.Table:
+def _mention_task(batch: pa.Table) -> pa.Table:
     return _mention_singleton()(batch)
 
 
@@ -202,13 +234,13 @@ def extract_mentions(docs_ds, use_actors: bool = False, **kwargs):
     if use_actors:
         return docs_ds.map_batches(
             MentionExtractor,
-            batch_format="pandas",
+            batch_format="pyarrow",
             concurrency=kwargs.pop("concurrency", None)
             or default_concurrency(),
             **kwargs,
         )
     kwargs.pop("concurrency", None)
-    return docs_ds.map_batches(_mention_task, batch_format="pandas", **kwargs)
+    return docs_ds.map_batches(_mention_task, batch_format="pyarrow", **kwargs)
 
 
 def extract_triples(docs_ds, min_score: float = 0.0,
@@ -219,17 +251,17 @@ def extract_triples(docs_ds, min_score: float = 0.0,
         return docs_ds.map_batches(
             TripleExtractor,
             fn_constructor_kwargs={"min_score": min_score},
-            batch_format="pandas",
+            batch_format="pyarrow",
             concurrency=kwargs.pop("concurrency", None)
             or default_concurrency(),
             **kwargs,
         )
     kwargs.pop("concurrency", None)
 
-    def fn(batch: pd.DataFrame, _ms=min_score) -> pa.Table:
+    def fn(batch: pa.Table, _ms=min_score) -> pa.Table:
         return _triple_singleton(_ms)(batch)
 
-    return docs_ds.map_batches(fn, batch_format="pandas", **kwargs)
+    return docs_ds.map_batches(fn, batch_format="pyarrow", **kwargs)
 
 
 def _tagged_schema(doc_id_t: pa.DataType) -> pa.Schema:
@@ -270,7 +302,7 @@ def extract_triples_and_surfaces(
 
         gaz_ref = ray.put(gazetteer)
 
-    def fn(batch: pd.DataFrame, _ms=min_score, _gref=gaz_ref) -> pa.Table:
+    def fn(batch: pa.Table, _ms=min_score, _gref=gaz_ref) -> pa.Table:
         if _gref is None:
             ex = _triple_singleton(_ms)
         else:
@@ -287,29 +319,16 @@ def extract_triples_and_surfaces(
                     _GAZ_EXTRACTOR_CACHE.pop(
                         next(iter(_GAZ_EXTRACTOR_CACHE))
                     )
-        doc_id_t = _doc_id_type(batch["doc_id"])
-        m = ex._mentions.mentions_df(batch)
-        triples = ex.triples_from_mentions(m, doc_id_t)
+        located = ex._mentions.locate(batch)
+        triples = ex.triples(batch, located)
         n_t = triples.num_rows
-        surfaces = m["surface"].unique()
-        schema = _tagged_schema(doc_id_t)
-        cols = []
-        for f in schema:
-            if f.name == "kind":
-                cols.append(
-                    pa.array(["t"] * n_t + ["s"] * len(surfaces), f.type)
-                )
-            elif f.name == "surface":
-                cols.append(
-                    pa.array([None] * n_t + list(surfaces), f.type)
-                )
-            else:
-                col = triples[f.name].combine_chunks()
-                cols.append(
-                    pa.concat_arrays(
-                        [col, pa.nulls(len(surfaces), f.type)]
-                    )
-                )
-        return pa.Table.from_arrays(cols, schema=schema)
+        surfaces = pc.unique(ex._mentions.surfaces.take(located[2]))
+        kind = pa.array(["t"] * n_t + ["s"] * len(surfaces), pa.string())
+        return pa.concat_tables(
+            [triples, pa.table({"surface": surfaces})],
+            promote_options="default",
+        ).append_column("kind", kind).select(
+            _tagged_schema(triples.schema.field("doc_id").type).names
+        )
 
-    return docs_ds.map_batches(fn, batch_format="pandas", **kwargs)
+    return docs_ds.map_batches(fn, batch_format="pyarrow", **kwargs)

@@ -252,7 +252,7 @@ def ground_mentions(inter_ds):
 
         tv = text_view_batch(batch).to_pandas()
         tv_index = {d: i for i, d in enumerate(tv["doc_id"])}
-        mentions = MentionExtractor().mentions_df(tv)
+        mentions = MentionExtractor()(tv).to_pandas()
         if len(mentions) == 0 or len(m_parent) == 0:
             return out_schema.empty_table()
         mdoc = mentions["doc_id"].map(tv_index).to_numpy()

@@ -33,6 +33,7 @@ import pyarrow as pa
 import ray
 
 from rex_ray.functions.blocks import (
+    ROWS_PER_PARTITION,
     arrow_block,
     cluster_cpus,
     default_concurrency,
@@ -92,8 +93,9 @@ def broadcast_join(ds, mapping: Dict, key: str, out: str, inner: bool = True,
 
 
 def _partitions(rows: Optional[int] = None) -> int:
-    """The bucket count of :func:`hash_join`: ``1 + rows // 50_000``
-    clamped to [2, cluster CPUs capped at 32], where ``rows`` is a row
+    """The bucket count of :func:`hash_join`: ``1 + rows //
+    ROWS_PER_PARTITION`` (also ``pre_shuffle``'s block floor) clamped
+    to [2, cluster CPUs capped at 32], where ``rows`` is a row
     count the caller already holds (e.g. a metadata ``count()`` of a
     materialized input); without one it is the cluster width.  Each
     bucket is one sort partition, one Arrow join and one output block,
@@ -101,7 +103,7 @@ def _partitions(rows: Optional[int] = None) -> int:
     into pieces that only add per-bucket overhead."""
     width = max(2, min(32, cluster_cpus()))
     if rows is not None:
-        width = max(2, min(width, 1 + rows // 50_000))
+        width = max(2, min(width, 1 + rows // ROWS_PER_PARTITION))
     return width
 
 
@@ -287,22 +289,28 @@ def per_key_cap(ds, key_col: str, id_col: str, n: int):
 
 
 def _key_hash(t: pa.Table, cols) -> np.ndarray:
-    """Composite FNV-64 of the key columns (``str`` of each part,
-    joined by ``"\\x1f"``) as int64: the bucket key of
-    :func:`hash_join` and the Bloom key of both Bloom joins.  ``str``
-    makes equal keys of different int widths hash alike.  Distinct
-    keys can share a hash (a part may contain the separator); only the
-    exact join decides a match."""
-    from rex_ray.functions.hashing import _stable_hash64_batch
+    """Composite hash of the key columns as int64: the bucket key of
+    :func:`hash_join` and the Bloom key of both Bloom joins.  Each
+    part goes through ``pandas.util.hash_array`` — integer parts as
+    int64, string parts as text, other types as their ``str`` — so
+    equal keys of different int widths, and string/large_string keys,
+    hash alike; the parts' hashes combine FNV-style.  An int key and
+    its decimal text do not hash alike.  A null part hashes to a fixed
+    value (the exact join never matches it), and distinct keys can
+    share a hash: only the exact join decides a match."""
+    from pandas.util import hash_array
 
-    parts = [
-        np.asarray([str(x) for x in t[c].to_pylist()], dtype=object)
-        for c in cols
-    ]
-    joined = parts[0]
-    for p in parts[1:]:
-        joined = joined + "\x1f" + p
-    return _stable_hash64_batch(list(joined)).astype(np.int64)
+    h = np.zeros(t.num_rows, dtype=np.uint64)
+    for c in cols:
+        col = t[c]
+        if pa.types.is_integer(col.type):
+            v = col.cast(pa.int64(), safe=False).fill_null(0).to_numpy()
+        elif pa.types.is_string(col.type) or pa.types.is_large_string(col.type):
+            v = col.to_numpy(zero_copy_only=False)
+        else:
+            v = np.asarray([str(x) for x in col.to_pylist()], dtype=object)
+        h = (h * np.uint64(0x100000001B3)) ^ hash_array(v, categorize=False)
+    return h.view(np.int64)
 
 
 def _bloom_split(left, right, cols, num_bits: int, num_hashes: int):

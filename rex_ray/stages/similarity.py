@@ -28,6 +28,7 @@ import ray
 
 from rex_ray import trace
 from rex_ray.functions.blocks import default_concurrency, pre_shuffle
+from rex_ray.sources.io import read_parquet
 
 _TOPK_SCHEMA = pa.schema(
     [
@@ -624,8 +625,6 @@ def _write_layout_sidecars(
     (measured 6.5 s -> 45 s on the 16-bucket sf0.1 bench when the
     index build took that path) — only use it to rebuild an index for
     a layout whose source dataset is gone."""
-    import ray.data as rd
-
     from rex_ray.functions import fsio
 
     parts = _layout_partitions(out_dir, key)
@@ -640,7 +639,7 @@ def _write_layout_sidecars(
     else:
         idx_parts = []
         for v in sorted(parts):
-            d = rd.read_parquet(
+            d = read_parquet(
                 [f"{sbase}/{r}" for r in parts[v]], columns=[id_col],
                 filesystem=sfs,
             )
@@ -699,11 +698,9 @@ def _read_manifest(layout_dir: str, key: str) -> tuple:
 def _read_vectors(paths: list, id_col: str, fs):
     """(id, embedding) columns of the given layout files; None when
     the probe pruned every file away."""
-    import ray.data as rd
-
     if not paths:
         return None
-    return rd.read_parquet(paths, columns=[id_col, "embedding"], filesystem=fs)
+    return read_parquet(paths, columns=[id_col, "embedding"], filesystem=fs)
 
 
 def _fetch_query_frame(
@@ -724,22 +721,20 @@ def _fetch_query_frame(
     filesystem.  A given ``query_frame`` skips the fetch.  Notes
     ``query_fetch_files`` in the run record.  Returns the sorted query
     DataFrame."""
-    import ray.data as rd
-
     if query_frame is not None:
         trace.note(query_fetch_files=0)
         return query_frame
     qpaths: list = []
     idx_paths = [f"{base}/{r}" for r in man.get("index", [])]
     if idx_paths:
-        idx = rd.read_parquet(idx_paths, filesystem=fs)
+        idx = read_parquet(idx_paths, filesystem=fs)
         qidx = _filter_ids(idx, id_col, qset).to_pandas()
         home = sorted(set(int(v) for v in qidx[key])) if len(qidx) else []
         qpaths = [p for v in home if v in parts for p in parts[v]]
     trace.note(query_fetch_files=len(qpaths))
     if not qpaths:
         return pd.DataFrame({id_col: [], "embedding": []})
-    qsrc = rd.read_parquet(
+    qsrc = read_parquet(
         qpaths, columns=[id_col, "embedding"], filesystem=fs
     )
     return (
@@ -877,8 +872,6 @@ def compact_bucket_layout(
        layout exclusively.
 
     Returns the refreshed manifest."""
-    import ray.data as rd
-
     from rex_ray.functions import fsio
 
     man = fsio.read_json(f"{layout_dir}/manifest.json")
@@ -896,7 +889,7 @@ def compact_bucket_layout(
         part_dir = f"{base}/{part_dir_rel}"
         before = set(fsio.list_files(f"{layout_dir}/{part_dir_rel}",
                                      ".parquet"))
-        rd.read_parquet(
+        read_parquet(
             [f"{base}/{r}" for r in rels], filesystem=fs
         ).repartition(1).write_parquet(part_dir, filesystem=fs)
         after = set(fsio.list_files(f"{layout_dir}/{part_dir_rel}",

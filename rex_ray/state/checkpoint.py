@@ -63,7 +63,8 @@ def plan_id_ranges(
     """
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
-    import ray.data as rd
+
+    from rex_ray.sources.io import read_parquet
 
     meta = pq.read_metadata(path)
     schema = pq.read_schema(path)
@@ -77,7 +78,7 @@ def plan_id_ranges(
         hi = st.max if hi is None else max(hi, st.max)
     if lo is None:  # no stats: single partition
         return [
-            Partition("00000", lambda: rd.read_parquet(path),
+            Partition("00000", lambda: read_parquet(path),
                       {"path": path, "range": "all"})
         ]
     span = int(hi) - int(lo) + 1
@@ -87,7 +88,7 @@ def plan_id_ranges(
         end = min(start + step, int(hi) + 1)
 
         def make(s=start, e=end):
-            return rd.read_parquet(
+            return read_parquet(
                 path, filter=(pc.field(col) >= s) & (pc.field(col) < e)
             )
 
@@ -166,6 +167,8 @@ def read_output(out_dir: str):
     object stores, where 'directories' are prefixes)."""
     import ray.data as rd
 
+    from rex_ray.sources.io import read_parquet
+
     proot = f"{out_dir.rstrip('/')}/parts"
     if not fsio.is_dir(proot):
         return rd.from_items([])
@@ -185,7 +188,7 @@ def read_output(out_dir: str):
     ]
     if not files:  # every finished part is empty
         return rd.from_items([])
-    return rd.read_parquet(files, filesystem=fs)
+    return read_parquet(files, filesystem=fs)
 
 
 def write_artifact(out_dir: str, name: str, obj: Any,

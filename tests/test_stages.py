@@ -238,8 +238,8 @@ def test_linker_nil_handling():
             }
         )
     )
-    assert out.subj_id.tolist() == ["ent:join", "nil:zzz"]
-    assert out.obj_id.tolist() == ["nil:zzz", "ent:join"]
+    assert out["subj_id"].to_pylist() == ["ent:join", "nil:zzz"]
+    assert out["obj_id"].to_pylist() == ["nil:zzz", "ent:join"]
 
 
 def test_hashed_embedding_deterministic_unit():
