@@ -106,6 +106,41 @@ def compact_blocks(ds, batch_size: int = 65536):
     )
 
 
+# Broadcast side objects resolved in this worker process, by ref; the
+# oldest is evicted past 8.
+_SIDE_CACHE: dict = {}
+
+
+def _worker_built_ref(ds, build_fn):
+    """Reduce a (small) Dataset into one broadcastable Python object
+    INSIDE a Ray task — the driver only ever holds the ObjectRef, so
+    there is no driver-side row materialization.  ``build_fn`` receives
+    the dataset's Arrow tables and returns the object (a key set, a
+    lookup dict, ...)."""
+    import ray
+
+    @ray.remote
+    def build(*tables):
+        return build_fn(tables)
+
+    return build.remote(*ds.to_arrow_refs())
+
+
+def _side_object(ref):
+    """Resolve a broadcast side object once per worker process.  ``ref``
+    is one ObjectRef, or a list of them (e.g. a materialized Dataset's
+    ``to_arrow_refs()``, resolved to the list of its tables)."""
+    key = tuple(r.hex() for r in ref) if isinstance(ref, list) else ref.hex()
+    obj = _SIDE_CACHE.get(key)
+    if obj is None:
+        import ray
+
+        obj = _SIDE_CACHE[key] = ray.get(ref)
+        while len(_SIDE_CACHE) > 8:
+            _SIDE_CACHE.pop(next(iter(_SIDE_CACHE)))
+    return obj
+
+
 # Rows per shuffle partition: the bucket rule of relational.hash_join
 # and the block floor of pre_shuffle.
 ROWS_PER_PARTITION = 50_000

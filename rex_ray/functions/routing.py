@@ -1,4 +1,5 @@
-"""Sliver-vs-cluster routing: the COUNT-only cardinality guard.
+"""Size-routed plan choices: the COUNT-only cardinality guard, and the
+byte bound of the join's broadcast plan.
 
 The flagship's canonicalization (pipelines/kg.py), every graph op
 (stages/graph.py) and the store-level schema aggregates
@@ -25,6 +26,12 @@ itself would pin a corpus-sized intermediate.
 from __future__ import annotations
 
 from rex_ray import trace
+
+#: Bound on the bytes of a materialized right side that
+#: ``relational.hash_join`` broadcasts (one copy per worker process)
+#: instead of co-grouping.  It holds a dedup hot-key set of 2M int64
+#: keys (16 MB) twice over.  Set it to 0 to force the co-group plan.
+BROADCAST_MAX_BYTES = 32 << 20
 
 #: Default bound on the number of (already-reduced) input rows at or
 #: below which an op runs on its exact driver twin.  50k rows is far

@@ -17,10 +17,11 @@ state (see stages/scorer.py).
 One canonicalization path: every canonical map starts from
 :func:`_surface_nodes` (the distinct-surface Dataset), and every
 corpus-derived linking goes through :func:`linked_triples`, whose
-distinct-surface COUNT picks the route — at gazetteer scale the
-surfaces are pulled to build a broadcast dict, above
+distinct-surface COUNT picks the canonical route — at gazetteer
+scale the surfaces are pulled to build a dict, above
 ``canonical.DRIVER_CC_MAX_NODES`` they stay distributed through label
-propagation + join linking.  The resumable runners share one slice
+propagation — and both maps are linked by one join-based
+:func:`link.link_triples`.  The resumable runners share one slice
 runner (:func:`_resumable_slice`) that persists the driver-route dict
 as a per-epoch artifact and links every partition against it.
 """
@@ -105,13 +106,14 @@ def linked_triples(
     §7.1 steps 9-10): the distinct-surface COUNT — one int — is the
     only thing the driver sees before routing.  At or below
     ``max_driver_nodes`` (default ``canonical.DRIVER_CC_MAX_NODES``)
-    the surfaces are pulled, components come from driver union-find
-    and the linker broadcasts a dict (gazetteer-sized inventories).
-    Above it NOTHING corpus-sized ever lands on the driver: surfaces
-    stay a Dataset, components come from distributed label
-    propagation (:func:`canonical.canonical_labels_from_nodes_ds`) and
-    linking is a pair of hash-shuffle joins
-    (:func:`link.link_triples_via_join`).  Both routes are hash-equal
+    the surfaces are pulled and components come from driver
+    union-find (gazetteer-sized inventories).  Above it NOTHING
+    corpus-sized ever lands on the driver: surfaces stay a Dataset and
+    components come from distributed label propagation
+    (:func:`canonical.canonical_labels_from_nodes_ds`).  Either map
+    goes to one :func:`link.link_triples` call, whose joins broadcast
+    the map while it is small and co-group it above
+    ``routing.BROADCAST_MAX_BYTES``.  Both routes are hash-equal
     (asserted in tests and by the kg_triple_store_lp driver-gate row).
 
     Notes ``canonical_route`` ("driver"|"lp") and ``n_surfaces`` in
@@ -134,22 +136,20 @@ def linked_triples(
             _node_list(nodes_ds), spec.VARIANT_EDGES, spec.ENTITY_ID_PREFIX,
             max_driver_nodes=max(max_driver_nodes, 1),
         )
-        return link.link_triples(triples, canonical)
-    # the sliver engine obeys the SAME driver-size knob as the route
-    # itself: a forced-LP run (max_driver_nodes=0) also forces the
-    # distributed fixpoint on the sliver, while the natural route
-    # union-finds the alias-dict-bounded sliver on the driver (it is
-    # already driver-resident)
-    map_ds = canon.canonical_labels_from_nodes_ds(
-        nodes_ds, spec.VARIANT_EDGES, spec.ENTITY_ID_PREFIX,
-        sliver_max_driver_nodes=max_driver_nodes,
-    )
+    else:
+        # the sliver engine obeys the SAME driver-size knob as the
+        # route itself: a forced-LP run (max_driver_nodes=0) also
+        # forces the distributed fixpoint on the sliver, while the
+        # natural route union-finds the alias-dict-bounded sliver on
+        # the driver (it is already driver-resident)
+        canonical = canon.canonical_labels_from_nodes_ds(
+            nodes_ds, spec.VARIANT_EDGES, spec.ENTITY_ID_PREFIX,
+            sliver_max_driver_nodes=max_driver_nodes,
+        )
     # tagged is materialized -> count() is a metadata read; it
-    # upper-bounds the triple rows, so the join fan-out can't funnel a
+    # upper-bounds the triple rows, so a co-grouped link can't funnel a
     # huge left side through map-sized partitions
-    return link.link_triples_via_join(
-        triples, map_ds, est_left_rows=tagged.count()
-    )
+    return link.link_triples(triples, canonical, rows=tagged.count())
 
 
 def triple_store_from_text_docs(
@@ -282,8 +282,9 @@ def run_incremental(
     genuinely-new (subj, pred, obj) keys are appended.  Known keys
     drop map-side at the Bloom and finished partitions resume from
     their ``_SUCCESS`` markers, but the anti-join's exact step still
-    shuffles every distinct key of the base store, so an increment
-    costs O(new + base keys), not O(new).
+    reads every distinct key of the base store: it broadcasts them
+    while they fit ``routing.BROADCAST_MAX_BYTES`` and shuffles them
+    above it, so an increment costs O(new + base keys), not O(new).
 
     Returns (new_triples Dataset, lineage list, delta_out path).
     """

@@ -290,9 +290,9 @@ def q_kg_triple_store_lp(sf_dir: str):
     """The SAME triple store through the fully-distributed route the
     cardinality guard takes above DRIVER_CC_MAX_NODES surfaces:
     surfaces stay a Dataset, components come from label propagation
-    (canonical_labels_from_nodes_ds) and linking is a pair of
-    hash-shuffle joins (link_triples_via_join) — no surface list and
-    no broadcast dict ever land on the driver.  Checked against the
+    (canonical_labels_from_nodes_ds) and linking joins that map
+    Dataset (link_triples) — no surface list and no surface->id dict
+    ever land on the driver.  Checked against the
     same oracle as kg_triple_store, so the scale path itself is
     driver-gate-verified end-to-end (round-3 verdict item #1)."""
     from rex_ray import trace
@@ -939,7 +939,7 @@ def q_kg_negative_samples(sf_dir: str):
 
     from rex_ray.functions.blocks import pre_shuffle
     from rex_ray.pipelines import kg
-    from rex_ray.stages.dedup import _side_object, _worker_built_ref
+    from rex_ray.functions.blocks import _side_object, _worker_built_ref
     from rex_ray.stages.relational import hash_join
 
     K = 2

@@ -12,8 +12,6 @@ results hash-match exactly regardless of summation order.
 
 from __future__ import annotations
 
-from typing import Dict
-
 import numpy as np
 import pandas as pd
 
@@ -107,21 +105,6 @@ def q_q1_pricing_summary(sf_dir: str):
     )
 
 
-def _nationkey_to_name(sf_dir: str) -> Dict[int, str]:
-    """The ONLY dimension loaded on the driver: nation is a fixed
-    25-row table at every scale factor, so it is the one legitimate
-    broadcast side.  Customer is SF-proportional (~150k rows x SF) and
-    must NEVER be driver-materialized — it joins distributively."""
-    import pyarrow.parquet as pq
-
-    nat = pq.read_table(
-        f"{sf_dir}/nation.parquet", columns=["n_nationkey", "n_name"]
-    ).to_pandas()
-    return {
-        int(k): v for k, v in zip(nat["n_nationkey"], nat["n_name"])
-    }
-
-
 @query("orders_with_returns", sql="""
 SELECT o_orderkey FROM orders
 WHERE o_orderkey IN
@@ -163,14 +146,10 @@ def q_revenue_by_nation(sf_dir: str):
     """Large-large hash join (lineitem x orders on orderkey) ->
     pre-aggregate per customer (shrinks the second join's left side to
     ~|customers| slim rows) -> distributed hash join against the
-    SF-proportional customer table -> broadcast lookup of the fixed
-    25-row nation map -> final partial-agg groupby.  Customer is never
-    materialized on the driver (round-2 verdict item #1)."""
-    from rex_ray.stages.relational import (
-        broadcast_join,
-        hash_join,
-        partial_groupby_sum,
-    )
+    SF-proportional customer table -> join against the materialized
+    25-row nation table (the join's broadcast plan) -> final partial-agg
+    groupby.  Neither customer nor nation is read on the driver."""
+    from rex_ray.stages.relational import hash_join, partial_groupby_sum
 
     lineitem = _read(
         sf_dir, "lineitem",
@@ -203,8 +182,10 @@ def q_revenue_by_nation(sf_dir: str):
         per_cust, cust, on="o_custkey", right_on="c_custkey",
         rows=cust.count(),
     )
-    named = broadcast_join(
-        with_nkey, _nationkey_to_name(sf_dir), key="c_nationkey", out="n_name"
+    nation = _read(sf_dir, "nation", columns=["n_nationkey", "n_name"])
+    named = hash_join(
+        with_nkey, nation.materialize(), on="c_nationkey",
+        right_on="n_nationkey",
     )
     return partial_groupby_sum(
         named,

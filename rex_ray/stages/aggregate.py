@@ -270,7 +270,7 @@ def predicate_overlap(store_ds, min_shared: int = 2,
     from ray.data.aggregate import Count, Sum
 
     from rex_ray.functions.routing import route_driver
-    from rex_ray.stages.dedup import _side_object, _worker_built_ref
+    from rex_ray.functions.blocks import _side_object, _worker_built_ref
 
     out_schema = pa.schema(
         [("pred_a", pa.string()), ("pred_b", pa.string()),

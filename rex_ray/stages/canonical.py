@@ -211,11 +211,11 @@ def canonical_map_for_surfaces(
     sized inventories); above it the SAME map is computed by
     :func:`cc_label_propagation` on the cluster — the two paths are
     equality-asserted in tests, so the switch is behaviorally
-    invisible.  The returned dict still materializes on the driver
-    because the linker broadcasts it; when the MAP itself outgrows
-    broadcast, :func:`rex_ray.pipelines.kg.linked_triples` routes to
-    :func:`canonical_labels_from_nodes_ds` +
-    :func:`rex_ray.stages.link.link_triples_via_join` instead.
+    invisible.  The returned dict materializes on the driver; when
+    the surfaces themselves outgrow the driver,
+    :func:`rex_ray.pipelines.kg.linked_triples` routes to
+    :func:`canonical_labels_from_nodes_ds` instead, and
+    :func:`rex_ray.stages.link.link_triples` takes either map.
     """
     present = set(surfaces)
     edges = [(a, b) for a, b in variant_edges if a in present and b in present]
@@ -258,8 +258,8 @@ def canonical_labels_from_nodes_ds(
       spin-up, measured); above it, :func:`cc_label_propagation` runs
       the distributed fixpoint.  Both engines are equality-asserted in
       tests;
-    * the result feeds :func:`rex_ray.stages.link.link_triples_via_join`
-      — no surface->id dict is ever built.
+    * the result feeds :func:`rex_ray.stages.link.link_triples` as a
+      Dataset — no surface->id dict is ever built.
 
     Notes ``sliver_engine`` and ``n_touched`` in the run record
     (``rex_ray/trace.py``) so routes/stress can assert which engine ran.

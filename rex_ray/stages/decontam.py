@@ -10,7 +10,7 @@ Dataflow (two passes, no shuffle):
    relative to a crawl): one ``map_batches`` pass emits per-batch
    DISTINCT n-gram hashes; a Ray task unions them into ONE sorted
    ``uint64`` numpy array that is broadcast by ObjectRef
-   (:func:`rex_ray.stages.dedup._worker_built_ref` — the driver never
+   (:func:`rex_ray.functions.blocks._worker_built_ref` — the driver never
    materializes a row, and workers map the array zero-copy from the
    object store: 8 bytes/gram, so even a 10^8-gram benchmark is an
    800 MB shared read-only block per node, not per task).
@@ -71,7 +71,7 @@ def benchmark_gram_ref(bench_ds, n: int = N_GRAM):
     """ObjectRef of the sorted uint64 array of the benchmark set's
     distinct n-gram hashes (built inside a Ray task, never on the
     driver)."""
-    from rex_ray.stages.dedup import _worker_built_ref
+    from rex_ray.functions.blocks import _worker_built_ref
 
     def per_batch(batch: pd.DataFrame) -> pa.Table:
         _, h = _doc_gram_hashes(list(batch["text"]), n)
@@ -103,7 +103,7 @@ class ContamProber:
         self.n = n
 
     def __call__(self, batch: pd.DataFrame) -> pa.Table:
-        from rex_ray.stages.dedup import _side_object
+        from rex_ray.functions.blocks import _side_object
 
         bench = _side_object(self.bench_ref)
         p, h = _doc_gram_hashes(list(batch["text"]), self.n)

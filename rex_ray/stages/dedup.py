@@ -20,9 +20,12 @@ from rex_ray import trace
 from rex_ray.functions import hashing as H
 from rex_ray.functions import text as T
 from rex_ray.functions.blocks import (
+    _side_object,
+    _worker_built_ref,
     arrow_block,
     pre_shuffle,
 )
+from rex_ray.stages.relational import hash_join
 
 import pyarrow as pa
 
@@ -67,10 +70,9 @@ SHINGLE_SEP = "\x1f"  # unit separator; never occurs in token text
 
 class ShingleSketcher:
     """doc -> (doc_id, sh: string) distinct k-token shingles joined
-    with :data:`SHINGLE_SEP` (Arrow's hash join rejects list-typed
-    payload columns, so the sketch rides as one string).  The sketch
-    side table is computed ONCE and joined to hot bucket rows only —
-    the per-band shuffle never carries text."""
+    with :data:`SHINGLE_SEP`.  The sketch side table is computed ONCE
+    and joined to hot bucket rows only — the per-band shuffle never
+    carries text."""
 
     def __init__(self, k: int = 3):
         self.k = k
@@ -132,37 +134,6 @@ class MinHashBander:
         )
 
 
-_SIDE_CACHE: dict = {}
-
-
-def _worker_built_ref(ds, build_fn):
-    """Reduce a (small) Dataset into one broadcastable Python object
-    INSIDE a Ray task — the driver only ever holds the ObjectRef, so
-    there is no driver-side row materialization.  ``build_fn`` receives
-    the dataset's Arrow tables and returns the object (a key set, a
-    lookup dict, ...)."""
-    import ray as _ray
-
-    @_ray.remote
-    def build(*tables):
-        return build_fn(tables)
-
-    return build.remote(*ds.to_arrow_refs())
-
-
-def _side_object(ref):
-    """Resolve a broadcast side object once per worker process."""
-    key = ref.hex()
-    obj = _SIDE_CACHE.get(key)
-    if obj is None:
-        import ray as _ray
-
-        obj = _SIDE_CACHE[key] = _ray.get(ref)
-        while len(_SIDE_CACHE) > 8:
-            _SIDE_CACHE.pop(next(iter(_SIDE_CACHE)))
-    return obj
-
-
 def _hot_key_ds(bands_ds, key_col: str):
     """Dataset of bucket keys holding >= 2 rows — the only buckets that
     can emit a candidate pair.  Vectorized Arrow partial count + one
@@ -182,56 +153,6 @@ def _hot_key_ds(bands_ds, key_col: str):
     return counts.filter(expr="n >= 2").drop_columns(["n"])
 
 
-def _broadcast_hot_filter(bands_ds, hot_keys, key_col: str):
-    """Map-side filter of ``bands_ds`` to the ``hot_keys`` key set,
-    built INSIDE a worker (``_worker_built_ref``) — no driver rows and
-    no shuffle (a ``relational.hash_join`` of 144x144 rows takes
-    0.11-0.16 s warm on 1 core at ``num_cpus=2``).  Small-side
-    assumption: the hot-key set (O(duplicate clusters)) fits one
-    worker's heap — the caller must route to :func:`_join_hot_filter`
-    beyond that."""
-    key_ref = _worker_built_ref(
-        hot_keys,
-        lambda tables: set().union(
-            *(
-                t[key_col].to_pylist()
-                for t in tables
-                if key_col in t.schema.names
-            )
-        )
-        if any(key_col in t.schema.names for t in tables)
-        else set(),
-    )
-    import pyarrow.compute as pc
-
-    def keep_hot(t: pa.Table, _ref=key_ref, _col=key_col) -> pa.Table:
-        keys = _side_object(_ref)
-        if not keys:
-            return t.schema.empty_table()
-        vs = pa.array(sorted(keys), type=t[_col].type)
-        return t.filter(pc.is_in(t[_col], value_set=vs))
-
-    return bands_ds.map_batches(keep_hot, batch_format="pyarrow")
-
-
-def _join_hot_filter(bands_ds, hot_keys, key_col: str):
-    """Degradation path of :func:`_broadcast_hot_filter`: semi-join via
-    an exact hash join when the hot-key set is too large to broadcast
-    (dup-heavy crawls where 30-60%% of the corpus is duplicated and the
-    hot-key set IS the corpus).  The shuffle carries the slim 16-byte
-    band rows — bounded per-partition memory, no single-worker set."""
-    from rex_ray.stages.relational import hash_join
-
-    return hash_join(bands_ds, hot_keys, on=key_col)
-
-
-def _hot_bucket_rows(bands_ds, key_col: str):
-    """Band rows in buckets holding >= 2 rows (broadcast-filter path;
-    see :func:`_broadcast_hot_filter` for the small-side contract)."""
-    return _broadcast_hot_filter(bands_ds, _hot_key_ds(bands_ds, key_col),
-                                 key_col)
-
-
 def minhash_dup_pairs(docs_ds, threshold: float = 0.9, k: int = 3,
                       max_broadcast_keys: int = None):
     """LSH candidate generation + exact-Jaccard verification.
@@ -240,20 +161,20 @@ def minhash_dup_pairs(docs_ds, threshold: float = 0.9, k: int = 3,
       1. sketch side table (doc_id, shingles, band keys) — one pass
          over text;
       2. slim band rows (band_key, doc_id) from the sketches;
-      3. hot buckets via partial counts + a worker-built broadcast
-         key-set filter (no driver rows, no join operator);
+      3. hot buckets via partial counts, and the hot band rows by a
+         semi-join against them (broadcast while the hot set is small);
       4. hot-DOC sketches broadcast as a worker-built lookup dict;
          exact Jaccard verified inside each bucket group over the
          slim hot rows;
       5. pair dedup is MAP-SIDE: each pair is emitted only from its
          minimal shared bucket (both docs' band-key sets ride the
          broadcast dict), so no global pair shuffle is needed.
-    Returns (doc_a, doc_b) with doc_a < doc_b.  Small-side assumption
-    (documented in :func:`_broadcast_hot_filter`): hot keys / hot-doc
-    sketches are O(duplicate clusters) and fit one worker's heap —
-    beyond ``max_broadcast_keys`` hot keys the verify tail degrades
-    automatically to the sketch-through-shuffle join regime
-    (:func:`_sketch_join_pairs`), same answer, no broadcast object.
+    Returns (doc_a, doc_b) with doc_a < doc_b.  Small-side assumption:
+    hot keys / hot-doc sketches are O(duplicate clusters) and fit one
+    worker's heap — beyond ``max_broadcast_keys`` hot keys the verify
+    tail degrades automatically to the sketch-through-shuffle join
+    regime (:func:`_sketch_join_pairs`), same answer, no broadcast
+    object.
     """
     # ONE fused pass over the text emits both outputs as a tagged
     # union (band rows kind='b' with null sh; sketch rows kind='s'
@@ -333,11 +254,11 @@ def _bucketed_jaccard_pairs(
        the count picks the regime, noted in the run record as
        ``n_hot_keys`` and ``dedup_regime``);
     2. BROADCAST regime (hot keys <= ``max_broadcast_keys``): hot rows
-       via a worker-built key-set filter, hot-DOC sketch lookup built
+       via a semi-join on the hot keys, hot-DOC sketch lookup built
        worker-side (O(duplicate clusters) entries), in-bucket exact
        Jaccard against the broadcast dict;
     3. JOIN regime (dup-heavy corpus, hot keys above the bound): hot
-       rows via an exact hash join, sketches attached to the bucket
+       rows via the same semi-join, sketches attached to the bucket
        rows by a second hash join on doc_id, and the verify runs on
        in-group columns only — no broadcast object of corpus-
        proportional size anywhere (:func:`_sketch_join_pairs`).
@@ -362,13 +283,13 @@ def _bucketed_jaccard_pairs(
         n_hot_keys=n_hot,
         dedup_regime="join" if n_hot > max_broadcast_keys else "broadcast",
     )
+    hot = hash_join(slim, hot_keys, on=key_col, join_type="left_semi")
     if n_hot > max_broadcast_keys:
         return _sketch_join_pairs(
-            _join_hot_filter(slim, hot_keys, key_col),
-            sketches, key_col, keyset_col, threshold,
+            hot, sketches, key_col, keyset_col, threshold
         )
 
-    hot = pre_shuffle(_broadcast_hot_filter(slim, hot_keys, key_col))
+    hot = pre_shuffle(hot)
 
     doc_ref = _worker_built_ref(
         hot,
@@ -439,21 +360,7 @@ def _sketch_join_pairs(hot, sketches, key_col: str, keyset_col: str,
     grows to O(hot rows x sketch size) — the price of dropping every
     corpus-proportional broadcast object; per-partition memory stays
     bounded by the partition, not the corpus."""
-    from rex_ray.stages.relational import hash_join
-
-    # Arrow's hash join rejects list-typed payload columns — ship the
-    # key set as one delimited string (parsed once per group).
-    def pack_keysets(t: pa.Table) -> pa.Table:
-        kls = t[keyset_col].to_pylist()
-        packed = pa.array(
-            [",".join(str(int(x)) for x in kl) for kl in kls], pa.string()
-        )
-        return pa.table(
-            {"doc_id": t["doc_id"], "sh": t["sh"], "_ks": packed}
-        )
-
-    flat_sketches = sketches.map_batches(pack_keysets, batch_format="pyarrow")
-    joined = hash_join(hot, flat_sketches, on="doc_id")
+    joined = hash_join(hot, sketches, on="doc_id")
 
     def bucket_pairs(g: pd.DataFrame) -> pa.Table:
         rows = []
@@ -463,8 +370,8 @@ def _sketch_join_pairs(hot, sketches, key_col: str, keyset_col: str,
             ids = sorted(int(d) for d in g["doc_id"])
             sh = dict(zip((int(d) for d in g["doc_id"]), g["sh"]))
             ks = {
-                int(d): frozenset(int(x) for x in kl.split(","))
-                for d, kl in zip(g["doc_id"], g["_ks"])
+                int(d): frozenset(int(x) for x in kl)
+                for d, kl in zip(g["doc_id"], g[keyset_col])
             }
             shingles = {d: set(sh[d].split(SHINGLE_SEP)) for d in ids}
             for da, db in combinations(ids, 2):
@@ -515,9 +422,9 @@ def ngram_jaccard_dup_pairs(docs_ds, threshold: float = 0.8, k: int = 3,
     Dataflow mirrors :func:`minhash_dup_pairs` (every exchange
     bounded): one fused text pass emits a tagged union of sketch rows
     (doc_id, sh, prefix-hash list) and SLIM prefix rows (bucket_key,
-    doc_id — 16 bytes); hot buckets via partial counts + worker-built
-    broadcast filter; exact Jaccard verified in-bucket against a
-    broadcast hot-doc sketch dict; pair dedup is map-side (only the
+    doc_id — 16 bytes); hot buckets via partial counts + a semi-join;
+    exact Jaccard verified in-bucket against a broadcast hot-doc
+    sketch dict; pair dedup is map-side (only the
     minimal shared prefix bucket emits a pair).  Scale notes: prefix
     rows are ~(1-t)*|shingles| per doc; at scale, replace hash order
     with a corpus-frequency order (rarest-first) to shrink hot
@@ -637,7 +544,10 @@ def simhash_dup_pairs(docs_ds, max_hamming: int = 3):
 
     # simhash band rows are self-contained (8-byte hash rides along) —
     # hot-bucket semi-join, then per-bucket hamming verify
-    hot = _hot_bucket_rows(bands, "band_key")
+    hot = hash_join(
+        bands, _hot_key_ds(bands, "band_key").materialize(), on="band_key",
+        join_type="left_semi",
+    )
     cand = pre_shuffle(hot).groupby("band_key").map_groups(
         bucket_pairs, batch_format="pandas"
     )
@@ -1039,8 +949,6 @@ def segment_dup_stats(docs_ds, seg_tokens: int = SEG_TOKENS):
     """
     import ray.data as rd
     from ray.data.aggregate import Count
-
-    from rex_ray.stages.relational import hash_join
 
     seg_rows = pre_shuffle(
         docs_ds.map_batches(

@@ -1,11 +1,11 @@
-"""Entity linking: alias-dictionary probe + embedding-similarity
+"""Entity linking: canonical-map joins + embedding-similarity
 disambiguation (SURVEY.md §2.4 'new-engine only' row).
 
-The alias/canonical dictionary is SMALL-SIDE state: built once on the
-driver (or from a distinct-surface aggregation), shipped via
-``ray.put`` ONCE, and read per actor in ``__init__`` — never re-shipped
-per batch.  NIL mentions (surface absent from the dictionary) keep a
-``nil:<surface>`` id (the anti-join path).
+The canonical map (surface -> entity id) is joined to the triples by
+:func:`link_triples` through ``relational.hash_join``: a gazetteer-scale
+map takes the join's broadcast plan (resolved once per worker process,
+probed per batch), a corpus-scale one co-groups.  NIL mentions (surface
+absent from the map) keep a ``nil:<surface>`` id.
 
 Disambiguation: when a surface maps to MULTIPLE candidate canonical
 ids, the candidate whose entity embedding is most cosine-similar to the
@@ -18,7 +18,7 @@ part, and a learned entity-embedding table drops into the same matrix.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 import numpy as np
 import pandas as pd
@@ -28,6 +28,7 @@ import pyarrow.compute as pc
 import ray
 
 from rex_ray.functions.blocks import as_arrow, default_concurrency
+from rex_ray.stages.relational import _probe, hash_join
 
 
 def hashed_embedding(tokens: List[str], dim: int = 32) -> np.ndarray:
@@ -42,14 +43,24 @@ def hashed_embedding(tokens: List[str], dim: int = 32) -> np.ndarray:
     return v / n if n > 0 else v
 
 
-class CanonicalLinker:
-    """mention/triple rows -> canonical entity ids via broadcast dict.
+def _fill_nil(linked, surfaces, nil_prefix: str = "nil:"):
+    """``linked`` ids with each null — an unmatched surface — filled by
+    ``nil_prefix + surface``."""
+    if linked.null_count == surfaces.null_count:  # no NIL surface
+        return linked
+    nil = pc.binary_join_element_wise(nil_prefix, surfaces, "")
+    return pc.coalesce(linked.cast(nil.type), nil)
 
-    ``canon_ref`` is a ``ray.ObjectRef`` to the surface->entity_id dict
-    (ray.put once on the driver); resolved once per actor.  Per batch
-    one ``index_in`` per surface column against the dict's keys, a
-    ``take`` of the ids and a ``nil:<surface>`` fill: Arrow in (or a
-    pandas frame from a direct caller), Arrow out.
+
+class CanonicalLinker:
+    """mention/triple rows -> canonical entity ids via a surface->id
+    dict, in process.
+
+    ``canon_ref`` is the dict or a ``ray.ObjectRef`` to it.  Per batch
+    one probe per surface column against the dict's keys — the probe
+    of ``relational.hash_join``'s per-batch join — a ``take`` of the
+    ids and a ``nil:<surface>`` fill: Arrow in (or a pandas frame from
+    a direct caller), Arrow out.
     """
 
     def __init__(self, canon_ref, nil_prefix: str = "nil:"):
@@ -60,11 +71,8 @@ class CanonicalLinker:
 
     def _link(self, surfaces) -> pa.Array:
         surfaces = surfaces.combine_chunks().cast(pa.string())
-        linked = self._ids.take(pc.index_in(surfaces, value_set=self._keys))
-        if linked.null_count == surfaces.null_count:  # no NIL surface
-            return linked
-        nil = pc.binary_join_element_wise(self.nil_prefix, surfaces, "")
-        return pc.coalesce(linked, nil)
+        linked = self._ids.take(_probe(surfaces, self._keys))
+        return _fill_nil(linked, surfaces, self.nil_prefix)
 
     def __call__(self, batch) -> pa.Table:
         t = as_arrow(batch)
@@ -154,106 +162,53 @@ class EmbeddingDisambiguator:
         return out
 
 
-_LINKER_CACHE: Dict[str, "CanonicalLinker"] = {}
+def link_triples(triples_ds, canonical, rows: Optional[int] = None):
+    """Scored triples -> triples with ``subj_id`` / ``obj_id`` columns.
 
+    ``canonical`` is a surface -> id dict or a (node, canonical)
+    Dataset (e.g. :func:`canonical.canonical_labels_from_nodes_ds`
+    output, ids already prefixed); either becomes one materialized
+    map, joined twice (subj side, obj side) by left_outer
+    ``relational.hash_join``s, and an unmatched surface gets
+    ``nil:<surface>``.  A map within ``routing.BROADCAST_MAX_BYTES``
+    (every gazetteer-scale map, and an empty one) takes the join's
+    broadcast plan: no shuffle.  A larger map co-groups, in ``rows``
+    buckets' worth — pass an upper bound on the triple rows (e.g. a
+    metadata ``count()`` of the materialized upstream), so a huge
+    triple stream is not funneled through map-sized buckets."""
+    import ray.data as rd
 
-def link_triples(triples_ds, canonical: Dict[str, str],
-                 use_actors: bool = False, **kwargs):
-    """Scored triples -> triples with subj_id/obj_id columns.
+    if isinstance(canonical, dict):
+        canonical = rd.from_arrow(pa.table({
+            "node": pa.array(list(canonical), pa.string()),
+            "canonical": pa.array(list(canonical.values()), pa.string()),
+        }))
+    m = canonical.materialize()
+    out = triples_ds
+    for side in ("subj", "obj"):
+        out = hash_join(
+            out, m, on=side, right_on="node", join_type="left_outer",
+            rows=rows,
+        ).rename_columns({"canonical": f"{side}_id"})
 
-    The canonical dict is broadcast once (``ray.put``); the default
-    TASK path resolves it once per worker process via a ref-keyed
-    cache (an actor pool pays seconds of spin-up per pipeline for the
-    same once-per-process semantics).  ``use_actors=True`` restores
-    the pool for heavyweight linker state (embedding indexes).
-    """
-    ref = ray.put(canonical)
-    if use_actors:
-        return triples_ds.map_batches(
-            CanonicalLinker,
-            fn_constructor_kwargs={"canon_ref": ref},
-            batch_format="pyarrow",
-            concurrency=kwargs.pop("concurrency", None)
-            or default_concurrency(),
-            **kwargs,
-        )
-    kwargs.pop("concurrency", None)
+    def fill_nil(t: pa.Table) -> pa.Table:
+        for side in ("subj", "obj"):
+            col = f"{side}_id"
+            t = t.set_column(
+                t.column_names.index(col), col, _fill_nil(t[col], t[side])
+            )
+        return t
 
-    def fn(batch, _ref=ref):
-        key = _ref.hex()
-        linker = _LINKER_CACHE.get(key)
-        if linker is None:
-            linker = CanonicalLinker(_ref)
-            _LINKER_CACHE[key] = linker
-            if len(_LINKER_CACHE) > 16:  # bound per-worker cache
-                _LINKER_CACHE.pop(next(iter(_LINKER_CACHE)))
-        return linker(batch)
-
-    return triples_ds.map_batches(fn, batch_format="pyarrow", **kwargs)
+    return out.map_batches(fill_nil, batch_format="pyarrow")
 
 
 def link_triples_via_join(triples_ds, map_ds, nil_prefix: str = "nil:",
                           est_left_rows: int = None):
-    """Distributed-join twin of :func:`link_triples` for canonical maps
-    too large to broadcast: ``map_ds`` is a (node, canonical) Dataset
-    (e.g. :func:`canonical.canonical_labels_from_nodes_ds` output,
-    canonical ids already prefixed), joined twice (subj side, obj side) with
-    left_outer semantics; unmatched surfaces get ``nil:<surface>`` —
-    byte-identical output to the broadcast linker (equality-asserted
-    in tests).  Two hash-shuffle joins sized to the data volume; at
-    10^12 docs this replaces an impossible multi-GB ``ray.put``.
-
-    ``est_left_rows``: optional upper bound on the triple-side row
-    count (any cheap estimate — e.g. a metadata ``count()`` of the
-    materialized upstream).  The partition count is sized to the
-    LARGER side, so a small canonical map never funnels a huge triple
-    stream through two partitions (round-4 advice)."""
-    from rex_ray.functions.blocks import arrow_block
-    from rex_ray.stages.relational import hash_join
-
-    n_map = map_ds.count()
-    # partitions sized to the BIGGER join side: sizing only to the map
-    # would blow per-partition memory when a huge triple stream meets
-    # a just-above-threshold map
-    n_size = max(n_map, est_left_rows or 0)
-
-    # degenerate empty map: every surface is NIL; a zero-row right side
-    # brings no columns into the left_outer join below, so compute the
-    # exact answer map-side
-    if n_map == 0:
-        def all_nil(b: pd.DataFrame) -> pd.DataFrame:
-            return b.assign(
-                subj_id=nil_prefix + b["subj"].astype(str),
-                obj_id=nil_prefix + b["obj"].astype(str),
-            )
-
-        return triples_ds.map_batches(all_nil, batch_format="pandas")
-
-    def renamed(side: str, id_col: str):
-        return map_ds.map_batches(
-            lambda b, s=side, i=id_col: arrow_block(
-                pd.DataFrame({s: b["node"], i: b["canonical"]})
-            ),
-            batch_format="pandas",
-        )
-
-    def fill_nil(col: str):
-        def fn(b: pd.DataFrame) -> pd.DataFrame:
-            v = b[col]
-            key = "subj" if col == "subj_id" else "obj"
-            b[col] = v.where(v.notna(), nil_prefix + b[key].astype(str))
-            return b
-
-        return fn
-
-    out = hash_join(
-        triples_ds, renamed("subj", "subj_id"), on="subj",
-        join_type="left_outer", rows=n_size,
-    ).map_batches(fill_nil("subj_id"), batch_format="pandas")
-    return hash_join(
-        out, renamed("obj", "obj_id"), on="obj",
-        join_type="left_outer", rows=n_size,
-    ).map_batches(fill_nil("obj_id"), batch_format="pandas")
+    """:func:`link_triples` of a (node, canonical) Dataset, under its
+    older name; ``nil_prefix`` must be ``"nil:"``."""
+    if nil_prefix != "nil:":
+        raise ValueError("link_triples fills unmatched surfaces with 'nil:'")
+    return link_triples(triples_ds, map_ds, rows=est_left_rows)
 
 
 def ambiguous_mentions_with_context(docs_ds, radius: int = 2):

@@ -1,20 +1,19 @@
-"""Relational operators: broadcast hash joins, large-large shuffle
-joins, money-exact aggregation helpers.
+"""Relational operators: one hash join with two physical plans, the
+Bloom semi/anti joins built on it, money-exact aggregation helpers.
 
-Join strategy (SURVEY.md §2.4): dimension tables (nation, customer at
-TPC-H scale factors) are SMALL-side — loaded once on the driver,
-``ray.put`` once, probed per batch with a vectorized pandas ``map``
-(:func:`broadcast_join`).  Every other join — the inner and left-outer
-joins of the pipelines and the exact verify of both Bloom joins
-(:func:`bloom_semi_join`, :func:`bloom_anti_join`) — is one task-only
-co-group, :func:`hash_join`: each side is cut into per-bucket Arrow
-pieces, one sort shuffle brings a bucket's pieces together, and an
-Arrow hash join runs per bucket.  No join starts actors, and the
-package makes no ``Dataset.join`` call.  The bucket count comes from
-one rule (:func:`_partitions`), so callers pass keys and, when they
-hold one, a row count — nothing else.  A join side with ZERO rows
-brings no schema into the co-group; callers that need a typed answer
-then guard that case themselves.
+Every join — the dimension lookups of the queries, the linker, the
+dedup hot-bucket filters and the exact verify of both Bloom joins
+(:func:`bloom_semi_join`, :func:`bloom_anti_join`) — is one call of
+:func:`hash_join`, which picks its plan from the right side alone.  A
+materialized right side of at most ``routing.BROADCAST_MAX_BYTES`` is
+broadcast: resolved once per worker process and joined to each left
+batch, with no shuffle.  Any other join is one task-only co-group:
+each side is cut into per-bucket Arrow pieces, one sort shuffle brings
+a bucket's pieces together, and the same per-batch join
+(:func:`_join_tables`) runs per bucket.  No join starts actors, and
+the package makes no ``Dataset.join`` call.  The bucket count comes
+from one rule (:func:`_partitions`), so callers pass keys and, when
+they hold one, a row count — nothing else.
 
 Money sums are computed in integer CENTS — per-row double arithmetic
 is bit-identical across engines, and integer sums are
@@ -29,14 +28,16 @@ from typing import Dict, Optional
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
-import ray
-
+from rex_ray import trace
+from rex_ray.functions import routing
 from rex_ray.functions.blocks import (
     ROWS_PER_PARTITION,
+    _side_object,
+    _worker_built_ref,
     arrow_block,
     cluster_cpus,
-    default_concurrency,
     pre_shuffle,
 )
 
@@ -48,48 +49,6 @@ def to_cents(values) -> pd.Series:
     rounds half-away-from-zero, so round() would diverge on exact
     half-cents."""
     return pd.Series(np.floor(np.asarray(values) * 100.0 + 0.5)).astype("int64")
-
-
-class BroadcastLookup:
-    """Actor-pool stage mapping a key column through a broadcast dict.
-
-    ``mapping_ref``: ray.ObjectRef of {key -> value} put ONCE on the
-    driver; resolved once per actor (never re-shipped per batch).
-    Rows with unmatched keys are dropped when ``inner=True`` (semi-join
-    flavor) else get NaN (left-join flavor).
-    """
-
-    def __init__(self, mapping_ref, key: str, out: str, inner: bool = True):
-        mapping = (
-            ray.get(mapping_ref)
-            if isinstance(mapping_ref, ray.ObjectRef)
-            else mapping_ref
-        )
-        self._map = pd.Series(mapping)
-        self.key = key
-        self.out = out
-        self.inner = inner
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        vals = batch[self.key].map(self._map)
-        batch = batch.assign(**{self.out: vals})
-        if self.inner:
-            batch = batch[vals.notna()]
-        return batch.reset_index(drop=True)
-
-
-def broadcast_join(ds, mapping: Dict, key: str, out: str, inner: bool = True,
-                   concurrency=None, **kwargs):
-    ref = ray.put(mapping)
-    return ds.map_batches(
-        BroadcastLookup,
-        fn_constructor_kwargs={
-            "mapping_ref": ref, "key": key, "out": out, "inner": inner,
-        },
-        batch_format="pandas",
-        concurrency=concurrency or default_concurrency(),
-        **kwargs,
-    )
 
 
 def _partitions(rows: Optional[int] = None) -> int:
@@ -114,34 +73,110 @@ def _ipc(t: pa.Table) -> bytes:
     return sink.getvalue().to_pybytes()
 
 
+def _probe(keys, values):
+    """Position in ``values`` (distinct) of each key's match, null when
+    there is none; a null key never matches.  ``values`` is cast to the
+    keys' type, so int32 keys probe int64 values."""
+    return pc.index_in(keys, value_set=values.cast(keys.type), skip_nulls=True)
+
+
+def _join_tables(lt: pa.Table, rt: Optional[pa.Table], lcols, rcols,
+                 how: str) -> pa.Table:
+    """Join one left table to one right table: the per-batch join of
+    both :func:`hash_join` plans (``how`` in Arrow's spelling, e.g.
+    ``left outer``).  Output rows keep the left order.  A right side
+    keyed by one column with no duplicate keys is probed
+    (:func:`_probe` + ``take``); any other runs an Arrow hash join on
+    the keys plus a row index, and the payload is ``take``n after it,
+    so any payload type (lists too) passes.  ``rt`` is None when the
+    right side brought no schema."""
+    if rt is None:
+        if how == "left outer":
+            raise ValueError(
+                "hash_join: left_outer against a zero-row right side,"
+                " whose columns are unknown; guard the empty case"
+            )
+        rt = pa.table({r: lt[c][:0] for c, r in zip(lcols, rcols)})
+    rkeys = {r: rt[r].cast(lt[c].type) for c, r in zip(lcols, rcols)}
+    if len(rcols) == 1 and (
+        pc.count_distinct(rkeys[rcols[0]], mode="all").as_py() == rt.num_rows
+    ):
+        j = _probe(lt[lcols[0]], rkeys[rcols[0]])
+        if how == "left anti":
+            return lt.filter(pc.is_null(j))
+        if how != "left outer":
+            lt, j = lt.filter(pc.is_valid(j)), j.drop_null()
+    else:
+        from pyarrow import acero
+
+        filtering = how in ("left semi", "left anti")
+        idx = pa.table(
+            {**{c: lt[c] for c in lcols}, "_i": np.arange(lt.num_rows)}
+        )
+        rkeys = pa.table({**rkeys, "_j": np.arange(rt.num_rows)})
+        pairs = acero.Declaration(
+            "hashjoin",
+            acero.HashJoinNodeOptions(
+                how, lcols, rcols, left_output=["_i"],
+                right_output=[] if filtering else ["_j"],
+            ),
+            inputs=[
+                acero.Declaration("table_source",
+                                  acero.TableSourceNodeOptions(x))
+                for x in (idx, rkeys)
+            ],
+        ).to_table()
+        pairs = pairs.sort_by([(c, "ascending") for c in pairs.column_names])
+        lt = lt.take(pairs["_i"])
+        if filtering:
+            return lt
+        j = pairs["_j"]
+    if how == "left semi":
+        return lt
+    for name in rt.column_names:
+        if name not in rcols:
+            lt = lt.append_column(name, rt[name].take(j))
+    return lt
+
+
 def hash_join(left, right, on, join_type: str = "inner", right_on=None,
               rows: Optional[int] = None):
-    """Hash join as one task-only co-group — the package's one
-    shuffle-join engine.  ``on`` / ``right_on`` are a column name or a
-    sequence of them (``right_on`` only when the right key names
-    differ); ``join_type`` is ``inner``, ``left_outer``, ``left_semi``
-    or ``left_anti``.  Output: the left columns, then (inner /
+    """Hash join — the package's one join operator, with two physical
+    plans.  ``on`` / ``right_on`` are a column name or a sequence of
+    them (``right_on`` only when the right key names differ);
+    ``join_type`` is ``inner``, ``left_outer``, ``left_semi`` or
+    ``left_anti``.  Output: the left columns, then (inner /
     left_outer) the right non-key columns; a null key part never
-    matches.
+    matches.  Each call notes ``join_plan`` ("broadcast"|"cogroup")
+    and ``join_right_bytes`` (None when ``right`` is lazy) in the run
+    record.
 
-    Both sides stay lazy.  A tag step bundles blocks (so a join,
-    groupby or filter output feeds straight in) and cuts each batch
-    into one Arrow IPC piece per bucket — :func:`_key_hash` of the keys
-    mod :func:`_partitions` of ``rows`` — one ``(_b, _side, _t)`` row
-    each, so both sides share one schema without knowing each other's
-    columns.  Every batch sends a piece, maybe empty, to EVERY bucket,
-    so each bucket sees both sides' schemas.  One sort shuffle on
-    ``_b`` with fixed boundaries co-groups the pieces, one partition
-    (and one output block) per bucket; per bucket only the keys plus
-    a row index enter the Arrow join, and the payload is ``take``n
-    after it, so any payload type (lists too) passes.
+    BROADCAST, when ``right`` is a ``MaterializedDataset`` of at most
+    ``routing.BROADCAST_MAX_BYTES`` or of zero rows (block metadata, no
+    job): its Arrow blocks are resolved once per worker process
+    (``_side_object``), and each left batch is joined to them
+    (:func:`_join_tables`) in a ``map_batches`` — no shuffle.  A
+    typed zero-row right side gives null payloads under left_outer.
+    A caller that wants this plan materializes its small side.
 
-    A side with zero rows sends no piece (Ray skips a UDF on an empty
-    block), so its columns are unknown: an empty left side gives an
-    empty, schema-less result, an empty right side an inner or semi
-    result with only the left columns, and left_outer raises.  Callers
-    that need a typed answer guard the zero-row case."""
-    from pyarrow import acero
+    CO-GROUP, otherwise; both sides stay lazy.  A tag step bundles
+    blocks (so a join, groupby or filter output feeds straight in) and
+    cuts each batch into one Arrow IPC piece per bucket —
+    :func:`_key_hash` of the keys mod :func:`_partitions` of ``rows``
+    — one ``(_b, _side, _t)`` row each, so both sides share one schema
+    without knowing each other's columns.  Every batch sends a piece,
+    maybe empty, to EVERY bucket, so each bucket sees both sides'
+    schemas.  One sort shuffle on ``_b`` with fixed boundaries
+    co-groups the pieces, one partition (and one output block) per
+    bucket, and :func:`_join_tables` joins each bucket.
+
+    A side with zero rows sends no piece to the co-group (Ray skips a
+    UDF on an empty block), so its columns are unknown: an empty left
+    side gives an empty, schema-less result, an empty right side an
+    inner or semi result with only the left columns, and left_outer
+    raises.  Callers that need a typed answer guard the zero-row case
+    or materialize the right side."""
+    from ray.data.dataset import MaterializedDataset
 
     def cols(c):
         return [c] if isinstance(c, str) else list(c)
@@ -150,6 +185,30 @@ def hash_join(left, right, on, join_type: str = "inner", right_on=None,
     rcols = cols(right_on) if right_on else lcols
     how = join_type.replace("_", " ")
     filtering = how in ("left semi", "left anti")
+    nbytes = (
+        right.size_bytes() if isinstance(right, MaterializedDataset) else None
+    )
+    broadcast = nbytes is not None and (
+        nbytes <= routing.BROADCAST_MAX_BYTES or right.count() == 0
+    )
+    trace.note(join_plan="broadcast" if broadcast else "cogroup",
+               join_right_bytes=nbytes)
+
+    if broadcast:
+        # the block refs, not a task-built table: a build task would
+        # need a worker process of its own while the probe waits on it
+        refs = right.to_arrow_refs()
+
+        def probe(t: pa.Table) -> pa.Table:
+            parts = [p for p in _side_object(refs) if p.num_columns]
+            rt = (
+                pa.concat_tables(parts, promote_options="permissive")
+                if parts else None
+            )
+            return _join_tables(t, rt, lcols, rcols, how)
+
+        return left.map_batches(probe, batch_format="pyarrow")
+
     buckets = _partitions(rows)
 
     def tag(t: pa.Table, side: int, keys) -> pa.Table:
@@ -176,41 +235,10 @@ def hash_join(left, right, on, join_type: str = "inner", right_on=None,
         return pa.concat_tables(parts, promote_options="permissive")
 
     def join(g: pa.Table) -> pa.Table:
-        lt, rt = side_table(g, 0), side_table(g, 1)
+        lt = side_table(g, 0)
         if lt is None:
             return pa.table({})
-        if rt is None:
-            if how == "left outer":
-                raise ValueError(
-                    "hash_join: left_outer against a zero-row right side,"
-                    " whose columns are unknown; guard the empty case"
-                )
-            rt = pa.table({r: lt[c][:0] for c, r in zip(lcols, rcols)})
-        idx = pa.table(
-            {**{c: lt[c] for c in lcols}, "_i": np.arange(lt.num_rows)}
-        )
-        rkeys = pa.table({
-            **{r: rt[r].cast(lt[c].type) for c, r in zip(lcols, rcols)},
-            "_j": np.arange(rt.num_rows),
-        })
-        pairs = acero.Declaration(
-            "hashjoin",
-            acero.HashJoinNodeOptions(
-                how, lcols, rcols, left_output=["_i"],
-                right_output=[] if filtering else ["_j"],
-            ),
-            inputs=[
-                acero.Declaration("table_source",
-                                  acero.TableSourceNodeOptions(x))
-                for x in (idx, rkeys)
-            ],
-        ).to_table()
-        pairs = pairs.sort_by([(c, "ascending") for c in pairs.column_names])
-        out = lt.take(pairs["_i"])
-        for name in [] if filtering else rt.column_names:
-            if name not in rcols:
-                out = out.append_column(name, rt[name].take(pairs["_j"]))
-        return out
+        return _join_tables(lt, side_table(g, 1), lcols, rcols, how)
 
     def tagged(ds, side: int, keys):
         return ds.map_batches(
@@ -325,7 +353,6 @@ def _bloom_split(left, right, cols, num_bits: int, num_hashes: int):
     holds the ObjectRef, and is read once per filter task.  No false
     negatives, so ``num_bits`` is purely a perf knob."""
     from rex_ray.functions.hashing import IntBloomFilter
-    from rex_ray.stages.dedup import _side_object, _worker_built_ref
 
     def hashed_distinct(t: pa.Table) -> pa.Table:
         d = t.group_by(cols).aggregate([])
@@ -363,10 +390,11 @@ def bloom_semi_join(left, right, on: str, num_bits: int = 1 << 20,
     prefilter: the left side is filtered against a bitmap of the right
     keys BEFORE the exact verify, so only candidate rows (true matches
     + the Bloom false-positive sliver) enter the exact
-    :func:`hash_join` (:func:`_bloom_split`).  Every right key is
-    still shuffled once, distinct per batch, so a call costs
-    O(candidates + right keys).  A left row with a null key never
-    matches.  Reference analog: the in-memory id-probe joins of
+    :func:`hash_join` (:func:`_bloom_split`).  The materialized right
+    keys, distinct per batch, take the join's broadcast plan while they
+    fit ``routing.BROADCAST_MAX_BYTES``; above it every right key is
+    shuffled once, so a call costs O(candidates + right keys).  A left
+    row with a null key never matches.  Reference analog: the in-memory id-probe joins of
     data/IPRE/convert.py:12-20, made scale-safe.
     """
     import ray.data as rd
@@ -419,9 +447,11 @@ def bloom_anti_join(left, right, on, num_bits: int = 1 << 20,
     "append only what the store doesn't already hold" updates
     (reference analog: the dict-membership skip of
     data/EncyclopediaDS/convert.py:27-46, made distributed and exact).
-    The right side is not filtered: every right key is shuffled once,
-    distinct per batch, so an append costs O(delta + store keys), not
-    O(delta).  A left row with a null key part is always kept.
+    The right side is not filtered: its keys, distinct per batch, are
+    broadcast while they fit ``routing.BROADCAST_MAX_BYTES``; above it
+    every right key is shuffled once, so an append costs O(delta +
+    store keys), not O(delta).  A left row with a null key part is
+    always kept.
 
     ``on`` may be one column or a list (composite keys are FNV-hashed
     to int64 for the Bloom probe and the routing only; the exact verify

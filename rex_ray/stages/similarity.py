@@ -261,7 +261,7 @@ class _KMeansPartials:
         self.cent_ref = cent_ref
 
     def __call__(self, batch: pd.DataFrame) -> pa.Table:
-        from rex_ray.stages.dedup import _side_object
+        from rex_ray.functions.blocks import _side_object
 
         C = _side_object(self.cent_ref)
         X = quantize_grid(batch["embedding"])
@@ -285,7 +285,7 @@ class _KMeansPartials:
 def kmeans_fit(emb_ds, k: int = 8, iters: int = 2, id_col: str = "vec_id"):
     """k x dim int64 centroid matrix after ``iters`` Lloyd updates,
     seeded by the grid vectors of ids 0..k-1."""
-    from rex_ray.stages.dedup import _worker_built_ref
+    from rex_ray.functions.blocks import _worker_built_ref
 
     seeds = (
         _filter_ids(emb_ds, id_col, list(range(k)))
@@ -332,7 +332,7 @@ def kmeans_assign(emb_ds, C: np.ndarray, id_col: str = "vec_id"):
     ref = ray.put(C)
 
     def fn(batch: pd.DataFrame, _ref=ref) -> pa.Table:
-        from rex_ray.stages.dedup import _side_object
+        from rex_ray.functions.blocks import _side_object
 
         Cc = _side_object(_ref)
         X = quantize_grid(batch["embedding"])

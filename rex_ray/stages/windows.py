@@ -221,7 +221,7 @@ def interval_join_events(
     """
     from ray.data.aggregate import Count, Sum
 
-    from rex_ray.stages.dedup import _side_object, _worker_built_ref
+    from rex_ray.functions.blocks import _side_object, _worker_built_ref
 
     def cohort_filter(t: pa.Table) -> pa.Table:
         uid = t["user_id"].to_numpy(zero_copy_only=False)

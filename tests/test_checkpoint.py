@@ -35,10 +35,17 @@ def test_plan_id_ranges_covers_all_rows(tmp_path):
 
 
 def test_resumable_flagship_equals_single_shot(tmp_path):
+    from rex_ray import trace
     from rex_ray.pipelines import kg
 
     out = str(tmp_path / "ckpt")
-    merged, lineage = kg.run_flagship_resumable(SF, out, num_partitions=4)
+    with trace.run() as rec:
+        merged, lineage = kg.run_flagship_resumable(
+            SF, out, num_partitions=4
+        )
+    # the link's joins, the only joins of the run, broadcast the map
+    assert rec["join_plan"] == "broadcast"
+    assert 0 < rec["join_right_bytes"] < 1 << 20
     got = _sorted(merged.to_pandas())
     want = _sorted(kg.run_flagship(SF).to_pandas())
     pd.testing.assert_frame_equal(got, want)

@@ -166,13 +166,21 @@ def test_cc_label_propagation_zero_edges(ray_session):
     assert got == {"a": "a", "b": "b", "c": "c"}
 
 
-def test_link_triples_via_join_empty_map_all_nil(ray_session):
-    """Empty canonical map: every surface links NIL (regression: the
-    empty right join side lost its schema and aborted)."""
+LINK_PLANS = pytest.mark.parametrize(
+    "bound", [0, 1 << 40], ids=["cogroup", "broadcast"]
+)
+
+
+@LINK_PLANS
+def test_link_triples_empty_map_all_nil(ray_session, monkeypatch, bound):
+    """Empty canonical map: every surface links NIL.  A materialized
+    zero-row map takes the broadcast plan under either bound."""
     import ray.data as rd
 
+    from rex_ray.functions import routing
     from rex_ray.stages import link as L
 
+    monkeypatch.setattr(routing, "BROADCAST_MAX_BYTES", bound)
     tri = rd.from_pandas(
         pd.DataFrame(
             {"doc_id": [1], "subj": ["x"], "pred": ["p"],
@@ -185,19 +193,25 @@ def test_link_triples_via_join_empty_map_all_nil(ray_session):
              "canonical": pd.Series([], dtype=str)}
         )
     )
-    out = L.link_triples_via_join(tri, empty_map).to_pandas()
-    assert out[["subj_id", "obj_id"]].values.tolist() == [
-        ["nil:x", "nil:y"]
-    ]
+    for canonical in ({}, empty_map):
+        out = L.link_triples(tri, canonical).to_pandas()
+        assert out[["subj_id", "obj_id"]].values.tolist() == [
+            ["nil:x", "nil:y"]
+        ]
 
 
-def test_link_triples_via_join_matches_broadcast(ray_session):
-    """The distributed-join linker (map too big to broadcast) is
-    byte-identical to the broadcast-dict linker, NIL fills included."""
+@LINK_PLANS
+def test_link_triples_matches_in_process_linker(ray_session, monkeypatch,
+                                                bound):
+    """``link_triples`` over a dict or a (node, canonical) Dataset, under
+    either join plan, is byte-identical to the in-process
+    ``CanonicalLinker``, NIL fills and column order included."""
     import ray.data as rd
 
+    from rex_ray.functions import routing
     from rex_ray.stages import link as L
 
+    monkeypatch.setattr(routing, "BROADCAST_MAX_BYTES", bound)
     triples = pd.DataFrame(
         {
             "doc_id": [1, 2, 3, 4],
@@ -208,23 +222,18 @@ def test_link_triples_via_join_matches_broadcast(ray_session):
         }
     )
     cmap = {"join": "ent:join", "sort": "ent:order"}
-    want = (
-        L.link_triples(rd.from_pandas(triples), cmap)
-        .to_pandas()
-        .sort_values(["doc_id"], ignore_index=True)
-    )
+    want = CanonicalLinker(cmap)(triples).to_pandas()
     map_ds = rd.from_pandas(
         pd.DataFrame(
             {"node": list(cmap), "canonical": [cmap[k] for k in cmap]}
         )
     )
-    got = (
-        L.link_triples_via_join(rd.from_pandas(triples), map_ds)
-        .to_pandas()
-        .sort_values(["doc_id"], ignore_index=True)
-    )
-    cols = ["doc_id", "subj", "pred", "obj", "score", "subj_id", "obj_id"]
-    pd.testing.assert_frame_equal(got[cols], want[cols])
+    for canonical in (cmap, map_ds):
+        with trace.run() as rec:
+            out = L.link_triples(rd.from_pandas(triples), canonical)
+        assert rec["join_plan"] == ("cogroup" if bound == 0 else "broadcast")
+        got = out.to_pandas().sort_values(["doc_id"], ignore_index=True)
+        pd.testing.assert_frame_equal(got, want)
 
 
 def test_linker_nil_handling():

@@ -59,8 +59,12 @@ def test_triple_store_route_out_and_enclosing_run_see_the_same_facts():
     assert route == outer
     assert set(route) == {
         "canonical_route", "n_surfaces", "sliver_engine", "n_touched",
+        "join_plan", "join_right_bytes",
     }
     assert route["canonical_route"] == "lp"
+    # the label-propagation map is materialized and small: the link
+    # broadcasts it
+    assert route["join_plan"] == "broadcast"
     assert route["n_surfaces"] == 3
     # no surface is an alias-graph endpoint: the sliver is empty
     assert (route["n_touched"], route["sliver_engine"]) == (0, "none")
