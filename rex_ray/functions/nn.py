@@ -113,6 +113,43 @@ def piecewise_max_pool(
     return np.concatenate(pooled, axis=1)
 
 
+def relative_position_conv(
+    pos_emb: np.ndarray, w: np.ndarray, L: int
+) -> np.ndarray:
+    """The share of a same-padding conv that a relative-position
+    channel contributes, for every anchor at once: pos_emb (>= L, d),
+    w (filters, k, d) -> (L, L, filters), row ``p`` being
+    ``conv1d_same(pos_emb[|i - p|] for i in range(L), w)``.
+
+    The conv is linear in its input channels, so a PCNN conv over
+    [token ++ subject-position ++ object-position] embeddings is the
+    token channels' conv plus two rows of this table (anchored at the
+    pair's subject and object); the zero padding at the window//2 edge
+    positions is inside the table, for any odd k."""
+    idx = np.arange(L)
+    return conv1d_same(pos_emb[np.abs(idx[None, :] - idx[:, None])], w)
+
+
+def segment_max_pool(
+    conv: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> np.ndarray:
+    """PCNN piecewise pooling by segment bounds: max over positions
+    [0, lo), [lo, hi) and [hi, L) of each row, concatenated — conv
+    (n, L, f), lo/hi (n,) -> (n, 3f).  Positions that belong to no
+    segment (padding) must already hold -inf in ``conv``; a segment
+    with no finite value pools to 0, as in :func:`piecewise_max_pool`.
+    Each segment is one add of a (n, L, 1) 0/-inf bias and one max over
+    the sequence axis."""
+    idx = np.arange(conv.shape[1])[None, :]
+    lo, hi = lo[:, None], hi[:, None]
+    pooled = []
+    for inside in (idx < lo, (idx >= lo) & (idx < hi), idx >= hi):
+        bias = np.where(inside, 0.0, -np.inf).astype(conv.dtype)
+        mx = (conv + bias[:, :, None]).max(axis=1)
+        pooled.append(np.where(np.isfinite(mx), mx, 0.0))
+    return np.concatenate(pooled, axis=1)
+
+
 def multi_kernel_cnn(
     x: np.ndarray, kernels: Sequence[Layer]
 ) -> np.ndarray:

@@ -23,11 +23,13 @@ scale the surfaces are pulled to build a dict, above
 propagation — and both maps are linked by one join-based
 :func:`link.link_triples`.  The resumable runners share one slice
 runner (:func:`_resumable_slice`) that persists the driver-route dict
-as a per-epoch artifact and links every partition against it.
+as a per-epoch artifact, builds its map Dataset once and links every
+partition against it.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, Optional
 
 from rex_ray import trace
@@ -228,11 +230,15 @@ def _resumable_slice(sf_dir, out_dir, parts_dir, bucket_lo, bucket_hi,
         ),
     )
 
+    # the map Dataset is built on the first partition that runs, and
+    # not at all on a resume that skips every partition
+    link_map = functools.lru_cache(None)(lambda: link.canonical_map(canonical))
+
     def stage(docs_ds):
         triples = extract.extract_triples(
             text_slice(docs_ds), min_score=min_score
         )
-        return agg.dedup_triple_store(link.link_triples(triples, canonical))
+        return agg.dedup_triple_store(link.link_triples(triples, link_map()))
 
     parts = ckpt.plan_id_ranges(path, "doc_id", num_partitions)
     lineage = ckpt.run_resumable(parts, stage, parts_dir)

@@ -83,6 +83,15 @@ def _explode_tokens(batch: pd.DataFrame) -> pd.DataFrame:
     return ex.reset_index(drop=True)
 
 
+def split_tokens(t: pa.Table) -> pa.ListArray:
+    """``t["text"]`` split on single spaces: one token list per row
+    (null for null text) — the one tokenization of the Arrow stages."""
+    text = t["text"].combine_chunks()
+    if pa.types.is_null(text.type):  # an all-None pandas column
+        text = text.cast(pa.string())
+    return pc.split_pattern(text, " ")
+
+
 class MentionExtractor:
     """Gazetteer mention detector: token == surface -> mention row
     (doc_id, pos, surface, ent_type), span = [pos, pos+1)."""
@@ -94,7 +103,7 @@ class MentionExtractor:
 
     def __call__(self, batch) -> pa.Table:
         t = as_arrow(batch)
-        row, pos, gi = self.locate(t)
+        row, pos, gi = self.locate(split_tokens(t))
         doc_t = _doc_id_type(t["doc_id"])
         return pa.Table.from_arrays(
             [
@@ -106,15 +115,11 @@ class MentionExtractor:
             schema=_mentions_schema(doc_t),
         )
 
-    def locate(self, t: pa.Table) -> Tuple[np.ndarray, ...]:
-        """Every gazetteer token of ``t["text"]`` (split on single
-        spaces) as three int64 arrays in (row, pos) order: its batch
+    def locate(self, toks: pa.ListArray) -> Tuple[np.ndarray, ...]:
+        """Every gazetteer token of ``toks`` (:func:`split_tokens` of a
+        batch) as three int64 arrays in (row, pos) order: its batch
         row, its token position and its gazetteer index.  Null text
         has no tokens."""
-        text = t["text"].combine_chunks()
-        if pa.types.is_null(text.type):  # an all-None pandas column
-            text = text.cast(pa.string())
-        toks = pc.split_pattern(text, " ")
         n_tok = pc.list_value_length(toks).fill_null(0).to_numpy()
         ends = np.cumsum(n_tok)
         hit = pc.index_in(toks.flatten(), value_set=self.surfaces)
@@ -165,12 +170,15 @@ class TripleExtractor:
 
     def __call__(self, batch) -> pa.Table:
         t = as_arrow(batch)
-        return self.triples(t, self._mentions.locate(t))
+        located = self._mentions.locate(split_tokens(t))
+        return self.triples(t, located, self.pairs(located))
 
-    def triples(self, t: pa.Table, located) -> pa.Table:
+    def pairs(self, located) -> Tuple[np.ndarray, ...]:
         """Windowed pair fan-out over ``located`` (the
-        :meth:`MentionExtractor.locate` of the same batch ``t``)."""
-        row, pos, gi = located
+        :meth:`MentionExtractor.locate` of a batch): the head and tail
+        mention index of every pair, in (doc row, subj_pos, obj_pos)
+        order, and its score."""
+        row, pos, _ = located
         heads, tails = [], []
         for k in range(1, self.window + 1):
             h = np.arange(len(row) - k)
@@ -183,7 +191,14 @@ class TripleExtractor:
         keep = np.lexsort((tl, h))
         if self.min_score > 0.0:
             keep = keep[score[keep] >= self.min_score]
-        h, tl, score = h[keep], tl[keep], score[keep]
+        return h[keep], tl[keep], score[keep]
+
+    def triples(self, t: pa.Table, located, pairs) -> pa.Table:
+        """The triple rows of ``pairs`` (:meth:`pairs`, or a subset of
+        it) over ``located`` (the :meth:`MentionExtractor.locate` of the
+        same batch ``t``)."""
+        row, pos, gi = located
+        h, tl, score = pairs
         surfaces, types = self._mentions.surfaces, self._mentions.types
         subj, obj = surfaces.take(gi[h]), surfaces.take(gi[tl])
         code = self._gaz_code
@@ -319,8 +334,8 @@ def extract_triples_and_surfaces(
                     _GAZ_EXTRACTOR_CACHE.pop(
                         next(iter(_GAZ_EXTRACTOR_CACHE))
                     )
-        located = ex._mentions.locate(batch)
-        triples = ex.triples(batch, located)
+        located = ex._mentions.locate(split_tokens(batch))
+        triples = ex.triples(batch, located, ex.pairs(located))
         n_t = triples.num_rows
         surfaces = pc.unique(ex._mentions.surfaces.take(located[2]))
         kind = pa.array(["t"] * n_t + ["s"] * len(surfaces), pa.string())

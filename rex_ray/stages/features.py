@@ -8,6 +8,14 @@ and tail, and the (here deterministic) relation label.  Pairs whose
 head or tail lies beyond ``max_seq_len`` are dropped — the reference's
 truncation filter (sent_re.py:44-48).
 
+The rows are built from a FACTORED form (:class:`DocPairs`): the
+extractor's own Arrow tokenization of the batch gives each pair's
+positions and each referenced document's token ids, once per document
+rather than once per pair.  The fused PCNN scorer consumes that form
+directly; :meth:`PairFeaturizer.__call__` expands it to the per-pair
+rows above for the feature-row consumers (BiLSTM, the rule twin,
+``kg_feature_rows``).
+
 The Vocab is SMALL-SIDE state: built once from the corpus distinct
 tokens (one tiny aggregate) and resolved per actor from a broadcast
 ref, mirroring how the reference loads its pretrained vocab once.
@@ -15,15 +23,19 @@ ref, mirroring how the reference loads its pretrained vocab once.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray
 
-from rex_ray.functions.blocks import arrow_block, default_concurrency
+from rex_ray.functions.blocks import (
+    as_arrow,
+    default_concurrency,
+    fixed_list_column,
+)
 from rex_ray.functions.mask import piecewise_mask_batch
 from rex_ray.functions.position import relative_positions_matrix
 from rex_ray.pipelines import spec
@@ -67,11 +79,27 @@ def build_corpus_vocab(docs_ds) -> Vocab:
     return Vocab(distinct_corpus_tokens(docs_ds))
 
 
+class DocPairs(NamedTuple):
+    """A batch's candidate pairs in factored form: every pair's scalars
+    once (``pairs``: doc_id, pair_key, subj_pos, obj_pos, label_id,
+    n_real_tokens) and every referenced document's token ids once
+    (``token_ids`` (D, L) int32 padded with the pad id, ``n_real``
+    (D,) its real-token count); ``doc_row`` (n,) is each pair's row in
+    ``token_ids``.  A document's ~56 pairs share one row of tokens."""
+
+    pairs: pa.Table
+    token_ids: np.ndarray
+    n_real: np.ndarray
+    doc_row: np.ndarray
+
+
 class PairFeaturizer:
     """(doc_id, text) batches -> one feature row per valid pair.
 
-    Output columns: doc_id, subj_pos, obj_pos, label_id, n_real_tokens,
-    token_ids (list<int32>), mask, pmask, rel_pos_subj, rel_pos_obj.
+    Output columns: doc_id, pair_key, subj_pos, obj_pos, label_id,
+    n_real_tokens, token_ids (list<int32>), mask, pmask, rel_pos_subj,
+    rel_pos_obj.  :meth:`doc_pairs` is the same batch in factored form,
+    which the PCNN scorer consumes without expanding it.
     """
 
     def __init__(self, vocab_ref, max_seq_len: int = MAX_SEQ_LEN):
@@ -85,61 +113,72 @@ class PairFeaturizer:
         from rex_ray.stages.extract import TripleExtractor
 
         self._extract = TripleExtractor()
+        # token id = index in id2token; label id = index in id2label
+        self._tokens = pa.array(self.vocab.id2token, pa.string())
+        self._label_names = pa.array(self.labels.id2label, pa.string())
 
-    def __call__(self, batch: pd.DataFrame) -> pa.Table:
-        from rex_ray.stages.extract import _doc_id_type
+    def doc_pairs(self, batch) -> DocPairs:
+        """Pairs with head and tail inside ``max_seq_len``, from the
+        extractor's own tokenization of the batch (no second split)."""
+        from rex_ray.stages.extract import split_tokens
 
         L = self.max_seq_len
-        schema = _feature_schema(L, _doc_id_type(batch["doc_id"]))
-        pairs = self._extract(batch).to_pandas()
-        pairs = pairs[
-            (pairs["subj_pos"] < L) & (pairs["obj_pos"] < L)
-        ].reset_index(drop=True)
-        if len(pairs) == 0:
-            # a batch with no candidate pairs must still emit a block
-            # with the full output schema (empty object arrays would
-            # otherwise crash the fancy-index below and produce
-            # null-typed columns)
-            return schema.empty_table()
+        t = as_arrow(batch)
+        toks = split_tokens(t)
+        ex = self._extract
+        located = ex._mentions.locate(toks)
+        h, tl, score = ex.pairs(located)
+        row, pos, _ = located
+        keep = (pos[h] < L) & (pos[tl] < L)
+        h, tl = h[keep], tl[keep]
+        tri = ex.triples(t, located, (h, tl, score[keep]))
+        docs, doc_row = np.unique(row[h], return_inverse=True)
+        # the first L tokens of each referenced doc, as vocab ids
+        heads = pc.list_slice(toks.take(docs), 0, L)
+        n_real = pc.list_value_length(heads).to_numpy().astype(np.int64)
+        ids = np.full((len(docs), L), self.vocab.pad_id, dtype=np.int32)
+        flat = pc.index_in(pc.list_flatten(heads), value_set=self._tokens)
+        ends = np.cumsum(n_real)
+        at = np.arange(ends[-1] if len(ends) else 0)
+        r = np.repeat(np.arange(len(docs)), n_real)
+        ids[r, at - (ends - n_real)[r]] = (
+            flat.fill_null(self.vocab.unk_id).to_numpy()
+        )
+        label_id = pc.index_in(tri["pred"], value_set=self._label_names)
+        pairs = pa.table(
+            {
+                "doc_id": tri["doc_id"],
+                "pair_key": tri["pair_key"],
+                "subj_pos": tri["subj_pos"],
+                "obj_pos": tri["obj_pos"],
+                "label_id": label_id.cast(pa.int64()),
+                "n_real_tokens": pa.array(n_real[doc_row], pa.int64()),
+            }
+        )
+        return DocPairs(pairs, ids, n_real, doc_row)
 
-        texts = dict(zip(batch["doc_id"], batch["text"]))
-        # encode each referenced doc once, not once per pair
-        doc_ids = pairs["doc_id"].unique()
-        tok_lists = [texts[d].split(" ") for d in doc_ids]
-        ids_mat, mask_mat = self.vocab.encode_batch(tok_lists, L)
-        row_of_doc = {d: i for i, d in enumerate(doc_ids)}
-        sel = pairs["doc_id"].map(row_of_doc).to_numpy()
-
-        sp = pairs["subj_pos"].to_numpy()
-        op = pairs["obj_pos"].to_numpy()
-        n_real = mask_mat[sel].sum(axis=1).astype(np.int64)
-        pmask = piecewise_mask_batch(sp, op, n_real, L)
-        from rex_ray.functions.blocks import fixed_list_column
-
+    def __call__(self, batch) -> pa.Table:
+        """:meth:`doc_pairs` expanded to one fixed-shape row per pair."""
+        dp = self.doc_pairs(batch)
+        L = self.max_seq_len
+        p = dp.pairs
+        schema = _feature_schema(L, p.schema.field("doc_id").type)
+        sp = p["subj_pos"].to_numpy()
+        op = p["obj_pos"].to_numpy()
+        n_real = dp.n_real[dp.doc_row]
+        mask = (np.arange(L)[None, :] < n_real[:, None]).astype(np.int8)
         # fixed-shape tensors go into Arrow FixedSizeList columns built
         # from the raveled buffers — no per-row Python, zero-copy reads
         # in the scorer (measured ~20x vs object-list columns)
-        scalars = arrow_block(
-            pd.DataFrame(
-                {
-                    "doc_id": pairs["doc_id"],
-                    "pair_key": pairs["pair_key"],
-                    "subj_pos": sp,
-                    "obj_pos": op,
-                    "label_id": self.labels.encode(list(pairs["pred"])),
-                    "n_real_tokens": n_real,
-                }
-            )
-        )
         for name, mat in (
-            ("token_ids", ids_mat[sel].astype(np.int32)),
-            ("mask", mask_mat[sel].astype(np.int8)),
-            ("pmask", pmask),
+            ("token_ids", dp.token_ids[dp.doc_row]),
+            ("mask", mask),
+            ("pmask", piecewise_mask_batch(sp, op, n_real, L)),
             ("rel_pos_subj", relative_positions_matrix(sp, L).astype(np.int32)),
             ("rel_pos_obj", relative_positions_matrix(op, L).astype(np.int32)),
         ):
-            scalars = scalars.append_column(name, fixed_list_column(mat))
-        return scalars.cast(schema)
+            p = p.append_column(name, fixed_list_column(mat))
+        return p.cast(schema)
 
 
 def featurize(docs_ds, vocab: Optional[Vocab] = None, **kwargs):
@@ -149,7 +188,7 @@ def featurize(docs_ds, vocab: Optional[Vocab] = None, **kwargs):
     return docs_ds.map_batches(
         PairFeaturizer,
         fn_constructor_kwargs={"vocab_ref": ref},
-        batch_format="pandas",
+        batch_format="pyarrow",
         concurrency=kwargs.pop("concurrency", None) or default_concurrency(),
         **kwargs,
     )

@@ -162,6 +162,19 @@ class EmbeddingDisambiguator:
         return out
 
 
+def canonical_map(canonical: Dict[str, str]):
+    """A surface -> id dict as the materialized (node, canonical) map
+    Dataset that :func:`link_triples` joins against.  Building it runs
+    a Ray metadata task, so a caller that links many partitions against
+    one dict builds it once and passes the Dataset."""
+    import ray.data as rd
+
+    return rd.from_arrow(pa.table({
+        "node": pa.array(list(canonical), pa.string()),
+        "canonical": pa.array(list(canonical.values()), pa.string()),
+    }))
+
+
 def link_triples(triples_ds, canonical, rows: Optional[int] = None):
     """Scored triples -> triples with ``subj_id`` / ``obj_id`` columns.
 
@@ -176,13 +189,8 @@ def link_triples(triples_ds, canonical, rows: Optional[int] = None):
     buckets' worth — pass an upper bound on the triple rows (e.g. a
     metadata ``count()`` of the materialized upstream), so a huge
     triple stream is not funneled through map-sized buckets."""
-    import ray.data as rd
-
     if isinstance(canonical, dict):
-        canonical = rd.from_arrow(pa.table({
-            "node": pa.array(list(canonical), pa.string()),
-            "canonical": pa.array(list(canonical.values()), pa.string()),
-        }))
+        canonical = canonical_map(canonical)
     m = canonical.materialize()
     out = triples_ds
     for side in ("subj", "obj"):

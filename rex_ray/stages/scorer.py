@@ -1,14 +1,17 @@
 """PCNN-style relation scorer + bag (distant-supervision) reduces.
 
 The hot inference stage of the north star: a relation classifier with
-position embeddings hosted in an actor pool, consuming feature rows in
-zero-copy Arrow batches.  Semantics re-derive the reference models:
+position embeddings hosted in an actor pool, fused with the featurizer
+so the feature tensors never leave the actor.  Semantics re-derive the
+reference models:
 
 * SentPCNN (rex/models/sent_pcnn.py:11-55 + rex/modules/pcnn.py:9-55):
   token embedding ++ two relative-position embeddings -> width-3
   convolution -> PIECEWISE max-pool over the 3 segments of the
   (before-head, between, after-tail) mask -> tanh -> dense -> sigmoid
-  multi-label scores.
+  multi-label scores.  The forward is FACTORIZED: the conv is linear,
+  so its token part runs once per document and its two position parts
+  are rows of per-actor tables; only the pooling runs per pair.
 * PCNNOne  (rex/models/bag_pcnn.py:60-88): bag label from its
   highest-scoring member — per-relation max over members, which is
   ASSOCIATIVE, so it runs as a partial-aggregate + Max shuffle.
@@ -76,11 +79,36 @@ class PcnnWeights:
         self.n_rels = n_rels
 
 
-class PcnnScorer:
-    """Feature-row batches -> per-relation sigmoid scores.
+def _scored(pairs: pa.Table, scores: np.ndarray) -> pa.Table:
+    """Pair scalars + (n, n_rels) scores -> the scored-pair rows both
+    scorers emit (a typed 0-row table for no pairs)."""
+    pred_id = scores.argmax(axis=1)
+    out = pairs.select(["doc_id", "pair_key", "subj_pos", "obj_pos", "label_id"])
+    out = out.append_column(
+        "scores", fixed_list_column(scores.astype(np.float32))
+    )
+    out = out.append_column("pred_id", pa.array(pred_id.astype(np.int64)))
+    return out.append_column(
+        "pred_score",
+        pa.array(scores[np.arange(len(scores)), pred_id].astype(np.float64)),
+    )
 
-    Weights resolved ONCE per actor from the broadcast ref; forward is
-    fully vectorized numpy over the whole batch (no per-row loops)."""
+
+class PcnnScorer:
+    """Pairs -> per-relation sigmoid scores, one factorized forward.
+
+    Weights resolved ONCE per actor from the broadcast ref.  The conv
+    over [token ++ subject-position ++ object-position] embeddings is
+    linear, so it runs as three parts: the token channels' conv once
+    per DOCUMENT (all of a document's pairs share it), plus a row of a
+    per-actor (L, L, f) table for each position channel
+    (:func:`nn.relative_position_conv`, anchored at the pair's
+    subject / object).  A document's padding positions are -inf in its
+    token conv, so each pair's piecewise pooling is one bias-add + max
+    per segment (:func:`nn.segment_max_pool`).  Entry points: feature
+    rows (:meth:`__call__`, identical token rows grouped back into
+    documents) and the featurizer's factored form
+    (:meth:`score_doc_pairs`, the fused actor's path)."""
 
     def __init__(self, weights_ref):
         self.w: PcnnWeights = (
@@ -89,57 +117,68 @@ class PcnnScorer:
             else weights_ref
         )
         self.labels = relation_label_encoder()
+        self._pos_tables = {}  # L -> (subject, object) (L, L, f) tables
+
+    def _positions(self, L: int):
+        if L not in self._pos_tables:
+            w = self.w
+            dt, dp = w.emb.shape[1], w.pos_subj.shape[1]
+            self._pos_tables[L] = (
+                nn.relative_position_conv(
+                    w.pos_subj, w.conv_w[:, :, dt : dt + dp], L),
+                nn.relative_position_conv(
+                    w.pos_obj, w.conv_w[:, :, dt + dp :], L),
+            )
+        return self._pos_tables[L]
 
     def _forward(
         self,
-        ids: np.ndarray,       # (n, L) int
-        rel_s: np.ndarray,     # (n, L) int
-        rel_o: np.ndarray,     # (n, L) int
-        pmask: np.ndarray,     # (n, L) int8 in {0,1,2,3}
+        ids: np.ndarray,       # (D, L) int token ids, one row per doc
+        n_real: np.ndarray,    # (D,) real (non-pad) tokens per doc
+        doc_row: np.ndarray,   # (n,) each pair's row in ids
+        subj_pos: np.ndarray,  # (n,) int, < n_real of its doc
+        obj_pos: np.ndarray,   # (n,) int, < n_real of its doc
     ) -> np.ndarray:
         w = self.w
-        x = np.concatenate(
-            [w.emb[ids], w.pos_subj[rel_s], w.pos_obj[rel_o]], axis=2
-        )  # (n, L, d_in) float32
-        conv = nn.conv1d_same(x, w.conv_w, w.conv_b)  # (n, L, f)
-        # piecewise max-pool over segments 1/2/3 (0 = padding)
-        rep = np.tanh(nn.piecewise_max_pool(conv, pmask))  # (n, 3f)
-        logits = nn.linear(rep, w.dense_w, w.dense_b)
+        L = ids.shape[1]
+        tok = nn.conv1d_same(w.emb[ids], w.conv_w[:, :, : w.emb.shape[1]],
+                             w.conv_b)  # (D, L, f) float32
+        tok[np.arange(L)[None, :] >= n_real[:, None]] = -np.inf
+        ps, po = self._positions(L)
+        lo = np.minimum(subj_pos, obj_pos)
+        hi = np.maximum(subj_pos, obj_pos)
+        reps = []
+        # 64 pairs at a time keep each (64, L, f) float32 conv at
+        # 512 KiB (L=64, f=32), well inside a 2 MiB L2; on a 5.6k-pair
+        # batch (Xeon, AVX-512) the pair loop took a median 59-61 ms at
+        # 32-64 pairs, 64-67 ms at 128-512, 80 ms at 1024, 96 ms unchunked
+        for i in range(0, len(doc_row), 64):
+            c = slice(i, i + 64)
+            conv = tok[doc_row[c]] + ps[subj_pos[c]]
+            conv += po[obj_pos[c]]
+            reps.append(nn.segment_max_pool(conv, lo[c], hi[c]))
+        rep = (np.concatenate(reps) if reps
+               else np.zeros((0, 3 * w.n_filters), np.float32))
+        logits = nn.linear(np.tanh(rep), w.dense_w, w.dense_b)
         return 1.0 / (1.0 + np.exp(-logits))
 
+    def score_doc_pairs(self, dp) -> pa.Table:
+        """A :class:`features.DocPairs` batch -> scored pair rows."""
+        p = dp.pairs
+        return _scored(p, self._forward(
+            dp.token_ids, dp.n_real, dp.doc_row,
+            p["subj_pos"].to_numpy(), p["obj_pos"].to_numpy()))
+
     def __call__(self, batch: pa.Table) -> pa.Table:
+        """Feature rows -> scored pair rows: rows with equal
+        (token_ids, n_real_tokens) are one document's pairs."""
         ids = matrix_from_column(batch, "token_ids")
-        rel_s = matrix_from_column(batch, "rel_pos_subj")
-        rel_o = matrix_from_column(batch, "rel_pos_obj")
-        pmask = matrix_from_column(batch, "pmask")
-        # chunk the forward: the conv intermediate is (n, L, 3, d_in)
-        # float64 — beyond ~1k rows it spills CPU cache and goes
-        # superlinear (measured 0.19s @ 1024 rows vs 258s @ 18k rows)
-        chunks = [
-            self._forward(
-                ids[i : i + 1024], rel_s[i : i + 1024],
-                rel_o[i : i + 1024], pmask[i : i + 1024],
-            )
-            for i in range(0, len(ids), 1024)
-        ]
-        scores = (
-            np.concatenate(chunks, axis=0)
-            if chunks
-            else np.zeros((0, self.w.n_rels))
-        )
-        pred_id = scores.argmax(axis=1)
-        out = batch.select(["doc_id", "pair_key", "subj_pos", "obj_pos", "label_id"])
-        out = out.append_column(
-            "scores", fixed_list_column(scores.astype(np.float32))
-        )
-        out = out.append_column(
-            "pred_id", pa.array(pred_id.astype(np.int64))
-        )
-        out = out.append_column(
-            "pred_score",
-            pa.array(scores[np.arange(len(scores)), pred_id].astype(np.float64)),
-        )
-        return out
+        n_real = batch["n_real_tokens"].to_numpy()
+        docs, doc_row = np.unique(
+            np.column_stack([ids, n_real]), axis=0, return_inverse=True)
+        return _scored(batch, self._forward(
+            docs[:, :-1], docs[:, -1], doc_row.reshape(-1),
+            batch["subj_pos"].to_numpy(), batch["obj_pos"].to_numpy()))
 
 
 def score_pairs(feature_ds, weights: Optional[PcnnWeights] = None,
@@ -164,7 +203,10 @@ class FeaturizeAndScore:
     text size) live only inside the actor; they never enter the object
     store.  Separate featurize -> score actor pools move every tensor
     block through plasma and pay cross-operator backpressure (measured
-    111 s vs 12 s for the fused stage on 289k pairs at sf0.1)."""
+    111 s vs 12 s for the fused stage on 289k pairs at sf0.1).  A PCNN
+    scorer takes the featurizer's factored form (one token row per
+    document); a scorer without :meth:`PcnnScorer.score_doc_pairs`
+    takes the expanded per-pair rows."""
 
     def __init__(self, vocab_ref, weights_ref, scorer_cls=None):
         from rex_ray.stages.features import PairFeaturizer
@@ -173,8 +215,10 @@ class FeaturizeAndScore:
         cls = scorer_cls or PcnnScorer
         self.score = cls(weights_ref)
 
-    def __call__(self, batch: pd.DataFrame) -> pa.Table:
-        return self.score(self.featurize(batch))  # empty-safe
+    def __call__(self, batch) -> pa.Table:
+        if hasattr(self.score, "score_doc_pairs"):  # factorized PCNN
+            return self.score.score_doc_pairs(self.featurize.doc_pairs(batch))
+        return self.score(self.featurize(batch))  # per-pair rows
 
 
 def score_docs(docs_ds, vocab=None, weights=None,
@@ -207,7 +251,7 @@ def score_docs(docs_ds, vocab=None, weights=None,
         fn_constructor_kwargs={
             "vocab_ref": vref, "weights_ref": wref, "scorer_cls": scorer_cls,
         },
-        batch_format="pandas",
+        batch_format="pyarrow",
         concurrency=kwargs.pop("concurrency", None) or default_concurrency(),
         **kwargs,
     )
@@ -252,7 +296,10 @@ class BiLstmAttScorer:
 
     Vectorized across the batch; the only sequential loop is the
     recurrence over the (fixed, 64) timesteps — exactly the part a GPU
-    kernel would own.  Attention is masked to real tokens.
+    kernel would own.  Attention is masked to real tokens.  Unlike the
+    PCNN conv, the recurrence is not linear in its position inputs, so
+    it cannot be split per document: it runs on the per-pair feature
+    rows.
     """
 
     def __init__(self, weights_ref):
@@ -308,24 +355,11 @@ class BiLstmAttScorer:
             )
             for i in range(0, len(ids), 1024)
         ]
-        scores = (
+        return _scored(batch, (
             np.concatenate(chunks, axis=0)
             if chunks
             else np.zeros((0, self.w.n_rels))
-        )
-        pred_id = scores.argmax(axis=1)
-        out = batch.select(
-            ["doc_id", "pair_key", "subj_pos", "obj_pos", "label_id"]
-        )
-        out = out.append_column(
-            "scores", fixed_list_column(scores.astype(np.float32))
-        )
-        out = out.append_column("pred_id", pa.array(pred_id.astype(np.int64)))
-        out = out.append_column(
-            "pred_score",
-            pa.array(scores[np.arange(len(scores)), pred_id].astype(np.float64)),
-        )
-        return out
+        ))
 
 
 def score_pairs_bilstm(feature_ds, weights: Optional[BiLstmAttWeights] = None,
@@ -514,10 +548,11 @@ class PcnnRuleWeights:
 
 class PcnnRuleScorer:
     """Feature-row batches -> one integer-logit row per (pair, rel):
-    (doc_id, subj_pos, obj_pos, label, score).  Same shifted-GEMM conv
-    and segment pooling as :class:`PcnnScorer`; no tanh / sigmoid
-    (monotone pointwise maps dropped by the rule contract, like the
-    GP twin's /sqrt)."""
+    (doc_id, subj_pos, obj_pos, label, score).  The per-pair form of
+    :class:`PcnnScorer`'s dataflow: one shifted-GEMM conv over each
+    feature row's [token ++ position ++ position] embeddings, then the
+    pmask segment pooling; no tanh / sigmoid (monotone pointwise maps
+    dropped by the rule contract, like the GP twin's /sqrt)."""
 
     def __init__(self, weights_ref):
         self.w: PcnnRuleWeights = (
@@ -583,7 +618,7 @@ def score_pcnn_rule(docs_ds, vocab=None, **kwargs):
         fn_constructor_kwargs={
             "vocab_ref": vref, "max_seq_len": spec.PCNN_RULE_MAX_LEN,
         },
-        batch_format="pandas",
+        batch_format="pyarrow",
         concurrency=kwargs.pop("concurrency", None) or default_concurrency(),
     )
     return feats.map_batches(

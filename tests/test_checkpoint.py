@@ -62,6 +62,31 @@ def test_resumable_flagship_equals_single_shot(tmp_path):
     ]
 
 
+def test_resumable_flagship_builds_link_map_once(tmp_path, monkeypatch):
+    """The four partitions link against one (node, canonical) map
+    Dataset, built from the canonical-map artifact once per run."""
+    from rex_ray.pipelines import kg
+    from rex_ray.stages import link
+
+    built = []
+    real = link.canonical_map
+
+    def counting(canonical):
+        built.append(len(canonical))
+        return real(canonical)
+
+    monkeypatch.setattr(link, "canonical_map", counting)
+    merged, lineage = kg.run_flagship_resumable(
+        SF, str(tmp_path / "ckpt"), num_partitions=4
+    )
+    got = _sorted(merged.to_pandas())
+    assert len(lineage) == 4 and len(built) == 1 and built[0] > 0
+    monkeypatch.undo()
+    pd.testing.assert_frame_equal(
+        got, _sorted(kg.run_flagship(SF).to_pandas())
+    )
+
+
 @pytest.mark.parametrize("texts, n_store", [
     # docs 3-4 carry no gazetteer mention: with 2 partitions the second
     # partition's stage emits no rows

@@ -64,6 +64,33 @@ def test_piecewise_max_pool_matches_naive():
             np.testing.assert_allclose(got[i, si * 4 : (si + 1) * 4], want)
 
 
+def test_segment_max_pool_matches_piecewise_pool():
+    """Segment bounds + -inf padding pool exactly like the pmask pool
+    of the same pairs, empty first / middle segments included."""
+    from rex_ray.functions.mask import piecewise_mask_batch
+
+    conv = RNG.standard_normal((5, 8, 4)).astype(np.float32)
+    sp = np.array([0, 3, 2, 5, 0])
+    op = np.array([4, 1, 2, 0, 0])
+    n_real = np.array([8, 6, 3, 7, 1])
+    pmask = piecewise_mask_batch(sp, op, n_real, 8)
+    padded = np.where((pmask == 0)[:, :, None], -np.inf, conv)
+    got = nn.segment_max_pool(
+        padded.astype(np.float32), np.minimum(sp, op), np.maximum(sp, op))
+    np.testing.assert_array_equal(got, nn.piecewise_max_pool(conv, pmask))
+
+
+def test_relative_position_conv_rows_are_anchored_convs():
+    pos_emb = RNG.standard_normal((10, 3))
+    w = RNG.standard_normal((4, 5, 3))  # window 5
+    table = nn.relative_position_conv(pos_emb, w, 7)
+    assert table.shape == (7, 7, 4)
+    for p in range(7):
+        x = pos_emb[np.abs(np.arange(7) - p)][None]
+        np.testing.assert_allclose(
+            table[p], naive_conv1d_same(x, w, None)[0], atol=1e-10)
+
+
 def test_ffn_single_layer_acts_like_reference_mid_dims_none():
     # FFN(mid_dims=None) eval == Linear -> act (ffn.py:35-38)
     x = RNG.standard_normal((5, 3))
@@ -127,20 +154,30 @@ def test_biaffine_matches_naive(bias_x, bias_y):
 
 
 def test_pcnn_forward_unchanged_by_kernel_extraction():
-    """The shifted-GEMM conv + piecewise pool previously inlined in
-    PcnnScorer._forward must produce bit-identical scores through the
-    shared kernels (the rule-twin oracles also pin this end-to-end)."""
+    """The factorized PcnnScorer._forward (token conv per document +
+    relative-position conv tables + segment pooling) equals a naive
+    per-pair recomputation of the whole forward on position-consistent
+    inputs: rel_pos = |i - pos| and the pmask of the pair's positions
+    (the rule-twin oracles also pin the dataflow end to end)."""
+    from rex_ray.functions.mask import piecewise_mask_batch
+    from rex_ray.functions.position import relative_positions_matrix
     from rex_ray.stages.scorer import PcnnScorer, PcnnWeights
 
     w = PcnnWeights(vocab_size=50, n_rels=3, max_seq_len=16)
     s = PcnnScorer(w)
     rng = np.random.RandomState(0)
-    ids = rng.randint(0, 50, size=(6, 16))
-    rel_s = rng.randint(0, 16, size=(6, 16))
-    rel_o = rng.randint(0, 16, size=(6, 16))
-    pmask = rng.randint(0, 4, size=(6, 16)).astype(np.int8)
-    scores = s._forward(ids, rel_s, rel_o, pmask)
-    # independent naive recomputation of the whole forward
+    docs = rng.randint(0, 50, size=(3, 16))
+    n_real = np.array([16, 9, 2])
+    docs[1, 9:] = docs[2, 2:] = 0  # pad id
+    doc_row = rng.randint(0, 3, size=6)
+    sp = rng.randint(0, n_real[doc_row])
+    op = rng.randint(0, n_real[doc_row])
+    scores = s._forward(docs, n_real, doc_row, sp, op)
+    # independent naive recomputation of the whole forward, per pair
+    ids = docs[doc_row]
+    rel_s = relative_positions_matrix(sp, 16)
+    rel_o = relative_positions_matrix(op, 16)
+    pmask = piecewise_mask_batch(sp, op, n_real[doc_row], 16)
     x = np.concatenate(
         [w.emb[ids], w.pos_subj[rel_s], w.pos_obj[rel_o]], axis=2
     )

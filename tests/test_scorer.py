@@ -94,14 +94,11 @@ def test_piecewise_pool_segments_affect_output():
 
     w = PcnnWeights(vocab_size=100, n_rels=5, max_seq_len=16)
     sc = PcnnScorer(w)
-    ids = np.tile(np.arange(16)[None, :], (2, 1))
-    rel_s = np.abs(np.arange(16)[None, :] - np.array([[2], [2]]))
-    rel_o = np.abs(np.arange(16)[None, :] - np.array([[8], [8]]))
-    pm1 = np.array([[1] * 2 + [2] * 6 + [3] * 8], dtype=np.int8)
-    pm2 = np.array([[1] * 8 + [2] * 4 + [3] * 4], dtype=np.int8)
-    out1 = sc._forward(ids[:1], rel_s[:1], rel_o[:1], pm1)
-    out2 = sc._forward(ids[:1], rel_s[:1], rel_o[:1], pm2)
-    assert not np.allclose(out1, out2)
+    ids = np.arange(16)[None, :]
+    # pair 1: segments [0, 2) [2, 8) [8, 16); pair 2: [0, 8) [8, 12) [12, 16)
+    out = sc._forward(ids, np.array([16]), np.array([0, 0]),
+                      np.array([2, 8]), np.array([8, 12]))
+    assert not np.allclose(out[:1], out[1:])
 
 
 def test_pcnn_rule_matches_straightline_reimplementation(ray_session):
