@@ -86,10 +86,12 @@ def cluster_cpus() -> int:
 
 
 def default_concurrency():
-    """Actor-pool sizing for light stateful stages: scale the pool cap
-    to the cluster's CPU count (a fixed cap would serialize the hot
-    stages on bigger clusters; the pool still starts at 1 and grows
-    on demand)."""
+    """Actor-pool sizing for the stages that still map a callable class
+    (subword, multimodal, mention disambiguation, text statistics,
+    local top-k): scale the pool cap to the cluster's CPU count (a
+    fixed cap would serialize them on bigger clusters; the pool still
+    starts at 1 and grows on demand).  Extraction and the model stages
+    run as tasks on :func:`worker_udf` and take no pool size."""
     return (1, max(2, cluster_cpus()))
 
 
@@ -106,9 +108,27 @@ def compact_blocks(ds, batch_size: int = 65536):
     )
 
 
-# Broadcast side objects resolved in this worker process, by ref; the
-# oldest is evicted past 8.
+# Broadcast side objects and stage state built in this worker process:
+# slot -> (version, object); the oldest slot is evicted past 8.
 _SIDE_CACHE: dict = {}
+
+
+def _cached(slot, make, version=None):
+    """The object cached in ``slot``, built by ``make()`` on a miss.  A
+    slot holds one version: a new ``version`` drops the old object
+    before building its successor.  A resolved broadcast value is a
+    zero-copy view that keeps its object-store buffer alive, so a stale
+    object left cached would keep its buffer from being reused
+    (measured on the ``scored_pairs`` benchmark: the driver's RSS grew
+    ~4 MiB per op, one weights ``ray.put`` each, until 8 stale scorers
+    per worker were cached)."""
+    hit = _SIDE_CACHE.get(slot)
+    if hit is None or hit[0] != version:
+        _SIDE_CACHE.pop(slot, None)
+        hit = _SIDE_CACHE[slot] = (version, make())
+        while len(_SIDE_CACHE) > 8:
+            _SIDE_CACHE.pop(next(iter(_SIDE_CACHE)))
+    return hit[1]
 
 
 def _worker_built_ref(ds, build_fn):
@@ -130,15 +150,54 @@ def _side_object(ref):
     """Resolve a broadcast side object once per worker process.  ``ref``
     is one ObjectRef, or a list of them (e.g. a materialized Dataset's
     ``to_arrow_refs()``, resolved to the list of its tables)."""
-    key = tuple(r.hex() for r in ref) if isinstance(ref, list) else ref.hex()
-    obj = _SIDE_CACHE.get(key)
-    if obj is None:
-        import ray
+    import ray
 
-        obj = _SIDE_CACHE[key] = ray.get(ref)
-        while len(_SIDE_CACHE) > 8:
-            _SIDE_CACHE.pop(next(iter(_SIDE_CACHE)))
-    return obj
+    key = tuple(r.hex() for r in ref) if isinstance(ref, list) else ref.hex()
+    return _cached(key, lambda: ray.get(ref))
+
+
+def worker_state(cls, *args, **kwargs):
+    """``cls(*args, **kwargs)`` built once per worker process, with
+    every ObjectRef argument resolved: a stage's vocab, weights and
+    compiled tables.  ``cls`` must be importable (pickled by reference)
+    for its tasks to share one instance.  The slot in the side-object
+    cache is ``cls`` and the plain arguments; the refs' ids are its
+    version, so the same refs reuse the instance and new refs (the
+    stage's next call) replace it."""
+    import ray
+
+    refs = []
+
+    def plain(v):
+        if isinstance(v, ray.ObjectRef):
+            refs.append(v.hex())
+            return ray.ObjectRef  # the ref's place in the slot
+        return v
+
+    def val(v):
+        return ray.get(v) if isinstance(v, ray.ObjectRef) else v
+
+    slot = (cls, tuple(map(plain, args)),
+            tuple((k, plain(kwargs[k])) for k in sorted(kwargs)))
+    return _cached(
+        slot,
+        lambda: cls(*map(val, args), **{k: val(v) for k, v in kwargs.items()}),
+        tuple(refs),
+    )
+
+
+def worker_udf(cls, *args, **kwargs):
+    """A ``map_batches`` task UDF that applies ``worker_state(cls,
+    *args, **kwargs)`` to each batch.  The stage runs on Ray's already
+    warm task workers, and a worker builds the state once for all the
+    calls it serves.  A callable-class actor pool instead starts a new
+    worker process per call, which pays ``import ray.data`` (~0.7 s on
+    one core) before its first batch and exits after the call."""
+
+    def udf(batch):
+        return worker_state(cls, *args, **kwargs)(batch)
+
+    return udf
 
 
 # Rows per shuffle partition: the bucket rule of relational.hash_join

@@ -30,7 +30,7 @@ def predict_texts(
         [{"doc_id": i, "text": t} for i, t in enumerate(texts)]
     )
     triples = extract.extract_triples(
-        ds, min_score=min_score, concurrency=(1, 2)
+        ds, min_score=min_score, concurrency=2
     ).to_pandas()
     out = triples.sort_values(
         ["doc_id", "subj_pos", "obj_pos"]
@@ -107,7 +107,7 @@ def predict_scored_pairs(
     ds = rd.from_items(
         [{"doc_id": i, "text": t} for i, t in enumerate(texts)]
     )
-    scored = scorer.score_docs(ds, task_dir=task_dir, concurrency=(1, 2))
+    scored = scorer.score_docs(ds, task_dir=task_dir, concurrency=2)
     return (
         scored.to_pandas()
         .sort_values(["doc_id", "subj_pos", "obj_pos"])

@@ -3,11 +3,11 @@ object spans per (subject, relation) — the reference's two-step decode
 (rex/models/casrel.py:13-188 + rex/modules/span.py:11-146), whose eval
 is inherently batch-size-1 per document (span.py:100-107).
 
-SURVEY.md §7.3: the cascade stays a PER-ROW loop INSIDE the actor —
-the batch is Arrow in/out and the actor processes its documents one at
-a time (exactly how the real CasRel actor would drive its model with
-eval batch 1), so the pattern scales by actor-pool width, not by
-intra-doc vectorization.
+SURVEY.md §7.3: the cascade stays a PER-ROW loop INSIDE the stage —
+the batch is Arrow in/out and the extractor (built once per worker
+process, ``blocks.worker_udf``) processes its documents one at a time
+(exactly how a real CasRel model would run with eval batch 1), so the
+pattern scales by task concurrency, not by intra-doc vectorization.
 
 The subject tagger and per-subject object predictor here are the
 deterministic gazetteer/window rules (a trained CasRel drops into
@@ -22,7 +22,7 @@ from typing import List, Tuple
 import pandas as pd
 import pyarrow as pa
 
-from rex_ray.functions.blocks import arrow_block, default_concurrency
+from rex_ray.functions.blocks import arrow_block, worker_udf
 from rex_ray.functions.span import find_closest_span_pairs
 from rex_ray.pipelines import spec
 
@@ -102,8 +102,4 @@ class CascadeExtractor:
 
 def cascade_triples(docs_ds, **kwargs):
     return docs_ds.map_batches(
-        CascadeExtractor,
-        batch_format="pandas",
-        concurrency=kwargs.pop("concurrency", None) or default_concurrency(),
-        **kwargs,
-    )
+        worker_udf(CascadeExtractor), batch_format="pandas", **kwargs)

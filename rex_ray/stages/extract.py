@@ -8,10 +8,11 @@ the PCNN scorer (the learned scorer lives in ``stages/scorer.py``).
 
 Both stages are callable CLASSES whose state — the gazetteer as Arrow
 arrays, the relation rule as a type-code table — is compiled once per
-process in ``__init__``.  Per batch the work is Arrow compute end to
-end: ``split_pattern`` the text, ``index_in`` the tokens against the
-gazetteer, fan pairs out by index shifts over the (doc, pos)-ordered
-mentions, and ``take`` the predicate from the code table.  A batch
+worker process in ``__init__`` (``blocks.worker_state``).  Per batch
+the work is Arrow compute end to end: ``split_pattern`` the text,
+``index_in`` the tokens against the gazetteer, fan pairs out by index
+shifts over the (doc, pos)-ordered mentions, and ``take`` the
+predicate from the code table.  A batch
 enters and leaves as Arrow (direct callers may pass a pandas frame),
 so no stage pays an Arrow/pandas round trip in front of a shuffle.
 Mention+pair extraction is FUSED into one stage for the pipeline
@@ -28,7 +29,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from rex_ray.functions.blocks import as_arrow, default_concurrency
+from rex_ray.functions.blocks import as_arrow, worker_state, worker_udf
 from rex_ray.pipelines import spec
 
 
@@ -220,72 +221,28 @@ class TripleExtractor:
         )
 
 
-from functools import lru_cache
+def extract_mentions(docs_ds, **kwargs):
+    """documents Dataset (doc_id, text) -> mentions Dataset, a task
+    stage whose extractor is built once per worker process
+    (``blocks.worker_udf``); an actor pool here only paid ~5 s of
+    spin-up per pipeline (measured: the whole flagship dropped 7.7 s ->
+    2.2 s at sf0.1 when the light stages left actor pools)."""
+    return docs_ds.map_batches(
+        worker_udf(MentionExtractor), batch_format="pyarrow", **kwargs)
 
 
-@lru_cache(maxsize=8)
-def _mention_singleton() -> "MentionExtractor":
-    return MentionExtractor()
-
-
-@lru_cache(maxsize=8)
-def _triple_singleton(min_score: float) -> "TripleExtractor":
-    return TripleExtractor(min_score=min_score)
-
-
-def _mention_task(batch: pa.Table) -> pa.Table:
-    return _mention_singleton()(batch)
-
-
-def extract_mentions(docs_ds, use_actors: bool = False, **kwargs):
-    """documents Dataset (doc_id, text) -> mentions Dataset.
-
-    Default is TASK-based: the gazetteer state is trivial, and the
-    per-process lru_cache rebuilds it once per worker — an actor pool
-    here only pays ~5 s of spin-up per pipeline (measured: the whole
-    flagship dropped 7.7 s -> 2.2 s at sf0.1 when the light stages
-    left actor pools).  ``use_actors=True`` restores the pool (the
-    right choice once the stage holds real model weights)."""
-    if use_actors:
-        return docs_ds.map_batches(
-            MentionExtractor,
-            batch_format="pyarrow",
-            concurrency=kwargs.pop("concurrency", None)
-            or default_concurrency(),
-            **kwargs,
-        )
-    kwargs.pop("concurrency", None)
-    return docs_ds.map_batches(_mention_task, batch_format="pyarrow", **kwargs)
-
-
-def extract_triples(docs_ds, min_score: float = 0.0,
-                    use_actors: bool = False, **kwargs):
+def extract_triples(docs_ds, min_score: float = 0.0, **kwargs):
     """documents Dataset (doc_id, text) -> scored candidate triples
-    (task-based by default; see :func:`extract_mentions`)."""
-    if use_actors:
-        return docs_ds.map_batches(
-            TripleExtractor,
-            fn_constructor_kwargs={"min_score": min_score},
-            batch_format="pyarrow",
-            concurrency=kwargs.pop("concurrency", None)
-            or default_concurrency(),
-            **kwargs,
-        )
-    kwargs.pop("concurrency", None)
-
-    def fn(batch: pa.Table, _ms=min_score) -> pa.Table:
-        return _triple_singleton(_ms)(batch)
-
-    return docs_ds.map_batches(fn, batch_format="pyarrow", **kwargs)
+    (a task stage; see :func:`extract_mentions`)."""
+    return docs_ds.map_batches(
+        worker_udf(TripleExtractor, min_score=min_score),
+        batch_format="pyarrow", **kwargs)
 
 
 def _tagged_schema(doc_id_t: pa.DataType) -> pa.Schema:
     return _triples_schema(doc_id_t).append(
         pa.field("kind", pa.string())
     ).append(pa.field("surface", pa.string()))
-
-
-_GAZ_EXTRACTOR_CACHE: Dict[str, "TripleExtractor"] = {}
 
 
 def extract_triples_and_surfaces(
@@ -306,8 +263,6 @@ def extract_triples_and_surfaces(
     splitting can cut a large mention block mid-document and silently
     drop cross-boundary pairs.
     """
-    kwargs.pop("concurrency", None)
-
     # Non-default gazetteer (e.g. a learned-NER surface inventory, the
     # >DRIVER_CC_MAX_NODES scenario): broadcast once via ray.put, build
     # the extractor once per worker process keyed by the ref.
@@ -318,22 +273,7 @@ def extract_triples_and_surfaces(
         gaz_ref = ray.put(gazetteer)
 
     def fn(batch: pa.Table, _ms=min_score, _gref=gaz_ref) -> pa.Table:
-        if _gref is None:
-            ex = _triple_singleton(_ms)
-        else:
-            key = _gref.hex() + f"|{_ms}"
-            ex = _GAZ_EXTRACTOR_CACHE.get(key)
-            if ex is None:
-                import ray
-
-                ex = TripleExtractor(
-                    gazetteer=ray.get(_gref), min_score=_ms
-                )
-                _GAZ_EXTRACTOR_CACHE[key] = ex
-                if len(_GAZ_EXTRACTOR_CACHE) > 8:
-                    _GAZ_EXTRACTOR_CACHE.pop(
-                        next(iter(_GAZ_EXTRACTOR_CACHE))
-                    )
+        ex = worker_state(TripleExtractor, gazetteer=_gref, min_score=_ms)
         located = ex._mentions.locate(split_tokens(batch))
         triples = ex.triples(batch, located, ex.pairs(located))
         n_t = triples.num_rows

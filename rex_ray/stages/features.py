@@ -17,8 +17,10 @@ rows above for the feature-row consumers (BiLSTM, the rule twin,
 ``kg_feature_rows``).
 
 The Vocab is SMALL-SIDE state: built once from the corpus distinct
-tokens (one tiny aggregate) and resolved per actor from a broadcast
-ref, mirroring how the reference loads its pretrained vocab once.
+tokens (one tiny aggregate), broadcast once, and resolved once per
+worker process with the featurizer that holds it
+(``blocks.worker_udf``), mirroring how the reference loads its
+pretrained vocab once.
 """
 
 from __future__ import annotations
@@ -31,11 +33,7 @@ import pyarrow.compute as pc
 
 import ray
 
-from rex_ray.functions.blocks import (
-    as_arrow,
-    default_concurrency,
-    fixed_list_column,
-)
+from rex_ray.functions.blocks import as_arrow, fixed_list_column, worker_udf
 from rex_ray.functions.mask import piecewise_mask_batch
 from rex_ray.functions.position import relative_positions_matrix
 from rex_ray.pipelines import spec
@@ -102,12 +100,8 @@ class PairFeaturizer:
     which the PCNN scorer consumes without expanding it.
     """
 
-    def __init__(self, vocab_ref, max_seq_len: int = MAX_SEQ_LEN):
-        self.vocab: Vocab = (
-            ray.get(vocab_ref)
-            if isinstance(vocab_ref, ray.ObjectRef)
-            else vocab_ref
-        )
+    def __init__(self, vocab: Vocab, max_seq_len: int = MAX_SEQ_LEN):
+        self.vocab = vocab
         self.max_seq_len = max_seq_len
         self.labels = relation_label_encoder()
         from rex_ray.stages.extract import TripleExtractor
@@ -184,11 +178,6 @@ class PairFeaturizer:
 def featurize(docs_ds, vocab: Optional[Vocab] = None, **kwargs):
     if vocab is None:
         vocab = build_corpus_vocab(docs_ds)
-    ref = ray.put(vocab)
     return docs_ds.map_batches(
-        PairFeaturizer,
-        fn_constructor_kwargs={"vocab_ref": ref},
-        batch_format="pyarrow",
-        concurrency=kwargs.pop("concurrency", None) or default_concurrency(),
-        **kwargs,
-    )
+        worker_udf(PairFeaturizer, ray.put(vocab)),
+        batch_format="pyarrow", **kwargs)

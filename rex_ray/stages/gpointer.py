@@ -33,7 +33,7 @@ import pyarrow as pa
 import ray
 
 from rex_ray.functions import nn
-from rex_ray.functions.blocks import arrow_block, default_concurrency
+from rex_ray.functions.blocks import arrow_block, worker_udf
 from rex_ray.functions.position import (
     decode_multiclass_pointer_matrix_spans,
 )
@@ -138,21 +138,16 @@ class GlobalPointerScorer:
     """(doc_id, text) batches -> thresholded span rows with biaffine
     scores: (doc_id, ent_type, start_pos, end_pos, score).
 
-    Weights + vocab resolved once per actor; forward is one einsum per
-    batch over (B, cls, L, L) — no per-row Python in the scoring."""
+    Built once per worker process from the broadcast weights + vocab;
+    forward is one einsum per batch over (B, cls, L, L) — no per-row
+    Python in the scoring."""
 
-    def __init__(self, vocab_ref, weights_ref, use_rope: bool = True,
-                 tri_mask: str = "tril", max_seq_len: int = MAX_SEQ_LEN,
-                 threshold: float = 0.03, rope: str = "sin",
-                 scale: bool = True):
-        self.vocab: Vocab = (
-            ray.get(vocab_ref)
-            if isinstance(vocab_ref, ray.ObjectRef) else vocab_ref
-        )
-        self.w: GlobalPointerWeights = (
-            ray.get(weights_ref)
-            if isinstance(weights_ref, ray.ObjectRef) else weights_ref
-        )
+    def __init__(self, vocab: Vocab, weights: GlobalPointerWeights,
+                 use_rope: bool = True, tri_mask: str = "tril",
+                 max_seq_len: int = MAX_SEQ_LEN, threshold: float = 0.03,
+                 rope: str = "sin", scale: bool = True):
+        self.vocab = vocab
+        self.w = weights
         assert tri_mask in ("tril", "triu", "none")
         assert rope in ("sin", "int")
         self.use_rope = use_rope
@@ -239,8 +234,8 @@ def score_globalpointer(
     task_dir: Optional[str] = None,
     **kwargs,
 ):
-    """documents -> GlobalPointer-scored spans (actor-pool stage,
-    broadcast vocab + weights)."""
+    """documents -> GlobalPointer-scored spans (a task stage over
+    broadcast vocab + weights, ``blocks.worker_udf``)."""
     from rex_ray.stages.features import build_corpus_vocab
 
     if vocab is None:
@@ -253,14 +248,9 @@ def score_globalpointer(
         weights = GlobalPointerWeights(
             vocab_size=len(vocab), cls_num=len(ENT_TYPES)
         )
-    vref, wref = ray.put(vocab), ray.put(weights)
     return docs_ds.map_batches(
-        GlobalPointerScorer,
-        fn_constructor_kwargs={"vocab_ref": vref, "weights_ref": wref},
-        batch_format="pandas",
-        concurrency=kwargs.pop("concurrency", None) or default_concurrency(),
-        **kwargs,
-    )
+        worker_udf(GlobalPointerScorer, ray.put(vocab), ray.put(weights)),
+        batch_format="pandas", **kwargs)
 
 
 def score_globalpointer_rule(docs_ds, vocab: Optional[Vocab] = None,
@@ -277,19 +267,9 @@ def score_globalpointer_rule(docs_ds, vocab: Optional[Vocab] = None,
 
     if vocab is None:
         vocab = build_corpus_vocab(docs_ds)
-    weights = GlobalPointerRuleWeights(vocab)
-    vref, wref = ray.put(vocab), ray.put(weights)
     return docs_ds.map_batches(
-        GlobalPointerScorer,
-        fn_constructor_kwargs={
-            "vocab_ref": vref,
-            "weights_ref": wref,
-            "rope": "int",
-            "scale": False,
-            "threshold": 0.0,
-            "max_seq_len": spec.GP_RULE_MAX_LEN,
-        },
-        batch_format="pandas",
-        concurrency=kwargs.pop("concurrency", None) or default_concurrency(),
-        **kwargs,
-    )
+        worker_udf(GlobalPointerScorer, ray.put(vocab),
+                   ray.put(GlobalPointerRuleWeights(vocab)), rope="int",
+                   scale=False, threshold=0.0,
+                   max_seq_len=spec.GP_RULE_MAX_LEN),
+        batch_format="pandas", **kwargs)

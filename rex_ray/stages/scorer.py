@@ -1,9 +1,10 @@
 """PCNN-style relation scorer + bag (distant-supervision) reduces.
 
 The hot inference stage of the north star: a relation classifier with
-position embeddings hosted in an actor pool, fused with the featurizer
-so the feature tensors never leave the actor.  Semantics re-derive the
-reference models:
+position embeddings, fused with the featurizer so the feature tensors
+never leave the task that builds them.  Each stage is a task
+``map_batches`` whose model object is built once per worker process
+(``blocks.worker_udf``).  Semantics re-derive the reference models:
 
 * SentPCNN (rex/models/sent_pcnn.py:11-55 + rex/modules/pcnn.py:9-55):
   token embedding ++ two relative-position embeddings -> width-3
@@ -11,7 +12,7 @@ reference models:
   (before-head, between, after-tail) mask -> tanh -> dense -> sigmoid
   multi-label scores.  The forward is FACTORIZED: the conv is linear,
   so its token part runs once per document and its two position parts
-  are rows of per-actor tables; only the pooling runs per pair.
+  are rows of per-worker tables; only the pooling runs per pair.
 * PCNNOne  (rex/models/bag_pcnn.py:60-88): bag label from its
   highest-scoring member — per-relation max over members, which is
   ASSOCIATIVE, so it runs as a partial-aggregate + Max shuffle.
@@ -21,7 +22,7 @@ reference models:
 
 No GPU/torch in this sandbox, so weights are DETERMINISTIC seeded
 numpy tensors (the real model drops in by replacing ``PcnnWeights``);
-the Ray-side plumbing — broadcast weights, per-actor load, batched
+the Ray-side plumbing — broadcast weights, per-worker load, batched
 vectorized forward, associative bag reduce — is the real part.  On a
 GPU cluster the scorer maps with ``num_gpus=...`` and a torch forward.
 """
@@ -41,10 +42,10 @@ from ray.data.aggregate import Max, Sum
 from rex_ray.functions import nn
 from rex_ray.functions.blocks import (
     arrow_block,
-    default_concurrency,
     fixed_list_column,
     matrix_from_column,
     pre_shuffle,
+    worker_udf,
 )
 from rex_ray.stages.features import MAX_SEQ_LEN, relation_label_encoder
 
@@ -97,25 +98,21 @@ def _scored(pairs: pa.Table, scores: np.ndarray) -> pa.Table:
 class PcnnScorer:
     """Pairs -> per-relation sigmoid scores, one factorized forward.
 
-    Weights resolved ONCE per actor from the broadcast ref.  The conv
-    over [token ++ subject-position ++ object-position] embeddings is
+    Built once per worker from the broadcast weights.  The conv over
+    [token ++ subject-position ++ object-position] embeddings is
     linear, so it runs as three parts: the token channels' conv once
     per DOCUMENT (all of a document's pairs share it), plus a row of a
-    per-actor (L, L, f) table for each position channel
+    per-worker (L, L, f) table for each position channel
     (:func:`nn.relative_position_conv`, anchored at the pair's
     subject / object).  A document's padding positions are -inf in its
     token conv, so each pair's piecewise pooling is one bias-add + max
     per segment (:func:`nn.segment_max_pool`).  Entry points: feature
     rows (:meth:`__call__`, identical token rows grouped back into
     documents) and the featurizer's factored form
-    (:meth:`score_doc_pairs`, the fused actor's path)."""
+    (:meth:`score_doc_pairs`, the fused stage's path)."""
 
-    def __init__(self, weights_ref):
-        self.w: PcnnWeights = (
-            ray.get(weights_ref)
-            if isinstance(weights_ref, ray.ObjectRef)
-            else weights_ref
-        )
+    def __init__(self, weights: PcnnWeights):
+        self.w = weights
         self.labels = relation_label_encoder()
         self._pos_tables = {}  # L -> (subject, object) (L, L, f) tables
 
@@ -186,34 +183,30 @@ def score_pairs(feature_ds, weights: Optional[PcnnWeights] = None,
     if weights is None:
         n_rels = len(relation_label_encoder())
         weights = PcnnWeights(vocab_size, n_rels)
-    ref = ray.put(weights)
     return feature_ds.map_batches(
-        PcnnScorer,
-        fn_constructor_kwargs={"weights_ref": ref},
-        batch_format="pyarrow",
-        concurrency=kwargs.pop("concurrency", None) or default_concurrency(),
-        **kwargs,
-    )
+        worker_udf(PcnnScorer, ray.put(weights)),
+        batch_format="pyarrow", **kwargs)
 
 
 class FeaturizeAndScore:
-    """Fused featurizer + scorer actor: documents in, scored pairs out.
+    """Fused featurizer + scorer: documents in, scored pairs out.
 
-    The feature tensors (token ids, masks, position vectors — ~10x the
-    text size) live only inside the actor; they never enter the object
-    store.  Separate featurize -> score actor pools move every tensor
-    block through plasma and pay cross-operator backpressure (measured
-    111 s vs 12 s for the fused stage on 289k pairs at sf0.1).  A PCNN
-    scorer takes the featurizer's factored form (one token row per
-    document); a scorer without :meth:`PcnnScorer.score_doc_pairs`
-    takes the expanded per-pair rows."""
+    :func:`score_docs` builds one per worker process
+    (``blocks.worker_udf``) and maps it as a task.  The feature tensors
+    (token ids, masks, position vectors — ~10x the text size) live only
+    inside the call; they never enter the object store.  Separate
+    featurize -> score stages move every tensor block through plasma
+    and pay cross-operator backpressure (measured 111 s vs 12 s for the
+    fused stage on 289k pairs at sf0.1).  A PCNN scorer takes the
+    featurizer's factored form (one token row per document); a scorer
+    without :meth:`PcnnScorer.score_doc_pairs` takes the expanded
+    per-pair rows."""
 
-    def __init__(self, vocab_ref, weights_ref, scorer_cls=None):
+    def __init__(self, vocab, weights, scorer_cls=None):
         from rex_ray.stages.features import PairFeaturizer
 
-        self.featurize = PairFeaturizer(vocab_ref)
-        cls = scorer_cls or PcnnScorer
-        self.score = cls(weights_ref)
+        self.featurize = PairFeaturizer(vocab)
+        self.score = (scorer_cls or PcnnScorer)(weights)
 
     def __call__(self, batch) -> pa.Table:
         if hasattr(self.score, "score_doc_pairs"):  # factorized PCNN
@@ -224,10 +217,11 @@ class FeaturizeAndScore:
 def score_docs(docs_ds, vocab=None, weights=None,
                vocab_size: int = 1 << 16, scorer_cls=None,
                task_dir: Optional[str] = None, **kwargs):
-    """documents (doc_id, text) -> scored pairs, single fused actor
-    stage (the production inference path).  ``task_dir`` loads the
-    best trained checkpoint (state/weights.py, the reference's
-    ``from_taskdir`` shape) instead of the seeded default."""
+    """documents (doc_id, text) -> scored pairs, one fused task stage
+    (the production inference path); ``concurrency`` (an int) caps its
+    concurrent tasks.  ``task_dir`` loads the best trained checkpoint
+    (state/weights.py, the reference's ``from_taskdir`` shape) instead
+    of the seeded default."""
     from rex_ray.stages.features import build_corpus_vocab
 
     if vocab is None:
@@ -244,17 +238,10 @@ def score_docs(docs_ds, vocab=None, weights=None,
     if weights is None:
         n_rels = len(relation_label_encoder())
         weights = PcnnWeights(vocab_size, n_rels)
-    vref = ray.put(vocab)
-    wref = ray.put(weights)
     return docs_ds.map_batches(
-        FeaturizeAndScore,
-        fn_constructor_kwargs={
-            "vocab_ref": vref, "weights_ref": wref, "scorer_cls": scorer_cls,
-        },
-        batch_format="pyarrow",
-        concurrency=kwargs.pop("concurrency", None) or default_concurrency(),
-        **kwargs,
-    )
+        worker_udf(FeaturizeAndScore, ray.put(vocab), ray.put(weights),
+                   scorer_cls),
+        batch_format="pyarrow", **kwargs)
 
 
 class BiLstmAttWeights:
@@ -302,12 +289,8 @@ class BiLstmAttScorer:
     rows.
     """
 
-    def __init__(self, weights_ref):
-        self.w: BiLstmAttWeights = (
-            ray.get(weights_ref)
-            if isinstance(weights_ref, ray.ObjectRef)
-            else weights_ref
-        )
+    def __init__(self, weights: BiLstmAttWeights):
+        self.w = weights
         self.labels = relation_label_encoder()
 
     def _forward(
@@ -367,14 +350,9 @@ def score_pairs_bilstm(feature_ds, weights: Optional[BiLstmAttWeights] = None,
     if weights is None:
         n_rels = len(relation_label_encoder())
         weights = BiLstmAttWeights(vocab_size, n_rels)
-    ref = ray.put(weights)
     return feature_ds.map_batches(
-        BiLstmAttScorer,
-        fn_constructor_kwargs={"weights_ref": ref},
-        batch_format="pyarrow",
-        concurrency=kwargs.pop("concurrency", None) or default_concurrency(),
-        **kwargs,
-    )
+        worker_udf(BiLstmAttScorer, ray.put(weights)),
+        batch_format="pyarrow", **kwargs)
 
 
 def rule_scored_pairs(docs_ds, **kwargs):
@@ -554,12 +532,8 @@ class PcnnRuleScorer:
     pmask segment pooling; no tanh / sigmoid (monotone pointwise maps
     dropped by the rule contract, like the GP twin's /sqrt)."""
 
-    def __init__(self, weights_ref):
-        self.w: PcnnRuleWeights = (
-            ray.get(weights_ref)
-            if isinstance(weights_ref, ray.ObjectRef)
-            else weights_ref
-        )
+    def __init__(self, weights: PcnnRuleWeights):
+        self.w = weights
 
     def _forward(self, ids, rel_s, rel_o, pmask) -> np.ndarray:
         w = self.w
@@ -609,22 +583,11 @@ def score_pcnn_rule(docs_ds, vocab=None, **kwargs):
 
     if vocab is None:
         vocab = build_corpus_vocab(docs_ds)
-    vref = ray.put(vocab)
-    wref = ray.put(
-        PcnnRuleWeights(vocab, max_seq_len=spec.PCNN_RULE_MAX_LEN)
-    )
+    L = spec.PCNN_RULE_MAX_LEN
     feats = docs_ds.map_batches(
-        PairFeaturizer,
-        fn_constructor_kwargs={
-            "vocab_ref": vref, "max_seq_len": spec.PCNN_RULE_MAX_LEN,
-        },
-        batch_format="pyarrow",
-        concurrency=kwargs.pop("concurrency", None) or default_concurrency(),
-    )
+        worker_udf(PairFeaturizer, ray.put(vocab), max_seq_len=L),
+        batch_format="pyarrow", concurrency=kwargs.get("concurrency"))
     return feats.map_batches(
-        PcnnRuleScorer,
-        fn_constructor_kwargs={"weights_ref": wref},
-        batch_format="pyarrow",
-        concurrency=default_concurrency(),
-        **kwargs,
-    )
+        worker_udf(PcnnRuleScorer,
+                   ray.put(PcnnRuleWeights(vocab, max_seq_len=L))),
+        batch_format="pyarrow", **kwargs)

@@ -16,8 +16,9 @@ Reference semantics (re-derived, not ported):
   filtered on the driver and broadcast.
 
 In the engine these are SMALL-SIDE state: built once on the driver,
-``ray.put`` once, resolved per actor in ``__init__`` — never reshipped
-per batch (SURVEY.md §2.3).
+``ray.put`` once, resolved once per worker process with the stage
+object that holds them (``functions/blocks.worker_state``) — never
+reshipped per batch (SURVEY.md §2.3).
 """
 
 from __future__ import annotations

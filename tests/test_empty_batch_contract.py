@@ -4,7 +4,8 @@ zero rows (functions/blocks.py module docstring).  Every UDF here
 raises on an empty batch, and runs over inputs that carry empty
 blocks: a typed 0-row block between full ones, a filter that drops
 every row, a join with empty partitions, and a groupby over an empty
-dataset."""
+dataset.  The fused scorer task is pinned on such inputs too: no input
+rows give no rows, and documents without a pair a typed 0-row batch."""
 
 import gc
 
@@ -138,3 +139,56 @@ def test_passed_through_empty_block_schema_is_not_seen(ray_session):
     assert dict(zip(got["node"], got["sum(deg)"])) == {
         "x": 4, "y": 2, "z": 4
     }
+
+
+_DOCS = pa.schema([("doc_id", pa.int64()), ("text", pa.string())])
+
+
+def _docs(ids, texts):
+    return pa.table({"doc_id": pa.array(ids, pa.int64()),
+                     "text": pa.array(texts, pa.string())}, schema=_DOCS)
+
+
+@pytest.mark.parametrize("source", ["empty_corpus", "filter_drops_all",
+                                    "no_pairs", "empty_block_between_full"])
+def test_fused_scorer_task_on_empty_and_zero_pair_inputs(ray_session, source):
+    """``scorer.score_docs`` (the fused featurize + PCNN task): an input
+    with no rows gives 0 rows; documents with no scorable pair give a
+    typed 0-row batch; an empty block between full ones changes
+    nothing."""
+    import ray
+    import ray.data as rd
+
+    from rex_ray.stages import scorer
+    from rex_ray.stages.features import relation_label_encoder
+    from rex_ray.state.dictionaries import Vocab
+
+    full = [_docs([1], ["join hash table"]), _docs([2], ["hash join"])]
+    ds = {
+        "empty_corpus": lambda: rd.from_arrow(_DOCS.empty_table()),
+        "filter_drops_all": lambda: rd.from_arrow(full).filter(
+            expr="doc_id < 0"),
+        "no_pairs": lambda: rd.from_arrow(_docs([1, 2], ["zz zz", "join"])),
+        "empty_block_between_full": lambda: rd.from_arrow(
+            [full[0], _DOCS.empty_table(), full[1]]),
+    }[source]()
+    vocab = Vocab(["join", "hash", "table", "zz"])
+    out = scorer.score_docs(ds, vocab=vocab, concurrency=1).materialize()
+    tables = [t for t in ray.get(out.to_arrow_refs())
+              if t.num_rows or t.num_columns]
+    if source == "empty_block_between_full":
+        assert out.count() == 4  # 3 pairs + 1 pair
+        return
+    assert out.count() == 0
+    if source == "no_pairs":
+        (t,) = tables
+        n_rels = len(relation_label_encoder())
+        assert t.schema == pa.schema([
+            ("doc_id", pa.int64()), ("pair_key", pa.string()),
+            ("subj_pos", pa.int64()), ("obj_pos", pa.int64()),
+            ("label_id", pa.int64()),
+            ("scores", pa.list_(pa.float32(), n_rels)),
+            ("pred_id", pa.int64()), ("pred_score", pa.float64()),
+        ])
+    else:  # the UDF never ran: nothing typed, nothing to type
+        assert tables == []
